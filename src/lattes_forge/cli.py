@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,10 +105,29 @@ def _json_text(obj, indent: int = 0) -> str:
 
 
 def _atomic_write(path: str, data: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    """Write through a fresh temp file beside path, then rename it over path."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; keep open()'s mode
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _load_map(path: str):
+    """The map in a bare map document or in a construct artifact (its "map")."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
+        return map_from_dict(doc.get("map", doc))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"cannot load map from {path}: {exc}") from None
 
 
 def _pair(z: complex) -> list:
@@ -330,13 +350,7 @@ def cmd_construct(args) -> int:
 def cmd_certify(args) -> int:
     config = _config(args)
     tol = config.tol if config.tol is not None else 1e-8
-    try:
-        with open(args.map_file, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
-        g = map_from_dict(doc.get("map", doc))  # accept bare maps and construct artifacts
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot load map from {args.map_file}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _load_map(args.map_file)
     unique = []
     for point, _ in critical_points(g):
         img = eval_map(g, point)
@@ -363,8 +377,7 @@ def cmd_certify(args) -> int:
 def cmd_render(args) -> int:
     config = _config(args)
     if args.map_file is not None:
-        with open(args.map_file, "r", encoding="ascii") as fh:
-            g = map_from_dict(json.load(fh))
+        g = _load_map(args.map_file)
     else:
         g = build_rational_map(config.spec())
     buffer = julia_render(g, args.size, args.size, max_iter=args.max_iter,

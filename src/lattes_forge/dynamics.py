@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,15 +199,6 @@ def chart_derivative(f, z: SpherePoint, in_chart: int, out_chart: int) -> comple
     return (qd * pv - qv * pd) / (pv * pv)
 
 
-def derivative(f, z: SpherePoint, in_chart: int | None = None, out_chart: int | None = None) -> complex:
-    """Chart derivative of f at z, charts auto-selected to keep values bounded."""
-    if in_chart is None:
-        in_chart = z.chart()
-    if out_chart is None:
-        out_chart = eval_map(f, z).chart()
-    return chart_derivative(f, z, in_chart, out_chart)
-
-
 def multiplier(f, points: list[SpherePoint]) -> complex:
     """Product of chart derivatives along the cycle, chart-consistent."""
     result = 1.0 + 0j
@@ -216,17 +207,6 @@ def multiplier(f, points: list[SpherePoint]) -> complex:
         nxt = points[(i + 1) % n]
         result *= chart_derivative(f, z, z.chart(), nxt.chart())
     return result
-
-
-def spherical_derivative(f, z: SpherePoint) -> float:
-    """Norm of Df with respect to the spherical metric, chart-invariant."""
-    c_in = z.chart()
-    image = eval_map(f, z)
-    c_out = image.chart()
-    g = chart_derivative(f, z, c_in, c_out)
-    xi = z.coord(c_in)
-    u = image.coord(c_out)
-    return abs(g) * (1.0 + abs(xi) ** 2) / (1.0 + abs(u) ** 2)
 
 
 def orbit(f, z: SpherePoint, n: int) -> list[SpherePoint]:
@@ -411,13 +391,11 @@ def preimages(f, target: SpherePoint) -> list[SpherePoint]:
     return out
 
 
-def pullback_branch(f, target: SpherePoint, near: SpherePoint, tol: float = 1e-12,
-                    debug: bool = False) -> SpherePoint:
+def pullback_branch(f, target: SpherePoint, near: SpherePoint, tol: float = 1e-12) -> SpherePoint:
     """Newton solve of f(z) = target seeded at `near`, guarding the branch.
 
     The chart derivative along the way must stay above the guard floor;
-    otherwise two branches are merging and BranchAmbiguity is raised.  In
-    debug mode the result is cross-checked against full preimage extraction.
+    otherwise two branches are merging and BranchAmbiguity is raised.
     """
     z = near
     out_chart = target.chart()
@@ -442,12 +420,6 @@ def pullback_branch(f, target: SpherePoint, near: SpherePoint, tol: float = 1e-1
         z = SpherePoint.from_coord(z.coord(in_chart) - step, in_chart)
     if not converged:
         raise NoConvergence(f"pullback Newton did not reach tol {tol}")
-    if debug:
-        candidates = preimages(f, target)
-        best = min(candidates, key=lambda c: spherical_distance(c, near))
-        if spherical_distance(best, z) > max(100.0 * tol, 1e-8):
-            raise BranchAmbiguity(
-                "converged preimage is not the closest branch to the seed")
     return z
 
 

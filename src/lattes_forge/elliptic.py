@@ -30,6 +30,7 @@ from .errors import LemmaViolation, NonConvergent, PoleAtLatticePoint
 
 _MAX_TERMS = 220
 _LOG_CUT = -41.0  # stop theta terms below ~1.5e-18 in magnitude
+_TOL = 1e-10  # accuracy the half-period and branch-derivative identities are checked to
 
 
 @dataclass(frozen=True)
@@ -133,28 +134,45 @@ def _theta(kind: int, v: complex, lq: complex, max_terms: int = _MAX_TERMS) -> c
     raise ValueError(f"theta kind must be 1..4, got {kind}")
 
 
-class _TorusContext:
-    """Per-gamma constants for P evaluation.
+@dataclass(frozen=True)
+class HalfPeriodValues:
+    """P at the three half periods: e1 = P(1/2), e2 = P((1+gamma)/2), e3 = P(gamma/2)."""
 
-    e3_formula uses the theta-constant expression; the pairing
-    P(z) = e3 + (pi c2 c3 theta4(pi z)/theta1(pi z))^2 then reproduces the
-    double pole at the lattice via theta1'(0) = pi... (checked against the
-    lattice sum in the tests).
+    gamma: complex
+    e1: complex
+    e2: complex
+    e3: complex
+
+
+class _TorusContext:
+    """Everything that depends on gamma alone, computed once per lattice.
+
+    The pairing P(z) = e3 + (pi c2 c3 theta4(pi z)/theta1(pi z))^2 uses the
+    theta-constant expression for e3 and reproduces the double pole at the
+    lattice via theta1'(0) = pi... (checked against the lattice sum in the
+    tests).  The half-period values e1, e2, e3 are P itself at 1/2,
+    (1+gamma)/2 and gamma/2; they are checked here, so a lattice that fails
+    the check is never cached.  ThetaData is computed on first use and kept.
     """
 
-    def __init__(self, gamma: complex, tol: float):
+    def __init__(self, gamma: complex):
         if not (gamma.imag > 0):
             raise ValueError("gamma must lie in the upper half plane")
         self.gamma = gamma
-        self.tol = tol
         self.lq = 1j * math.pi * gamma  # log of the nome
         self.c2 = _theta(2, 0j, self.lq)
         self.c3 = _theta(3, 0j, self.lq)
-        self.c4 = _theta(4, 0j, self.lq)
-        pi2_3 = math.pi ** 2 / 3.0
-        self.e1_formula = pi2_3 * (self.c3 ** 4 + self.c4 ** 4)
-        self.e2_formula = pi2_3 * (self.c2 ** 4 - self.c4 ** 4)
-        self.e3_formula = -pi2_3 * (self.c2 ** 4 + self.c3 ** 4)
+        self.e3_formula = -(math.pi ** 2 / 3.0) * (self.c2 ** 4 + self.c3 ** 4)
+        e1 = self.p_value(HALF_LATTICE[1])
+        e2 = self.p_value(HALF_LATTICE[3])
+        e3 = self.p_value(HALF_LATTICE[2])
+        scale = max(abs(e1), abs(e2), abs(e3), 1.0)
+        if abs(e1 + e2 + e3) > 10.0 * _TOL * scale:
+            raise LemmaViolation(f"half-period values do not sum to zero at gamma={gamma}")
+        if min(abs(e1 - e2), abs(e1 - e3), abs(e2 - e3)) < 1e-8 * scale:
+            raise LemmaViolation(f"half-period values are not distinct at gamma={gamma}")
+        self.half_periods = HalfPeriodValues(gamma, e1, e2, e3)
+        self._theta_data = None
 
     def p_value(self, tau: TorusPoint) -> complex:
         if tau.is_lattice_point():
@@ -167,15 +185,25 @@ class _TorusContext:
         ratio = math.pi * self.c2 * self.c3 * th4 / th1
         return self.e3_formula + ratio * ratio
 
+    def affine(self, tau: TorusPoint) -> complex:
+        """(e1 - e2)/(P - e2): the quotient map away from the lattice and (1+gamma)/2."""
+        hp = self.half_periods
+        return (hp.e1 - hp.e2) / (self.p_value(tau) - hp.e2)
+
+    def theta_data(self) -> "ThetaData":
+        if self._theta_data is None:
+            self._theta_data = _theta_data(self)
+        return self._theta_data
+
 
 @lru_cache(maxsize=64)
-def _context(gamma: complex, tol: float) -> _TorusContext:
-    return _TorusContext(gamma, tol)
+def _context(gamma: complex) -> _TorusContext:
+    return _TorusContext(gamma)
 
 
-def weierstrass_p(tau: TorusPoint, gamma: complex, tol: float = 1e-10) -> complex:
+def weierstrass_p(tau: TorusPoint, gamma: complex) -> complex:
     """P(s + t*gamma) for the lattice Z + gamma Z, via the theta q-series."""
-    return _context(gamma, tol).p_value(tau)
+    return _context(gamma).p_value(tau)
 
 
 def weierstrass_p_lattice_sum(tau: TorusPoint, gamma: complex, box: int = 200) -> complex:
@@ -195,46 +223,25 @@ def weierstrass_p_lattice_sum(tau: TorusPoint, gamma: complex, box: int = 200) -
     return 1.0 / z ** 2 + complex(np.sum(terms))
 
 
-@dataclass(frozen=True)
-class HalfPeriodValues:
-    """P at the three half periods: e1 = P(1/2), e2 = P((1+gamma)/2), e3 = P(gamma/2)."""
-
-    gamma: complex
-    e1: complex
-    e2: complex
-    e3: complex
+def half_periods(gamma: complex) -> HalfPeriodValues:
+    """P at the three half periods, checked to satisfy e1 + e2 + e3 = 0 and be distinct."""
+    return _context(gamma).half_periods
 
 
-def half_periods(gamma: complex, tol: float = 1e-10) -> HalfPeriodValues:
-    """Evaluate P at the three half periods and sanity-check e1 + e2 + e3 = 0."""
-    ctx = _context(gamma, tol)
-    e1 = ctx.p_value(HALF_LATTICE[1])
-    e2 = ctx.p_value(HALF_LATTICE[3])
-    e3 = ctx.p_value(HALF_LATTICE[2])
-    scale = max(abs(e1), abs(e2), abs(e3), 1.0)
-    if abs(e1 + e2 + e3) > 10.0 * max(tol, 1e-13) * scale:
-        raise LemmaViolation(f"half-period values do not sum to zero at gamma={gamma}")
-    if min(abs(e1 - e2), abs(e1 - e3), abs(e2 - e3)) < 1e-8 * scale:
-        raise LemmaViolation(f"half-period values are not distinct at gamma={gamma}")
-    return HalfPeriodValues(gamma, e1, e2, e3)
-
-
-def theta_map(tau: TorusPoint, gamma: complex, tol: float = 1e-10) -> SpherePoint:
+def theta_map(tau: TorusPoint, gamma: complex) -> SpherePoint:
     """Quotient map to the sphere: Moebius-normalized P with branch values 0, oo, 1, w."""
     if tau.is_lattice_point():
         return SpherePoint.zero()
-    hp = half_periods(gamma, tol)
-    p = weierstrass_p(tau, gamma, tol)
-    return SpherePoint.make(hp.e1 - hp.e2, p - hp.e2)
+    ctx = _context(gamma)
+    hp = ctx.half_periods
+    return SpherePoint.make(hp.e1 - hp.e2, ctx.p_value(tau) - hp.e2)
 
 
-def theta_map_affine(tau: TorusPoint, gamma: complex, tol: float = 1e-10) -> complex:
+def theta_map_affine(tau: TorusPoint, gamma: complex) -> complex:
     """Affine value of the quotient map; only valid away from (1+gamma)/2."""
     if tau.is_lattice_point():
         return 0j
-    hp = half_periods(gamma, tol)
-    p = weierstrass_p(tau, gamma, tol)
-    return (hp.e1 - hp.e2) / (p - hp.e2)
+    return _context(gamma).affine(tau)
 
 
 @dataclass(frozen=True)
@@ -254,60 +261,60 @@ class ThetaData:
     kappa: complex
 
 
-def _richardson_even(samples: list[complex]) -> tuple[complex, float]:
+def _richardson_even(samples: list[complex]) -> complex:
     """Extrapolate D(h), D(h/2), ... for an even error expansion in h."""
-    table = [list(samples)]
-    levels = len(samples)
-    for i in range(1, levels):
-        prev = table[-1]
+    row = list(samples)
+    for i in range(1, len(samples)):
         factor = 4.0 ** i
-        table.append([(factor * prev[m + 1] - prev[m]) / (factor - 1.0) for m in range(len(prev) - 1)])
-    best = table[-1][0]
-    err = abs(table[-1][0] - table[-2][0]) if levels > 1 else abs(best)
-    return best, err
+        row = [(factor * row[m + 1] - row[m]) / (factor - 1.0) for m in range(len(row) - 1)]
+    return row[0]
 
 
-def _quadratic_coefficient(base_s: float, base_t: float, center: complex, gamma: complex,
-                           tol: float, h0: float = 0.02, levels: int = 4) -> tuple[complex, float]:
+def _quadratic_coefficient(ctx: _TorusContext, base_s: float, base_t: float,
+                           center: complex) -> complex:
     """tau^2 coefficient of the quotient map about a half period.
 
-    Second central differences along the real direction, Richardson
-    extrapolated.  The map is even about each half period so the error
-    expansion contains only even powers of h.
+    Second central differences along the real direction at h = 0.02, 0.01,
+    0.005, 0.0025, Richardson extrapolated.  The map is even about each half
+    period so the error expansion contains only even powers of h.
     """
-    h0 = max(h0, tol ** 0.25 / 8.0)
     diffs = []
-    h = h0
-    for _ in range(levels):
-        plus = theta_map_affine(TorusPoint(base_s + h, base_t), gamma, tol)
-        minus = theta_map_affine(TorusPoint(base_s - h, base_t), gamma, tol)
+    h = 0.02
+    for _ in range(4):
+        plus = ctx.affine(TorusPoint(base_s + h, base_t))
+        minus = ctx.affine(TorusPoint(base_s - h, base_t))
         diffs.append((plus - 2.0 * center + minus) / (h * h))
         h *= 0.5
-    second, err = _richardson_even(diffs)
-    return second / 2.0, err / 2.0
+    return _richardson_even(diffs) / 2.0
 
 
-def theta_data(gamma: complex, tol: float = 1e-10) -> ThetaData:
-    """Branch values and quadratic coefficients, with the identity checks.
-
-    Raises LemmaViolation if lam/v + mu/w fails to vanish within 100*tol or
-    the two kappa expressions disagree.
-    """
-    v = theta_map_affine(TorusPoint(Fraction(1, 2), Fraction(0)), gamma, tol)
-    w = theta_map_affine(TorusPoint(Fraction(0), Fraction(1, 2)), gamma, tol)
+def _theta_data(ctx: _TorusContext) -> ThetaData:
+    gamma = ctx.gamma
+    v = ctx.affine(HALF_LATTICE[1])
+    w = ctx.affine(HALF_LATTICE[2])
     if min(abs(v), abs(w), abs(v - w)) < 1e-8:
         raise LemmaViolation(f"branch values degenerate at gamma={gamma}: v={v}, w={w}")
-    lam, lam_err = _quadratic_coefficient(0.5, 0.0, v, gamma, tol)
-    mu, mu_err = _quadratic_coefficient(0.0, 0.5, w, gamma, tol)
+    lam = _quadratic_coefficient(ctx, 0.5, 0.0, v)
+    mu = _quadratic_coefficient(ctx, 0.0, 0.5, w)
     if abs(lam) < 1e-8 or abs(mu) < 1e-8:
         raise LemmaViolation(f"quadratic coefficient vanished at gamma={gamma}")
     check = abs(lam / v + mu / w)
-    if check > 100.0 * tol:
+    if check > 100.0 * _TOL:
         raise LemmaViolation(
             f"quadratic coefficients violate lam/v = -mu/w at gamma={gamma}: residual {check:.3e}")
     kappa = 4.0 * lam / (v * (v - w))
     kappa_alt = 4.0 * mu / (w * (w - v))
-    if abs(kappa - kappa_alt) > 100.0 * tol * max(1.0, abs(kappa)):
+    if abs(kappa - kappa_alt) > 100.0 * _TOL * max(1.0, abs(kappa)):
         raise LemmaViolation(
             f"kappa expressions disagree at gamma={gamma}: {abs(kappa - kappa_alt):.3e}")
     return ThetaData(gamma, v, w, lam, mu, kappa)
+
+
+def theta_data(gamma: complex) -> ThetaData:
+    """Branch values and quadratic coefficients, with the identity checks.
+
+    Computed once per gamma.  Raises LemmaViolation, on every call, if
+    lam/v + mu/w fails to vanish within 1e-8 or the two kappa expressions
+    disagree.
+    """
+    return _context(gamma).theta_data()

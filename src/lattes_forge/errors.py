@@ -50,10 +50,6 @@ class BranchAmbiguity(LattesForgeError):
     """Two inverse branches are too close to select one reliably."""
 
 
-class NoCycleDetected(LattesForgeError):
-    """Orbit classification found no near-return within the iteration budget."""
-
-
 class CoprimalityViolation(LattesForgeError):
     """A rational parameter denominator shares a factor with a or 2."""
 

@@ -17,12 +17,11 @@ and validated on held-out samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import elliptic
 from .dynamics import SpherePoint, eval_map, spherical_distance
 from .elliptic import HALF_LATTICE, TorusParameter, TorusPoint, theta_map
 from .errors import IllConditioned, ValidationFailed
@@ -34,6 +33,10 @@ _MAX_DEGREE = 25
 # plastic number phi2); low-discrepancy and deterministic
 _R2_A = 0.7548776662466927
 _R2_B = 0.5698402909980532
+_SAMPLE_GAP = 0.05  # fit samples keep this torus distance from the half lattice
+_CHART_BOUND = 10.0  # and both their images within |Z| <= 10 |W|
+_OVERSAMPLE = 4  # fit rows per unknown pair: 4 (2D + 2) samples
+_HELD_OUT_TOL = 1e-9  # spherical residual every held-out sample must stay below
 
 
 @dataclass(frozen=True)
@@ -155,8 +158,7 @@ def _half_lattice_gap(s: float, t: float) -> float:
     return best
 
 
-def _sample_stream(spec: LattesSpec, tol: float, start: int, gap: float = 0.05,
-                   chart_bound: float = 10.0):
+def _sample_stream(spec: LattesSpec, start: int):
     """Quasi-random torus samples with their sphere images, guard-filtered."""
     gamma = spec.gamma.gamma
     j = start
@@ -164,34 +166,32 @@ def _sample_stream(spec: LattesSpec, tol: float, start: int, gap: float = 0.05,
         j += 1
         s = (0.5 + j * _R2_A) % 1.0
         t = (0.5 + j * _R2_B) % 1.0
-        if _half_lattice_gap(s, t) < gap:
+        if _half_lattice_gap(s, t) < _SAMPLE_GAP:
             continue
         tau = TorusPoint(s, t)
         lt = torus_endo(spec, tau)
-        if _half_lattice_gap(float(lt.s), float(lt.t)) < gap:
+        if _half_lattice_gap(float(lt.s), float(lt.t)) < _SAMPLE_GAP:
             continue
-        z = theta_map(tau, gamma, tol)
-        w = theta_map(lt, gamma, tol)
-        if abs(z.Z) > chart_bound * abs(z.W) or abs(w.Z) > chart_bound * abs(w.W):
+        z = theta_map(tau, gamma)
+        w = theta_map(lt, gamma)
+        if abs(z.Z) > _CHART_BOUND * abs(z.W) or abs(w.Z) > _CHART_BOUND * abs(w.W):
             continue
         yield j, tau, z, w
 
 
-def build_rational_map(spec: LattesSpec, oversample: int = 4, tol: float = 1e-9) -> RationalMapCoeffs:
+def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
     """Recover the degree-D coefficients from the semiconjugacy.
 
     Homogeneous system rows V_j P(Z_j, W_j) - U_j Q(Z_j, W_j) = 0 over
     quasi-random samples; the coefficient vector is the smallest-singular-
-    value direction.  Held-out samples must validate below tol in the
+    value direction.  Held-out samples must validate below 1e-9 in the
     spherical metric.
     """
-    if oversample < 2:
-        raise ValueError("oversample must be at least 2")
     D = spec.degree
     if D > _MAX_DEGREE:
         raise ValueError(f"degree {D} exceeds the cap {_MAX_DEGREE}")
-    n_fit = oversample * (2 * D + 2)
-    stream = _sample_stream(spec, tol, start=0)
+    n_fit = _OVERSAMPLE * (2 * D + 2)
+    stream = _sample_stream(spec, start=0)
     rows = []
     last_j = 0
     for _ in range(n_fit):
@@ -205,37 +205,38 @@ def build_rational_map(spec: LattesSpec, oversample: int = 4, tol: float = 1e-9)
             f"degree ambiguity: smallest singular values {sing[-1]:.3e}, {sing[-2]:.3e}")
     vec = np.conj(vh[-1])  # A = U S V^H, null direction is the conjugated row
     f = RationalMapCoeffs(num=vec[: D + 1], den=vec[D + 1:], degree=D)
-    held = _sample_stream(spec, tol, start=last_j)
+    held = _sample_stream(spec, start=last_j)
     worst = 0.0
     for _ in range(100):
         _, tau, z, w = next(held)
         worst = max(worst, spherical_distance(eval_map(f, z), w))
-    if worst >= tol:
-        raise ValidationFailed(f"held-out semiconjugacy residual {worst:.3e} >= tol {tol:.3e}")
+    if worst >= _HELD_OUT_TOL:
+        raise ValidationFailed(
+            f"held-out semiconjugacy residual {worst:.3e} >= tol {_HELD_OUT_TOL:.3e}")
     return f
 
 
-def critical_values(spec: LattesSpec, tol: float = 1e-10) -> list[SpherePoint]:
+def critical_values(spec: LattesSpec) -> list[SpherePoint]:
     """{oo, v, w} when |a| = 2, {0, oo, v, w} when |a| >= 3."""
     gamma = spec.gamma.gamma
-    v = theta_map(TorusPoint(Fraction(1, 2), Fraction(0)), gamma, tol)
-    w = theta_map(TorusPoint(Fraction(0), Fraction(1, 2)), gamma, tol)
+    v = theta_map(TorusPoint(Fraction(1, 2), Fraction(0)), gamma)
+    w = theta_map(TorusPoint(Fraction(0), Fraction(1, 2)), gamma)
     vals = [SpherePoint.infinity(), v, w]
     if abs(spec.a) >= 3:
         vals.insert(0, SpherePoint.zero())
     return vals
 
 
-def postcritical_set(spec: LattesSpec, tol: float = 1e-10) -> list[SpherePoint]:
+def postcritical_set(spec: LattesSpec) -> list[SpherePoint]:
     """{0, oo, v, w} in all three cases."""
     gamma = spec.gamma.gamma
-    v = theta_map(TorusPoint(Fraction(1, 2), Fraction(0)), gamma, tol)
-    w = theta_map(TorusPoint(Fraction(0), Fraction(1, 2)), gamma, tol)
+    v = theta_map(TorusPoint(Fraction(1, 2), Fraction(0)), gamma)
+    w = theta_map(TorusPoint(Fraction(0), Fraction(1, 2)), gamma)
     return [SpherePoint.zero(), SpherePoint.infinity(), v, w]
 
 
 def verify_semiconjugacy(f: RationalMapCoeffs, spec: LattesSpec, n: int,
-                         seed: int = 0, tol: float = 1e-10) -> float:
+                         seed: int = 0) -> float:
     """Max spherical distance between f(theta(tau)) and theta(L(tau)) at n random points."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -252,7 +253,7 @@ def verify_semiconjugacy(f: RationalMapCoeffs, spec: LattesSpec, n: int,
         if _half_lattice_gap(float(lt.s), float(lt.t)) < 5e-3:
             continue
         worst = max(worst, spherical_distance(
-            eval_map(f, theta_map(tau, gamma, tol)), theta_map(lt, gamma, tol)))
+            eval_map(f, theta_map(tau, gamma)), theta_map(lt, gamma)))
         count += 1
     return worst
 

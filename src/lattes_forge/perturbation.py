@@ -222,8 +222,8 @@ def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int, family: str,
         addr = TorusPoint(pair.beta / ak, Fraction(1, 2) + pair.beta_prime / ak)
     addr = addr.reduced()
     pre, per, addrs = _exact_itinerary(spec, addr, max_steps=k + 64)
-    position = theta_map(addr, gamma, tol)
-    forward = tuple(theta_map(p, gamma, tol) for p in addrs)
+    position = theta_map(addr, gamma)
+    forward = tuple(theta_map(p, gamma) for p in addrs)
     f = base_map_for(spec)
     for j, p in enumerate(forward):
         nxt = forward[j + 1] if j + 1 < len(forward) else forward[pre]
@@ -693,7 +693,8 @@ def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
     """Collision values, their ratio against -sigma^2/tau^2, and (optionally)
     the constructed strictly postcritically finite maps, one row per k.
 
-    Failing rows carry an error status instead of aborting the table.
+    Failing rows carry an error status instead of aborting the table; a row
+    whose collisions were solved before the construction failed keeps them.
     """
     gamma0 = spec0.gamma.gamma
     sig = pair.offset("X", gamma0)
@@ -701,11 +702,12 @@ def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
     target = -sig * sig / (tau * tau)
     rows = []
     for k in k_range:
+        row = dict(k=k, asymptotic=k >= 3)
         try:
             cs, ct = _collision_pair(spec0, pair, k, tol=1e-12)
             ratio = cs.value / ct.value
-            row = dict(
-                k=k, status="ok", asymptotic=k >= 3,
+            row.update(
+                status="ok",
                 s_value=cs.value, t_value=ct.value,
                 u_s=cs.rescaled, u_t=ct.rescaled,
                 ratio=ratio, target=target, deviation=abs(ratio - target),
@@ -719,13 +721,13 @@ def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
                     certified=all(c.repelling for c in built.certificates),
                     construction=built,
                 )
-            rows.append(ConvergenceRow(**row))
         except PrecisionExhausted:
-            rows.append(ConvergenceRow(k=k, status="precision_exhausted", asymptotic=k >= 3))
+            # collisions solved before the construction was refused are kept
+            row["status"] = "precision_exhausted"
         except (NoConvergence, ContinuationBreakdown, ValidationFailed,
                 NotPCF, NotRepelling) as exc:
-            rows.append(ConvergenceRow(k=k, status=f"error:{type(exc).__name__}",
-                                       asymptotic=k >= 3))
+            row["status"] = f"error:{type(exc).__name__}"
+        rows.append(ConvergenceRow(**row))
     devs = [r.deviation for r in rows if r.status == "ok" and r.asymptotic]
     monotonic = all(b <= a * (1 + 1e-9) for a, b in zip(devs, devs[1:])) and len(devs) >= 2
     return ConvergenceTable(rows=tuple(rows), monotonic_deviation=monotonic)

@@ -1,10 +1,12 @@
 """Exit codes, artifacts, and determinism of the command line tool."""
 
+import csv
 import json
+import os
 
 import pytest
 
-from lattes_forge.cli import main
+from lattes_forge.cli import _atomic_write, main
 from lattes_forge.lattes import map_to_dict
 
 Z2_PLUS_1 = {"degree": 2, "num": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
@@ -90,6 +92,18 @@ def test_construct_precision_ceiling(tmp_path):
     assert lines[3].startswith("10,precision_exhausted,")
 
 
+def test_precision_exhausted_row_keeps_its_collisions(tmp_path):
+    # the collisions solve at k = 11; only the gamma solve is refused there
+    assert main(["construct", "--k-min", "11", "--k-max", "11", "--out", str(tmp_path)]) == 3
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    (row,) = csv.DictReader(lines[1:])
+    assert row["status"] == "precision_exhausted"
+    assert abs(float(row["deviation"]) - 1.951e-3) < 1e-6
+    for name in ("s_re", "t_re", "u_s_re", "u_t_re", "ratio_re", "target_re"):
+        assert row[name] != ""
+    assert row["gamma_k_re"] == "" and row["certified"] == ""
+
+
 def test_construct_certifies_k10(tmp_path):
     assert main(["construct", "--k-min", "10", "--k-max", "10", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "convergence.csv").read_text().splitlines()
@@ -131,6 +145,19 @@ def test_certify_bad_inputs(tmp_path, capsys):
     assert "cannot load map" in capsys.readouterr().err
 
 
+def test_render_construct_artifact(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["construct", "--k-min", "3", "--k-max", "3", "--out", str(out)]) == 0
+    target = tmp_path / "g3.ppm"
+    assert main(["render", "--map-file", str(out / "construction_k3.json"),
+                 "--size", "16", "--out", str(target)]) == 0
+    assert target.read_bytes().startswith(b"P6\n16 16\n255\n")
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("[1, 2]")
+    assert main(["render", "--map-file", str(garbled), "--size", "16"]) == 1
+    assert "cannot load map" in capsys.readouterr().err
+
+
 def test_render_writes_ppm(tmp_path, monkeypatch):
     target = tmp_path / "img.ppm"
     assert main(["render", "--size", "16", "--max-iter", "6", "--out", str(target)]) == 0
@@ -150,3 +177,16 @@ def test_report_floats_round_trip(tmp_path):
     x = doc["worst_residual"]
     assert float(format(x, ".17g")) == x
     assert format(x, ".17g") in text
+
+
+def test_atomic_write_leaves_other_files_alone(tmp_path):
+    path = tmp_path / "report.json"
+    stale = tmp_path / "report.json.tmp"
+    stale.write_text("someone else's file")
+    _atomic_write(str(path), "new\n")
+    assert path.read_text() == "new\n"
+    assert stale.read_text() == "someone else's file"
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(str(path), "not ascii: \u00e9")
+    assert path.read_text() == "new\n"
+    assert sorted(os.listdir(tmp_path)) == ["report.json", "report.json.tmp"]

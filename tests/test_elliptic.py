@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lattes_forge import elliptic
 from lattes_forge.elliptic import (
     TorusParameter,
     TorusPoint,
@@ -16,7 +17,7 @@ from lattes_forge.elliptic import (
     weierstrass_p,
     weierstrass_p_lattice_sum,
 )
-from lattes_forge.errors import PoleAtLatticePoint
+from lattes_forge.errors import LemmaViolation, PoleAtLatticePoint
 
 from conftest import GAMMA0
 
@@ -75,6 +76,32 @@ def test_weierstrass_matches_lattice_sum():
 def test_half_period_values_sum_to_zero(gamma):
     hp = half_periods(gamma)
     assert abs(hp.e1 + hp.e2 + hp.e3) < 1e-10 * max(1.0, abs(hp.e1))
+
+
+def test_theta_map_evaluates_p_once(monkeypatch):
+    # the half periods belong to the per-gamma context: once it exists, each
+    # theta_map call away from the lattice costs exactly one P evaluation
+    gamma = 0.15 + 1.05j
+    theta_map(TorusPoint(0.1, 0.2), gamma)
+    calls = []
+    p_value = elliptic._TorusContext.p_value
+
+    def counted(self, tau):
+        calls.append(tau)
+        return p_value(self, tau)
+
+    monkeypatch.setattr(elliptic._TorusContext, "p_value", counted)
+    points = [TorusPoint(0.05 * j, 0.3 + 0.02 * j) for j in range(1, 8)]
+    for tau in points:
+        theta_map(tau, gamma)
+    assert calls == points
+
+
+def test_theta_data_refusal_is_not_cached():
+    # a degenerate lattice (nome ~ 1e-13) is refused on every call
+    for _ in range(2):
+        with pytest.raises(LemmaViolation):
+            theta_data(0.1 + 9.5j)
 
 
 @pytest.mark.parametrize("gamma", [1j, GAMMA0])
