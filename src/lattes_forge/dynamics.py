@@ -31,6 +31,7 @@ from .errors import (
 _EPS = np.finfo(float).eps
 _GUARD = 10.0 * _EPS ** (1.0 / 3.0)  # derivative floor for branch tracking
 _INDETERMINATE_FLOOR = 1e-12
+_PARALLEL_TOL = 1e-12  # relative tolerance of the scaling check in continue_cycle
 
 
 @dataclass(frozen=True)
@@ -334,11 +335,25 @@ def _phase_align(num0, den0, num1, den1):
     return num1 * phase, den1 * phase
 
 
+def _check_scaling(c0: np.ndarray, c1: np.ndarray) -> None:
+    """ValueError unless c1 = lam * c0 up to rounding, with (1 - s) + s lam
+    kept away from 0 for s in [0, 1]."""
+    lam = complex(np.vdot(c0, c1) / np.vdot(c0, c0))
+    if not np.linalg.norm(c1 - lam * c0) <= _PARALLEL_TOL * np.linalg.norm(c1):
+        raise ValueError("continue_cycle requires f1 to scale f0's numerator and denominator")
+    step = lam - 1.0
+    s = min(1.0, max(0.0, -step.real / abs(step) ** 2)) if step else 0.0
+    if abs(1.0 + s * step) <= _PARALLEL_TOL * max(1.0, abs(lam)):
+        raise ValueError("continue_cycle: interpolating from f0 to f1 passes through zero")
+
+
 def continue_cycle(f0, cycle: CycleData, f1, steps: int = 8, tol: float = 1e-12) -> CycleData:
     """Homotopy continuation of a repelling cycle from f0 to f1.
 
-    Linear interpolation of the coefficient vectors (phase-aligned first),
-    with Newton correction at each substep and adaptive halving on failure.
+    f1's numerator and denominator must each be a scalar multiple of f0's,
+    as for members of a scaling family; ValueError otherwise.  Linear
+    interpolation of the coefficient vectors (phase-aligned first), with
+    Newton correction at each substep and adaptive halving on failure.
     """
     if not cycle.repelling:
         raise ValueError("continue_cycle requires a repelling cycle")
@@ -347,6 +362,11 @@ def continue_cycle(f0, cycle: CycleData, f1, steps: int = 8, tol: float = 1e-12)
     if len(num0) != len(num1) or len(den0) != len(den1):
         raise ValueError("coefficient vectors must have matching shapes")
     num1, den1 = _phase_align(num0, den0, num1, den1)
+    # num1 = lam num0 makes each interpolant's numerator (1 - s + s lam) num0, a
+    # nonzero multiple of num0 (likewise the denominator): every interpolant has
+    # f0's zeros, poles and degree, so f0.rescaled need not check it again
+    _check_scaling(num0, num1)
+    _check_scaling(den0, den1)
     z = cycle.points[0]
     period = cycle.period
     s = 0.0
@@ -354,11 +374,7 @@ def continue_cycle(f0, cycle: CycleData, f1, steps: int = 8, tol: float = 1e-12)
     min_ds = ds / 2 ** 24
 
     def at(sv):
-        return dataclasses.replace(
-            f0,
-            num=(1.0 - sv) * num0 + sv * num1,
-            den=(1.0 - sv) * den0 + sv * den1,
-        )
+        return f0.rescaled((1.0 - sv) * num0 + sv * num1, (1.0 - sv) * den0 + sv * den1)
 
     while s < 1.0 - 1e-15:
         sv = min(1.0, s + ds)

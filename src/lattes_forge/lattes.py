@@ -80,9 +80,12 @@ def torus_endo(spec: LattesSpec, tau: TorusPoint) -> TorusPoint:
 class RationalMapCoeffs:
     """Degree-D rational map as ascending numerator/denominator coefficients.
 
-    Construction normalizes the joint max coefficient modulus to 1 and
-    validates that the effective degree matches and the resultant stays
-    above floor (no common roots).
+    Construction normalizes (pads to D + 1 coefficients, scales the joint max
+    coefficient modulus to 1, rotates the joint phase) and then checks the
+    map: the effective degree must match and the numerator and denominator
+    roots must stay apart (no common roots).  Maps derived from a checked map
+    by scaling its numerator and denominator come from `rescaled`, which
+    only normalizes.
     """
 
     num: np.ndarray
@@ -90,27 +93,10 @@ class RationalMapCoeffs:
     degree: int
 
     def __post_init__(self):
-        num = np.asarray(self.num, dtype=complex)
-        den = np.asarray(self.den, dtype=complex)
         D = self.degree
         if D < 1 or D > _MAX_DEGREE:
             raise ValueError(f"degree must be between 1 and {_MAX_DEGREE}, got {D}")
-        if len(num) > D + 1 or len(den) > D + 1:
-            raise ValueError("coefficient vectors longer than degree + 1")
-        num = np.pad(num, (0, D + 1 - len(num)))
-        den = np.pad(den, (0, D + 1 - len(den)))
-        scale = max(np.max(np.abs(num)), np.max(np.abs(den)))
-        if scale == 0.0 or not math.isfinite(scale):
-            raise ValueError("coefficients are identically zero or non-finite")
-        num = num / scale
-        den = den / scale
-        # rotate the joint phase so the largest coefficient is real positive;
-        # makes the projectively-unique vector canonical for serialization
-        joint = np.concatenate([num, den])
-        lead = joint[int(np.argmax(np.abs(joint)))]
-        phase = np.conj(lead) / abs(lead)
-        num = num * phase
-        den = den * phase
+        num, den = _normalized(self.num, self.den, D)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         eff = max(_effective_degree(num), _effective_degree(den))
@@ -119,6 +105,44 @@ class RationalMapCoeffs:
         gap = _root_separation(num, den, D)
         if gap < _ROOT_GAP_FLOOR:
             raise ValueError(f"numerator and denominator share a root (chordal gap {gap:.3e})")
+
+    def rescaled(self, num, den) -> RationalMapCoeffs:
+        """The map with numerator num and denominator den, each a nonzero
+        scalar multiple of this map's, normalized but not checked again.
+
+        Scaling a polynomial by a nonzero constant keeps its zeros and its
+        degree, so such a map passes the check exactly when this one does.
+        The caller guarantees the scalings.
+        """
+        out = object.__new__(RationalMapCoeffs)
+        num, den = _normalized(num, den, self.degree)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        object.__setattr__(out, "degree", self.degree)
+        return out
+
+
+def _normalized(num, den, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """num, den padded to D + 1 coefficients, divided by their joint max
+    modulus and rotated so that the largest coefficient is real positive."""
+    num = np.asarray(num, dtype=complex)
+    den = np.asarray(den, dtype=complex)
+    if len(num) > D + 1 or len(den) > D + 1:
+        raise ValueError("coefficient vectors longer than degree + 1")
+    if len(num) < D + 1:
+        num = np.pad(num, (0, D + 1 - len(num)))
+    if len(den) < D + 1:
+        den = np.pad(den, (0, D + 1 - len(den)))
+    joint = np.concatenate([num, den])
+    scale = np.max(np.abs(joint))
+    if not 0.0 < scale < math.inf:
+        raise ValueError("coefficients are identically zero or non-finite")
+    joint = joint / scale
+    # rotate the joint phase so the largest coefficient is real positive;
+    # makes the projectively-unique vector canonical for serialization
+    lead = joint[int(np.argmax(np.abs(joint)))]
+    joint = joint * (np.conj(lead) / abs(lead))
+    return joint[: D + 1], joint[D + 1:]
 
 
 def _effective_degree(coeffs: np.ndarray, rel: float = 1e-9) -> int:

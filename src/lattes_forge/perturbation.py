@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -130,25 +130,22 @@ class MarkedPreperiodicPoint:
 
 @dataclass(frozen=True)
 class PerturbedFamily:
-    """The scaling family t -> (1+t) * base_map."""
+    """The scaling family t -> (1+t) * base_map, with its member at t."""
 
     spec: LattesSpec
     base_map: RationalMapCoeffs
     t: complex
+    member: RationalMapCoeffs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.t == -1:
-            raise ValueError("t = -1 collapses the family to the zero map")
-
-    @property
-    def member(self) -> RationalMapCoeffs:
-        return _member(self.base_map, self.t)
+        object.__setattr__(self, "member", _member(self.base_map, self.t))
 
 
 def _member(base: RationalMapCoeffs, t: complex) -> RationalMapCoeffs:
+    """(1+t) * base: the numerator scaled by 1 + t, so it needs no root check."""
     if t == -1:
         raise ValueError("t = -1 collapses the family to the zero map")
-    return RationalMapCoeffs(num=(1.0 + t) * base.num, den=base.den, degree=base.degree)
+    return base.rescaled((1.0 + t) * base.num, base.den)
 
 
 @lru_cache(maxsize=32)
@@ -329,7 +326,10 @@ def _limit_point(spec: LattesSpec, base: RationalMapCoeffs, t: complex, near: co
     if spec.case_tag == "EvenZero":
         return pullback_branch(ft, SpherePoint.zero(), seed, tol=1e-13).to_complex()
     period = 1 if spec.case_tag == "OddZero" else 2
-    return find_cycle(ft, seed, period, tol=1e-13).points[0].to_complex()
+    # the cycle's multiplier is a^(2 period), which amplifies the rounding
+    # of each map evaluation in the cycle residual: ask for no less
+    tol = max(1e-13, 16.0 * _EPS * float(abs(spec.a)) ** (2 * period))
+    return find_cycle(ft, seed, period, tol=tol).points[0].to_complex()
 
 
 def tracked_limits(spec: LattesSpec, h: float = 1e-4) -> TrackedLimits:

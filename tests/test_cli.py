@@ -3,12 +3,15 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from lattes_forge.cli import _atomic_write, main
 from lattes_forge.lattes import map_to_dict
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 Z2_PLUS_1 = {"degree": 2, "num": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
              "den": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
 
@@ -143,6 +146,28 @@ def test_certify_bad_inputs(tmp_path, capsys):
     garbled.write_text("{not json")
     assert main(["certify", str(garbled)]) == 1
     assert "cannot load map" in capsys.readouterr().err
+
+
+def test_certify_refuses_shared_root(tmp_path, capsys):
+    # z(z - 1) / (z(z + 1)) has the common root 0
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps({"degree": 2, "num": [[0, 0], [-1, 0], [1, 0]],
+                                "den": [[0, 0], [1, 0], [1, 0]]}))
+    assert main(["certify", str(path)]) == 1
+    assert "cannot load map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_lemma3_a5_period2_any_blas_threads(threads):
+    # the period-2 limit point has multiplier a^4 = 625; its tolerance follows
+    # that, so the BLAS thread count, which moves the fit's last bits, cannot
+    # push the cycle solve below its noise floor
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lattes_forge.cli", "verify-lemma3", "--a", "5", "--case", "3",
+         "--x0=1/7", "--y0=1"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_render_construct_artifact(tmp_path, capsys):

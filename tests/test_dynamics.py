@@ -108,6 +108,17 @@ def test_continue_cycle_scaling_family(z2):
     assert abs(c1.points[0].to_complex() - 1 / 1.01) < 1e-10
 
 
+def test_continue_cycle_refuses_other_maps(z2):
+    c0 = find_cycle(z2, SpherePoint.from_complex(1.0), 1)
+    shifted = RationalMapCoeffs(num=[0.1, 0, 1], den=[1], degree=2)
+    with pytest.raises(ValueError, match="scale"):
+        continue_cycle(z2, c0, shifted)
+    # -z^2 scales the numerator by -1: halfway the numerator vanishes
+    negated = RationalMapCoeffs(num=[0, 0, -1], den=[1], degree=2)
+    with pytest.raises(ValueError, match="passes through zero"):
+        continue_cycle(z2, c0, negated)
+
+
 def test_preimages_full_fiber(z2):
     pre = preimages(z2, SpherePoint.from_complex(4.0))
     vals = sorted(p.to_complex().real for p in pre)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lattes_forge.lattes as lattes
 from lattes_forge.dynamics import SpherePoint, critical_points, eval_map, spherical_distance
 from lattes_forge.elliptic import TorusParameter, TorusPoint, theta_data
 from lattes_forge.lattes import (
@@ -149,3 +150,29 @@ def test_json_round_trip(base_a2):
 def test_semiconjugacy_seed_independent(spec_a2, base_a2):
     assert verify_semiconjugacy(base_a2, spec_a2, 40, seed=1) < 1e-9
     assert verify_semiconjugacy(base_a2, spec_a2, 40, seed=2) < 1e-9
+
+
+@pytest.mark.parametrize("num,den,degree,message", [
+    ([0, -1, 1], [0, 1, 1], 2, "share a root"),           # z(z - 1) / (z(z + 1))
+    ([1, 1], [1], 2, "effective degree"),                 # degree 1 declared as 2
+    ([0, 0], [0], 1, "identically zero"),
+    ([1, float("nan")], [1], 1, "non-finite"),
+    ([1, 0], [float("inf")], 1, "non-finite"),
+    ([1, 0, 0, 1], [1], 2, "longer than degree"),
+])
+def test_map_check_refuses(num, den, degree, message):
+    with pytest.raises(ValueError, match=message):
+        RationalMapCoeffs(num=num, den=den, degree=degree)
+
+
+def test_rescaled_map_skips_the_check_only(base_a2, monkeypatch):
+    checked = RationalMapCoeffs(num=1.5j * base_a2.num, den=base_a2.den, degree=4)
+
+    def refuse(*args):
+        raise AssertionError("root check ran on a rescaled map")
+
+    monkeypatch.setattr(lattes, "_root_separation", refuse)
+    g = base_a2.rescaled(1.5j * base_a2.num, base_a2.den)
+    assert np.array_equal(g.num, checked.num) and np.array_equal(g.den, checked.den)
+    with pytest.raises(ValueError, match="identically zero"):
+        base_a2.rescaled(0 * base_a2.num, 0 * base_a2.den)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import lattes_forge.lattes as lattes
 from lattes_forge.dynamics import SpherePoint, continue_cycle, eval_map, orbit, spherical_distance
 from lattes_forge.elliptic import TorusParameter, TorusPoint, theta_data, theta_map
 from lattes_forge.errors import (
@@ -17,6 +18,7 @@ from lattes_forge.errors import (
 from lattes_forge.lattes import LattesSpec
 from lattes_forge.perturbation import (
     PerturbedFamily,
+    _collision_pair,
     base_map_for,
     case_response_constant,
     certify_strictly_pcf,
@@ -143,6 +145,19 @@ def test_scaled_family_keeps_zero_fixed(spec_a2):
 def test_perturbed_family_rejects_degenerate_t(spec_a2):
     with pytest.raises(ValueError):
         PerturbedFamily(spec_a2, base_map_for(spec_a2), -1.0)
+
+
+def test_collision_solve_checks_no_derived_map(spec_a2, pair_a2, monkeypatch):
+    # the base map is checked once when it is fit; scaling-family members and
+    # continuation interpolants only rescale it, so the root check never runs
+    base_map_for(spec_a2)
+    calls = []
+    check = lattes._root_separation
+    monkeypatch.setattr(lattes, "_root_separation",
+                        lambda *args: calls.append(1) or check(*args))
+    cs, ct = _collision_pair(spec_a2, pair_a2, 3, tol=1e-12)
+    assert abs(cs.rescaled) > 0 and abs(ct.rescaled) > 0
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("a,case,gamma,expected", [
