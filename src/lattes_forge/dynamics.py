@@ -512,48 +512,85 @@ def mobius_conjugate(f, mobius: tuple[complex, complex, complex, complex]):
     return dataclasses.replace(f, num=new_num / scale, den=new_den / scale)
 
 
-def _render_rows(f, xs: np.ndarray, ys: np.ndarray, max_iter: int) -> np.ndarray:
-    """Shade a block of rows; returns (len(ys), len(xs), 3) uint8."""
-    num, den = _coeffs(f)
+_BLOCK = 8192  # pixels per render block: 128 KB per complex array
+
+
+def _horner_block(cn, cd, x, p, q, dp, dq, t) -> None:
+    """Values p, q and derivatives dp, dq at x of the polynomials with scalar
+    (ascending) coefficients cn, cd, written into the given buffers; t is
+    scratch.  From a zero state each step is dp = dp x + p, dq = dq x + q,
+    p = p x + cn[k], q = q x + cd[k], in that order.
+
+    No complex product is written over one of its inputs: numpy runs a
+    one-element product in place through a loop without fused multiply-add,
+    which changes the last bit.
+    """
+    # the first step multiplies zeros by x; one product serves all four
+    np.multiply(np.zeros_like(x), x, out=t)
+    np.add(t, 0.0, out=dp)
+    np.add(t, 0.0, out=dq)
+    np.add(t, cn[-1], out=p)
+    np.add(t, cd[-1], out=q)
+    for k in range(len(cn) - 2, -1, -1):
+        np.multiply(dp, x, out=t)
+        np.add(t, p, out=dp)
+        np.multiply(dq, x, out=t)
+        np.add(t, q, out=dq)
+        np.multiply(p, x, out=t)
+        np.add(t, cn[k], out=p)
+        np.multiply(q, x, out=t)
+        np.add(t, cd[k], out=q)
+
+
+def _shade_block(num, den, xs, ys, max_iter: int, start: int, stop: int,
+                 out: np.ndarray) -> None:
+    """Shade the row-major pixels start:stop of the grid ys x xs into out.
+
+    Pixels stay grouped by input chart (chart 0 first, grid order kept
+    within each group), so each group runs Horner with scalar coefficients.
+    Every pixel gets the same IEEE operations, in the same order, whatever
+    the block and whatever its neighbours.
+    """
     rnum, rden = num[::-1], den[::-1]
-    X, Y = np.meshgrid(xs, ys)
-    Z = (X + 1j * Y).ravel()
+    n = stop - start
+    pos = np.arange(start, stop)  # grid index of each pixel as the groups move
+    Z = xs[pos % len(xs)] + 1j * ys[pos // len(xs)]
     W = np.ones_like(Z)
-    log_acc = np.zeros(Z.shape, dtype=float)
+    log_acc = np.zeros(n)
+    xi, p, q, dp, dq, t = (np.empty(n, dtype=complex) for _ in range(6))
+    au, ag = np.empty(n), np.empty(n)  # |u| and |g| of the quotient and its derivative
     for _ in range(max_iter):
         chart0 = np.abs(W) >= np.abs(Z)
-        xi = np.where(chart0, Z / np.where(chart0, W, 1.0), W / np.where(chart0, 1.0, Z))
-        pv = np.zeros_like(Z)
-        qv = np.zeros_like(Z)
-        pd = np.zeros_like(Z)
-        qd = np.zeros_like(Z)
-        for k in range(len(num) - 1, -1, -1):
-            pd = pd * xi + pv
-            qd = qd * xi + qv
-            pv = pv * xi + np.where(chart0, num[k], rnum[k])
-            qv = qv * xi + np.where(chart0, den[k], rden[k])
-        out0 = np.abs(qv) >= np.abs(pv)
-        u = np.where(out0, pv / np.where(out0, qv, 1.0), qv / np.where(out0, 1.0, pv))
-        g = np.where(
-            out0,
-            (pd * qv - pv * qd) / np.where(out0, qv * qv, 1.0),
-            (qd * pv - qv * pd) / np.where(out0, 1.0, pv * pv),
-        )
-        sph = np.abs(g) * (1.0 + np.abs(xi) ** 2) / (1.0 + np.abs(u) ** 2)
+        n0 = int(np.count_nonzero(chart0))
+        if not chart0[:n0].all():
+            order = np.concatenate((np.flatnonzero(chart0), np.flatnonzero(~chart0)))
+            Z, W, log_acc, pos = Z[order], W[order], log_acc[order], pos[order]
+        np.divide(Z[:n0], W[:n0], out=xi[:n0])
+        np.divide(W[n0:], Z[n0:], out=xi[n0:])
+        for lo, hi, cn, cd in ((0, n0, num, den), (n0, n, rnum, rden)):
+            if lo < hi:
+                _horner_block(cn, cd, xi[lo:hi], p[lo:hi], q[lo:hi], dp[lo:hi], dq[lo:hi], t[lo:hi])
+        ap, aq = np.abs(p), np.abs(q)
+        out0 = aq >= ap
+        # output chart 0 takes u = p/q, chart 1 takes u = q/p (g likewise)
+        for idx, top, bot, dtop, dbot in ((np.flatnonzero(out0), p, q, dp, dq),
+                                          (np.flatnonzero(~out0), q, p, dq, dp)):
+            if len(idx):
+                a, b, da, db = top[idx], bot[idx], dtop[idx], dbot[idx]
+                au[idx] = np.abs(a / b)
+                ag[idx] = np.abs((da * b - a * db) / (b * b))
+        sph = ag * (1.0 + np.square(np.abs(xi))) / (1.0 + np.square(au))
         log_acc += np.log(np.maximum(sph, 1e-300))
-        Znew, Wnew = pv, qv  # standard coords in both charts (reversal already applied)
-        m = np.maximum(np.abs(Znew), np.abs(Wnew))
-        m = np.where(m == 0.0, 1.0, m)
-        Z, W = Znew / m, Wnew / m
+        m = np.maximum(ap, aq)
+        m[m == 0.0] = 1.0
+        Z, W = p / m, q / m  # standard coords in both charts (reversal already applied)
     lyap = log_acc / max_iter
+    ramp = np.clip(128.0 + 28.0 * lyap, 0.0, 254.0).astype(np.uint8)
     bounded_end = np.abs(W) >= np.abs(Z)
     escaped = np.abs(W) < 1e-6 * np.abs(Z)
-    ramp = np.clip(128.0 + 28.0 * lyap, 0.0, 254.0).astype(np.uint8)
-    r = ramp
-    g = np.where(bounded_end, 255, 80).astype(np.uint8)
-    b = np.where(escaped, 255, ramp).astype(np.uint8)
-    block = np.stack([r, g, b], axis=-1)
-    return block.reshape(len(ys), len(xs), 3)
+    out[pos, 0] = ramp
+    out[pos, 1] = np.where(bounded_end, 255, 80)
+    out[pos, 2] = np.where(escaped, 255, ramp)
 
 
 def julia_render(f, width: int, height: int, max_iter: int = 40,
@@ -562,21 +599,28 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
 
     Red encodes the average log spherical derivative, green the final chart
     (bright = bounded), blue carries the escape marker 255 (final point
-    within 1e-6 of infinity).  Deterministic for fixed inputs.
+    within 1e-6 of infinity).  The grid is shaded in blocks of _BLOCK
+    pixels by up to `threads` workers; the output bytes depend on neither.
     """
     if width < 16 or height < 16:
         raise ValueError("grid dimensions must be at least 16")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (math.isfinite(span) and span > 0.0):
+        raise ValueError(f"span must be finite and positive, got {span}")
+    num, den = _coeffs(f)
     xs = np.linspace(-span, span, width)
     ys = np.linspace(-span, span, height)
-    if threads <= 1:
-        return _render_rows(f, xs, ys, max_iter)
-    blocks = np.array_split(np.arange(height), min(threads * 4, height))
-    out = np.empty((height, width, 3), dtype=np.uint8)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(_render_rows, f, xs, ys[idx], max_iter): idx for idx in blocks if len(idx)}
-        for fut, idx in futures.items():
-            out[idx] = fut.result()
-    return out
+    size = width * height
+    out = np.empty((size, 3), dtype=np.uint8)
+
+    def shade(start):
+        _shade_block(num, den, xs, ys, max_iter, start, min(start + _BLOCK, size), out)
+
+    starts = range(0, size, _BLOCK)
+    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(starts)))) as pool:
+        list(pool.map(shade, starts))
+    return out.reshape(height, width, 3)
 
 
 def write_ppm(buffer: np.ndarray, path: str) -> None:

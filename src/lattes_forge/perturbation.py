@@ -55,6 +55,7 @@ from .lattes import LattesSpec, RationalMapCoeffs, build_rational_map, torus_end
 FAMILIES = ("X", "Y")
 _EPS = 2.0 ** -52
 _PCF_TOL = 1e-8  # tolerance to which postcritical orbits are certified
+_COLLISION_TOL = 1e-12  # residual target of the collision solves behind s_k/t_k
 
 
 def _check_resolution(a: int, k: int) -> None:
@@ -586,21 +587,27 @@ def _collision_pair(spec: LattesSpec, pair: RationalPair, k: int, tol: float,
 
 
 def solve_gamma_k(spec0: LattesSpec, pair: RationalPair, k: int, tol: float = 1e-10,
-                  max_iter: int = 30, collision_tol: float = 1e-12) -> ConstructionResult:
+                  max_iter: int = 30, collision_tol: float = _COLLISION_TOL,
+                  base_pair: tuple | None = None) -> ConstructionResult:
     """Solve s_k(gamma) = t_k(gamma) near the base point and certify the result.
 
     Secant iteration on s_k/t_k - 1 (each evaluation rebuilds the map and
     both collisions); at the root, g = (1 + r) f_gamma has both perturbed
     critical values preperiodic, hence is strictly postcritically finite.
-    Raises PrecisionExhausted when tol is finer than the ratio can be
-    resolved: each collision is known only to eps * a^(2k) / |u| relative.
+    base_pair is the collision pair at spec0 already solved by
+    _collision_pair at collision_tol, unseeded; the secant starts from it
+    instead of solving it again.  Raises PrecisionExhausted when tol is
+    finer than the ratio can be resolved: each collision is known only to
+    eps * a^(2k) / |u| relative.
     """
     gamma0 = spec0.gamma.gamma
     warm = [None, None]  # follow one collision branch as gamma moves
 
-    def misfit(gamma: complex):
+    def misfit(gamma: complex, solved=None):
         spec = LattesSpec(TorusParameter(gamma), spec0.a, spec0.case_tag)
-        cs, ct = _collision_pair(spec, pair, k, collision_tol, seeds=tuple(warm))
+        if solved is None:
+            solved = _collision_pair(spec, pair, k, collision_tol, seeds=tuple(warm))
+        cs, ct = solved
         warm[0], warm[1] = cs.rescaled, ct.rescaled
         return cs.value / ct.value - 1.0, (spec, cs, ct)
 
@@ -609,7 +616,7 @@ def solve_gamma_k(spec0: LattesSpec, pair: RationalPair, k: int, tol: float = 1e
     tau = pair.offset("Y", gamma0)
     sig_p, tau_p = complex(pair.alpha_prime), complex(pair.beta_prime)
     slope = -2.0 * sig * (sig_p * tau - sig * tau_p) / tau ** 3
-    h0, aux = misfit(gamma0)
+    h0, aux = misfit(gamma0, base_pair)
     _, cs, ct = aux
     floor = _EPS * _degree_power(spec0, k) * (1.0 / abs(cs.rescaled) + 1.0 / abs(ct.rescaled))
     if floor > tol:
@@ -704,7 +711,7 @@ def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
     for k in k_range:
         row = dict(k=k, asymptotic=k >= 3)
         try:
-            cs, ct = _collision_pair(spec0, pair, k, tol=1e-12)
+            cs, ct = _collision_pair(spec0, pair, k, tol=_COLLISION_TOL)
             ratio = cs.value / ct.value
             row.update(
                 status="ok",
@@ -713,7 +720,7 @@ def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
                 ratio=ratio, target=target, deviation=abs(ratio - target),
             )
             if solve_construction:
-                built = solve_gamma_k(spec0, pair, k, tol=tol)
+                built = solve_gamma_k(spec0, pair, k, tol=tol, base_pair=(cs, ct))
                 row.update(
                     gamma_k=built.gamma_k, r_k=built.r_k,
                     gamma_gap=abs(built.gamma_k - gamma0),

@@ -194,6 +194,15 @@ def test_render_writes_ppm(tmp_path, monkeypatch):
     assert other.read_bytes() == data
 
 
+@pytest.mark.parametrize("args", [["--max-iter", "0"], ["--span", "0"], ["--span=-1"],
+                                  ["--span", "inf"], ["--span", "nan"]])
+def test_render_refuses_degenerate_arguments(tmp_path, capsys, args):
+    target = tmp_path / "img.ppm"
+    assert main(["render", "--size", "16", "--out", str(target)] + args) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_report_floats_round_trip(tmp_path):
     assert main(["verify-lemma1", "--out", str(tmp_path),
                  "--grid=-0.1:0.1:0.9:1.1:2"]) == 0

@@ -21,8 +21,9 @@ from lattes_forge.dynamics import (
     spherical_distance,
     write_ppm,
 )
+from lattes_forge.elliptic import TorusParameter
 from lattes_forge.errors import BranchAmbiguity
-from lattes_forge.lattes import RationalMapCoeffs
+from lattes_forge.lattes import LattesSpec, RationalMapCoeffs, build_rational_map
 
 
 @pytest.fixture
@@ -168,3 +169,86 @@ def test_julia_render_escape_contrast(z2):
     assert abs(int(center.sum()) - int(edge.sum())) < 120  # both quiet regions
     ring = buf[16, 24].astype(int)  # near |z| = 1
     assert int(ring.sum()) != int(center.sum())
+
+
+def reference_render(f, width: int, height: int, max_iter: int, span: float = 2.0) -> np.ndarray:
+    """Reference oracle: a full-grid render kernel that julia_render must match
+    bit for bit.
+
+    Every temporary spans the whole grid, and both quotient branches and both
+    chart coefficient sets are evaluated on every pixel.
+    """
+    num, den = np.asarray(f.num, dtype=complex), np.asarray(f.den, dtype=complex)
+    rnum, rden = num[::-1], den[::-1]
+    xs = np.linspace(-span, span, width)
+    ys = np.linspace(-span, span, height)
+    X, Y = np.meshgrid(xs, ys)
+    Z = (X + 1j * Y).ravel()
+    W = np.ones_like(Z)
+    log_acc = np.zeros(Z.shape, dtype=float)
+    for _ in range(max_iter):
+        chart0 = np.abs(W) >= np.abs(Z)
+        xi = np.where(chart0, Z / np.where(chart0, W, 1.0), W / np.where(chart0, 1.0, Z))
+        pv = np.zeros_like(Z)
+        qv = np.zeros_like(Z)
+        pd = np.zeros_like(Z)
+        qd = np.zeros_like(Z)
+        for k in range(len(num) - 1, -1, -1):
+            pd = pd * xi + pv
+            qd = qd * xi + qv
+            pv = pv * xi + np.where(chart0, num[k], rnum[k])
+            qv = qv * xi + np.where(chart0, den[k], rden[k])
+        out0 = np.abs(qv) >= np.abs(pv)
+        u = np.where(out0, pv / np.where(out0, qv, 1.0), qv / np.where(out0, 1.0, pv))
+        g = np.where(
+            out0,
+            (pd * qv - pv * qd) / np.where(out0, qv * qv, 1.0),
+            (qd * pv - qv * pd) / np.where(out0, 1.0, pv * pv),
+        )
+        sph = np.abs(g) * (1.0 + np.abs(xi) ** 2) / (1.0 + np.abs(u) ** 2)
+        log_acc += np.log(np.maximum(sph, 1e-300))
+        Znew, Wnew = pv, qv
+        m = np.maximum(np.abs(Znew), np.abs(Wnew))
+        m = np.where(m == 0.0, 1.0, m)
+        Z, W = Znew / m, Wnew / m
+    lyap = log_acc / max_iter
+    bounded_end = np.abs(W) >= np.abs(Z)
+    escaped = np.abs(W) < 1e-6 * np.abs(Z)
+    ramp = np.clip(128.0 + 28.0 * lyap, 0.0, 254.0).astype(np.uint8)
+    r = ramp
+    g = np.where(bounded_end, 255, 80).astype(np.uint8)
+    b = np.where(escaped, 255, ramp).astype(np.uint8)
+    return np.stack([r, g, b], axis=-1).reshape(height, width, 3)
+
+
+@pytest.fixture(scope="module")
+def base_a3():
+    return build_rational_map(LattesSpec(TorusParameter(0.2 + 1j), 3, "OddHalf"))
+
+
+@pytest.fixture
+def render_maps(z2, base_a2, base_a3):
+    return {"z2": z2, "a2": base_a2, "a3": base_a3}
+
+
+@pytest.mark.parametrize("name", ["z2", "a2", "a3"])
+@pytest.mark.parametrize("width,height,max_iter,threads", [
+    (16, 16, 10, 1),
+    (16, 16, 10, 3),
+    (16, 16, 10, 8),  # more workers than blocks
+    (97, 91, 4, 1),  # 8,827 pixels: a full block and a ragged one
+    (97, 91, 4, 3),
+])
+def test_julia_render_matches_reference(render_maps, name, width, height, max_iter, threads):
+    f = render_maps[name]
+    expected = reference_render(f, width, height, max_iter)
+    assert np.array_equal(julia_render(f, width, height, max_iter=max_iter, threads=threads), expected)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(max_iter=0),
+    dict(span=0.0), dict(span=-1.0), dict(span=math.inf), dict(span=math.nan),
+])
+def test_julia_render_refuses_degenerate_arguments(z2, kwargs):
+    with pytest.raises(ValueError):
+        julia_render(z2, 16, 16, **kwargs)

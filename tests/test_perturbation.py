@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import lattes_forge.lattes as lattes
+import lattes_forge.perturbation as perturbation
 from lattes_forge.dynamics import SpherePoint, continue_cycle, eval_map, orbit, spherical_distance
 from lattes_forge.elliptic import TorusParameter, TorusPoint, theta_data, theta_map
 from lattes_forge.errors import (
@@ -326,6 +327,21 @@ def test_gamma_solve_deterministic(spec_a2, pair_a2, construction_results):
     again = solve_gamma_k(spec_a2, pair_a2, 3)
     assert again.gamma_k == construction_results[0].gamma_k
     assert again.r_k == construction_results[0].r_k
+
+
+def test_convergence_row_solves_the_base_pair_once(spec_a2, pair_a2, construction_results,
+                                                   monkeypatch):
+    # the row solves the collision pair at gamma0 once and the gamma secant
+    # starts from it; the secant then makes six seeded solves at k = 3
+    seeds = []
+    inner = perturbation._collision_pair
+    monkeypatch.setattr(perturbation, "_collision_pair",
+                        lambda *args, **kwargs: seeds.append(kwargs.get("seeds")) or inner(*args, **kwargs))
+    row = convergence_table(spec_a2, pair_a2, [3]).rows[0]
+    assert len(seeds) == 7
+    assert seeds[0] is None and all(None not in s for s in seeds[1:])
+    assert row.gamma_k == construction_results[0].gamma_k
+    assert row.r_k == construction_results[0].r_k
 
 
 def test_gamma_solve_approaches_base(construction_results):
