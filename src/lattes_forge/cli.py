@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .lattes import LattesSpec, build_rational_map, map_from_dict, map_to_dict
 from .perturbation import (
+    base_map_for,
     case_response_constant,
     certify_strictly_pcf,
     convergence_table,
@@ -45,27 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_PRECISION = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    a: int
-    case_tag: str
-    x0: Fraction
-    y0: Fraction
-    k_min: int
-    k_max: int
-    tol: float | None
-    seed: int
-    out: str | None
-    fmt: str
-
-    @property
-    def gamma0(self) -> complex:
-        return complex(float(self.x0), float(self.y0))
-
-    def spec(self) -> LattesSpec:
-        return LattesSpec(TorusParameter(self.gamma0), self.a, self.case_tag)
 
 
 def _threads() -> int:
@@ -158,35 +137,23 @@ def _parse_grid(text: str):
     return [complex(r, i) for i in ims for r in res]
 
 
-def _config(args) -> RunConfig:
-    case_tag = CASE_BY_NUMBER[args.case]
-    return RunConfig(
-        a=args.a,
-        case_tag=case_tag,
-        x0=args.x0,
-        y0=args.y0,
-        k_min=getattr(args, "k_min", 3),
-        k_max=getattr(args, "k_max", 6),
-        tol=args.tol,
-        seed=args.seed,
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "json"),
-    )
+def _spec(args) -> LattesSpec:
+    gamma0 = complex(float(args.x0), float(args.y0))
+    return LattesSpec(TorusParameter(gamma0), args.a, CASE_BY_NUMBER[args.case])
 
 
-def _write_report(config: RunConfig, name: str, doc: dict, csv_lines: list) -> None:
-    if config.out is None:
+def _write_report(args, name: str, doc: dict, csv_lines: list) -> None:
+    if args.out is None:
         return
-    os.makedirs(config.out, exist_ok=True)
-    if config.fmt == "json":
-        _atomic_write(os.path.join(config.out, f"{name}.json"), _json_text(doc) + "\n")
+    os.makedirs(args.out, exist_ok=True)
+    if args.format == "json":
+        _atomic_write(os.path.join(args.out, f"{name}.json"), _json_text(doc) + "\n")
     else:
-        _atomic_write(os.path.join(config.out, f"{name}.csv"), "\n".join(csv_lines) + "\n")
+        _atomic_write(os.path.join(args.out, f"{name}.csv"), "\n".join(csv_lines) + "\n")
 
 
 def cmd_verify_lemma1(args) -> int:
-    config = _config(args)
-    tol = config.tol if config.tol is not None else 1e-8
+    tol = args.tol
     try:
         grid = _parse_grid(args.grid)
     except ValueError as exc:
@@ -196,9 +163,8 @@ def cmd_verify_lemma1(args) -> int:
     worst = 0.0
     for gamma in grid:
         td = theta_data(gamma)
-        lam = td.lam + (1e-3 if args.corrupt_theta else 0.0)
-        res_ratio = abs(lam / td.v + td.mu / td.w)
-        kappa_other = 4.0 * lam / (td.v * (td.v - td.w))
+        res_ratio = abs(td.lam / td.v + td.mu / td.w)
+        kappa_other = 4.0 * td.lam / (td.v * (td.v - td.w))
         res_kappa = abs(kappa_other - td.kappa)
         worst = max(worst, res_ratio, res_kappa)
         rows.append((gamma, res_ratio, res_kappa))
@@ -218,28 +184,28 @@ def cmd_verify_lemma1(args) -> int:
     csv_lines = ["# lattes-forge lemma1-report schema 1",
                  "gamma_re,gamma_im,ratio_residual,kappa_residual"]
     csv_lines += [f"{_fmt(g.real)},{_fmt(g.imag)},{_fmt(r1)},{_fmt(r2)}" for g, r1, r2 in rows]
-    _write_report(config, "lemma1_report", doc, csv_lines)
+    _write_report(args, "lemma1_report", doc, csv_lines)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def cmd_verify_lemma3(args) -> int:
-    config = _config(args)
-    tol = config.tol if config.tol is not None else 1e-6
-    spec = config.spec()
+    tol = args.tol
+    spec = _spec(args)
+    gamma0 = spec.gamma.gamma
     report = verify_lemma3(spec)
     expected = case_response_constant(spec)
     err = abs(report.c_measured - expected)
     ok = err < tol
-    print(f"a={config.a} case={config.case_tag} gamma0={config.gamma0:.6f}")
+    print(f"a={spec.a} case={spec.case_tag} gamma0={gamma0:.6f}")
     print(f"c measured  {report.c_measured:.12f}")
     print(f"c expected  {expected:.12f}")
     print(f"|difference| {err:.3e} {'<' if ok else '>='} tolerance {tol:.3g}  "
           f"(cross-residual {report.residual:.3e})")
     doc = {
         "schema_version": "1",
-        "a": config.a,
-        "case": config.case_tag,
-        "gamma0": _pair(config.gamma0),
+        "a": spec.a,
+        "case": spec.case_tag,
+        "gamma0": _pair(gamma0),
         "c_measured": _pair(report.c_measured),
         "c_expected": _pair(expected),
         "difference": err,
@@ -248,10 +214,10 @@ def cmd_verify_lemma3(args) -> int:
     }
     csv_lines = ["# lattes-forge lemma3-report schema 1",
                  "a,case,c_measured_re,c_measured_im,c_expected_re,c_expected_im,difference",
-                 f"{config.a},{config.case_tag},{_fmt(report.c_measured.real)},"
+                 f"{spec.a},{spec.case_tag},{_fmt(report.c_measured.real)},"
                  f"{_fmt(report.c_measured.imag)},{_fmt(expected.real)},{_fmt(expected.imag)},"
                  f"{_fmt(err)}"]
-    _write_report(config, "lemma3_report", doc, csv_lines)
+    _write_report(args, "lemma3_report", doc, csv_lines)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -289,17 +255,16 @@ def _certificate_doc(cert) -> dict:
 
 
 def cmd_construct(args) -> int:
-    config = _config(args)
-    tol = config.tol if config.tol is not None else 1e-10
-    out = config.out or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     try:
-        pair = standard_parameters(config.x0, config.y0, config.a)
+        pair = standard_parameters(args.x0, args.y0, args.a)
     except (CoprimalityViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    spec0 = config.spec()
-    table = convergence_table(spec0, pair, range(config.k_min, config.k_max + 1), tol=tol)
+    spec0 = _spec(args)
+    gamma0 = spec0.gamma.gamma
+    table = convergence_table(spec0, pair, range(args.k_min, args.k_max + 1), tol=args.tol)
     csv_lines = ["# lattes-forge convergence-table schema 1", _CSV_HEADER]
     exhausted = False
     all_certified = True
@@ -317,12 +282,11 @@ def cmd_construct(args) -> int:
             continue
         built = row.construction
         doc = {
-            "schema_version": "1",
-            "a": config.a,
-            "case": config.case_tag,
-            "seed": config.seed,
+            "schema_version": "2",
+            "a": spec0.a,
+            "case": spec0.case_tag,
             "k": built.k,
-            "gamma0": _pair(config.gamma0),
+            "gamma0": _pair(gamma0),
             "gamma_k": _pair(built.gamma_k),
             "r_k": _pair(built.r_k),
             "distance_to_base": built.distance_to_base,
@@ -335,8 +299,7 @@ def cmd_construct(args) -> int:
     _atomic_write(os.path.join(out, "convergence.csv"), "\n".join(csv_lines) + "\n")
     if args.render:
         size = args.size
-        base = build_rational_map(spec0)
-        write_ppm(julia_render(base, size, size, threads=_threads()),
+        write_ppm(julia_render(base_map_for(spec0), size, size, threads=_threads()),
                   os.path.join(out, "base.ppm"))
         done = [r.construction for r in table.rows if r.construction is not None]
         if done:
@@ -348,15 +311,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    config = _config(args)
-    tol = config.tol if config.tol is not None else 1e-8
     g = _load_map(args.map_file)
     unique = []
     for point, _ in critical_points(g):
         img = eval_map(g, point)
         if all(spherical_distance(img, q) > 1e-9 for q in unique):
             unique.append(img)
-    certs, count = certify_strictly_pcf(g, unique, max_iter=args.max_iter, tol=tol)
+    certs, count = certify_strictly_pcf(g, unique, max_iter=args.max_iter, tol=args.tol)
     witness = count <= 4
     print(f"postcritical_count={count} lattes_witness={str(witness).lower()}")
     doc = {
@@ -366,20 +327,19 @@ def cmd_certify(args) -> int:
         "lattes_witness": witness,
         "certificates": [_certificate_doc(c) for c in certs],
     }
-    if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        _atomic_write(os.path.join(config.out, "certificate.json"), _json_text(doc) + "\n")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        _atomic_write(os.path.join(args.out, "certificate.json"), _json_text(doc) + "\n")
     else:
         print(_json_text(doc))
     return EXIT_OK
 
 
 def cmd_render(args) -> int:
-    config = _config(args)
     if args.map_file is not None:
         g = _load_map(args.map_file)
     else:
-        g = build_rational_map(config.spec())
+        g = build_rational_map(_spec(args))
     buffer = julia_render(g, args.size, args.size, max_iter=args.max_iter,
                           span=args.span, threads=_threads())
     path = args.out if args.out else "render.ppm"
@@ -390,7 +350,7 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_spec(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=int, default=2, help="integer multiplier, |a| >= 2")
     p.add_argument("--case", type=int, choices=(1, 2, 3), default=1,
                    help="1 = a even, 2 = a odd untranslated, 3 = a odd with half-period shift")
@@ -398,8 +358,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="rational p/q, real part of gamma0")
     p.add_argument("--y0", type=_parse_rational, default=Fraction(1),
                    help="rational p/q, imaginary part of gamma0 (> 0)")
-    p.add_argument("--tol", type=float, default=None, help="headline tolerance of the command")
-    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_tol(p: argparse.ArgumentParser, default: float) -> None:
+    p.add_argument("--tol", type=float, default=default,
+                   help="headline tolerance of the command (default %(default)g)")
+
+
+def _add_report(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -411,18 +377,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p1 = sub.add_parser("verify-lemma1", help="theta-derivative identity over a gamma grid")
-    _add_common(p1)
+    _add_tol(p1, 1e-8)
+    _add_report(p1)
     p1.add_argument("--grid", type=str, default="-0.4:0.4:0.8:1.6:5",
                     help="gamma grid as re0:re1:im0:im1:n")
-    p1.add_argument("--corrupt-theta", action="store_true", help=argparse.SUPPRESS)
     p1.set_defaults(fn=cmd_verify_lemma1)
 
     p3 = sub.add_parser("verify-lemma3", help="critical value response constant per case")
-    _add_common(p3)
+    _add_spec(p3)
+    _add_tol(p3, 1e-6)
+    _add_report(p3)
     p3.set_defaults(fn=cmd_verify_lemma3)
 
     pc = sub.add_parser("construct", help="solve collisions and build certified g_k maps")
-    _add_common(pc)
+    _add_spec(pc)
+    _add_tol(pc, 1e-10)
+    pc.add_argument("--out", type=str, default=None, help="output directory")
     pc.add_argument("--k-min", dest="k_min", type=int, default=3)
     pc.add_argument("--k-max", dest="k_max", type=int, default=6)
     pc.add_argument("--render", action="store_true", help="also write PPM renders")
@@ -430,13 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(fn=cmd_construct)
 
     pf = sub.add_parser("certify", help="certify an arbitrary map from its JSON coefficients")
-    _add_common(pf)
+    _add_tol(pf, 1e-8)
+    pf.add_argument("--out", type=str, default=None, help="output directory")
     pf.add_argument("map_file", type=str)
     pf.add_argument("--max-iter", dest="max_iter", type=int, default=300)
     pf.set_defaults(fn=cmd_certify)
 
     pr = sub.add_parser("render", help="render a Julia set to PPM")
-    _add_common(pr)
+    _add_spec(pr)
+    pr.add_argument("--out", type=str, default=None, help="output file or directory")
     pr.add_argument("--map-file", dest="map_file", type=str, default=None)
     pr.add_argument("--size", type=int, default=512)
     pr.add_argument("--span", type=float, default=2.0)

@@ -32,6 +32,10 @@ _EPS = np.finfo(float).eps
 _GUARD = 10.0 * _EPS ** (1.0 / 3.0)  # derivative floor for branch tracking
 _INDETERMINATE_FLOOR = 1e-12
 _PARALLEL_TOL = 1e-12  # relative tolerance of the scaling check in continue_cycle
+_TRIM_REL = 1e-12  # coefficients below this share of the largest are dropped
+_CRITICAL_RADIUS = 1e-9 ** 0.5  # Wronskian roots closer than this are one critical point
+_CONTINUE_STEP = 0.5  # first and largest substep of continue_cycle, in s from 0 (f0) to 1 (f1)
+_CONTINUE_TOL = 1e-12  # cycle residual at each continuation substep
 
 
 @dataclass(frozen=True)
@@ -153,11 +157,11 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)
 
 
-def _trim(coeffs: np.ndarray, rel: float = 1e-12) -> np.ndarray:
+def _trim(coeffs: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(coeffs))
     if scale == 0.0:
         return coeffs[:1]
-    keep = np.nonzero(np.abs(coeffs) > rel * scale)[0]
+    keep = np.nonzero(np.abs(coeffs) > _TRIM_REL * scale)[0]
     return coeffs[: keep[-1] + 1] if len(keep) else coeffs[:1]
 
 
@@ -217,7 +221,7 @@ def orbit(f, z: SpherePoint, n: int) -> list[SpherePoint]:
     return pts
 
 
-def critical_points(f, tol: float = 1e-9) -> list[tuple[SpherePoint, int]]:
+def critical_points(f) -> list[tuple[SpherePoint, int]]:
     """Roots of the Wronskian P'Q - PQ' with multiplicities; total is 2D - 2."""
     num, den = _coeffs(f)
     D = f.degree
@@ -245,11 +249,10 @@ def critical_points(f, tol: float = 1e-9) -> list[tuple[SpherePoint, int]]:
             mult_inf += 1
         else:
             polished.append(x)
-    radius = max(tol, 1e-14) ** 0.5
     clusters: list[list[complex]] = []
     for x in sorted(polished, key=lambda c: (c.real, c.imag)):
         for cl in clusters:
-            if abs(x - cl[0]) < radius:
+            if abs(x - cl[0]) < _CRITICAL_RADIUS:
                 cl.append(x)
                 break
         else:
@@ -347,7 +350,7 @@ def _check_scaling(c0: np.ndarray, c1: np.ndarray) -> None:
         raise ValueError("continue_cycle: interpolating from f0 to f1 passes through zero")
 
 
-def continue_cycle(f0, cycle: CycleData, f1, steps: int = 8, tol: float = 1e-12) -> CycleData:
+def continue_cycle(f0, cycle: CycleData, f1) -> CycleData:
     """Homotopy continuation of a repelling cycle from f0 to f1.
 
     f1's numerator and denominator must each be a scalar multiple of f0's,
@@ -370,7 +373,7 @@ def continue_cycle(f0, cycle: CycleData, f1, steps: int = 8, tol: float = 1e-12)
     z = cycle.points[0]
     period = cycle.period
     s = 0.0
-    ds = 1.0 / max(steps, 1)
+    ds = _CONTINUE_STEP
     min_ds = ds / 2 ** 24
 
     def at(sv):
@@ -379,7 +382,7 @@ def continue_cycle(f0, cycle: CycleData, f1, steps: int = 8, tol: float = 1e-12)
     while s < 1.0 - 1e-15:
         sv = min(1.0, s + ds)
         try:
-            z_new, _ = _newton_periodic(at(sv), z, period, tol, max_iter=20)
+            z_new, _ = _newton_periodic(at(sv), z, period, _CONTINUE_TOL, max_iter=20)
         except (NoConvergence, ValueError):
             ds *= 0.5
             if ds < min_ds:
@@ -387,9 +390,9 @@ def continue_cycle(f0, cycle: CycleData, f1, steps: int = 8, tol: float = 1e-12)
                     f"continuation step underflow at s = {s:.6g}") from None
             continue
         z, s = z_new, sv
-        if ds < 1.0 / max(steps, 1):
+        if ds < _CONTINUE_STEP:
             ds *= 2.0
-    continued = find_cycle(at(1.0), z, period, tol)
+    continued = find_cycle(at(1.0), z, period, _CONTINUE_TOL)
     if continued.period != period:
         raise ContinuationBreakdown(
             f"period changed from {period} to {continued.period} during continuation")

@@ -31,6 +31,7 @@ from .errors import LemmaViolation, NonConvergent, PoleAtLatticePoint
 _MAX_TERMS = 220
 _LOG_CUT = -41.0  # stop theta terms below ~1.5e-18 in magnitude
 _TOL = 1e-10  # accuracy the half-period and branch-derivative identities are checked to
+_LATTICE_EPS = 1e-13  # centered coordinates below this count as a lattice point
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,9 @@ class TorusPoint:
             t -= 1.0
         return s, t
 
-    def is_lattice_point(self, eps: float = 1e-13) -> bool:
+    def is_lattice_point(self) -> bool:
         s, t = self.centered()
-        return abs(s) < eps and abs(t) < eps
-
-    def is_half_lattice_point(self, eps: float = 1e-13) -> bool:
-        s, t = self.centered()
-        return min(abs(s), abs(abs(s) - 0.5)) < eps and min(abs(t), abs(abs(t) - 0.5)) < eps
+        return abs(s) < _LATTICE_EPS and abs(t) < _LATTICE_EPS
 
     def value(self, gamma: complex) -> complex:
         s, t = self.centered()
@@ -89,7 +86,7 @@ HALF_LATTICE = (
 )
 
 
-def _theta(kind: int, v: complex, lq: complex, max_terms: int = _MAX_TERMS) -> complex:
+def _theta(kind: int, v: complex, lq: complex) -> complex:
     """Jacobi theta_kind(v, q) with log-nome lq = log q, |q| < 1."""
     decay = -lq.real
     iv = abs(v.imag)
@@ -112,8 +109,8 @@ def _theta(kind: int, v: complex, lq: complex, max_terms: int = _MAX_TERMS) -> c
                 term = base * cmath.cos(arg)
             acc += term
             n += 1
-            if n > max_terms:
-                raise NonConvergent(f"theta_{kind} series needed more than {max_terms} terms")
+            if n > _MAX_TERMS:
+                raise NonConvergent(f"theta_{kind} series needed more than {_MAX_TERMS} terms")
         return 2.0 * acc
     if kind in (3, 4):
         hump = iv / decay
@@ -128,8 +125,8 @@ def _theta(kind: int, v: complex, lq: complex, max_terms: int = _MAX_TERMS) -> c
                 term = -term
             acc += 2.0 * term
             n += 1
-            if n > max_terms:
-                raise NonConvergent(f"theta_{kind} series needed more than {max_terms} terms")
+            if n > _MAX_TERMS:
+                raise NonConvergent(f"theta_{kind} series needed more than {_MAX_TERMS} terms")
         return acc
     raise ValueError(f"theta kind must be 1..4, got {kind}")
 

@@ -15,7 +15,7 @@ class PoleAtLatticePoint(LattesForgeError):
 
 
 class NonConvergent(LattesForgeError):
-    """A series needed more terms than the configured maximum."""
+    """A series needed more terms than its fixed maximum."""
 
 
 class LemmaViolation(LattesForgeError):
@@ -52,10 +52,6 @@ class BranchAmbiguity(LattesForgeError):
 
 class CoprimalityViolation(LattesForgeError):
     """A rational parameter denominator shares a factor with a or 2."""
-
-
-class PostcriticalCollision(LattesForgeError):
-    """A marked orbit runs into the postcritical set."""
 
 
 class PrecisionExhausted(LattesForgeError):

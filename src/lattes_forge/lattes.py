@@ -28,6 +28,7 @@ from .errors import IllConditioned, ValidationFailed
 
 CASE_TAGS = ("EvenZero", "OddZero", "OddHalf")
 _ROOT_GAP_FLOOR = 1e-6
+_DEGREE_FLOOR = 1e-9  # normalized coefficients at or below this do not count toward the degree
 _MAX_DEGREE = 25
 # Roberts R2 quasi-random sequence constants (1/phi2, 1/phi2^2 for the
 # plastic number phi2); low-discrepancy and deterministic
@@ -145,8 +146,8 @@ def _normalized(num, den, D: int) -> tuple[np.ndarray, np.ndarray]:
     return joint[: D + 1], joint[D + 1:]
 
 
-def _effective_degree(coeffs: np.ndarray, rel: float = 1e-9) -> int:
-    idx = np.nonzero(np.abs(coeffs) > rel)[0]
+def _effective_degree(coeffs: np.ndarray) -> int:
+    idx = np.nonzero(np.abs(coeffs) > _DEGREE_FLOOR)[0]
     return int(idx[-1]) if len(idx) else 0
 
 

@@ -46,7 +46,6 @@ from .errors import (
     NoConvergence,
     NotPCF,
     NotRepelling,
-    PostcriticalCollision,
     PrecisionExhausted,
     ValidationFailed,
 )
@@ -56,6 +55,11 @@ FAMILIES = ("X", "Y")
 _EPS = 2.0 ** -52
 _PCF_TOL = 1e-8  # tolerance to which postcritical orbits are certified
 _COLLISION_TOL = 1e-12  # residual target of the collision solves behind s_k/t_k
+_COLLISION_MAX_ITER = 80  # secant evaluations per collision solve
+_GAMMA_MAX_ITER = 30  # misfit evaluations per gamma_k solve
+_MARKED_TOL = 1e-9  # spherical tolerance of marked orbits, certified and tracked
+_TRACK_STEPS = 4  # initial parameter substeps of track_marked_point
+_FD_STEP = 1e-4  # central-difference step in t of tracked_limits
 
 
 def _check_resolution(a: int, k: int) -> None:
@@ -188,24 +192,23 @@ def _exact_itinerary(spec: LattesSpec, addr: TorusPoint, max_steps: int):
     raise NoConvergence(f"no exact repeat within {max_steps} torus steps")
 
 
-def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int, family: str,
-                      tol: float = 1e-9, strict_postcritical: bool = False) -> MarkedPreperiodicPoint:
+def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int,
+                      family: str) -> MarkedPreperiodicPoint:
     """Build the k-th marked point of the chosen family with its certificate.
 
     The address is exact rational and preperiod and period are derived
     exactly.  The certificate checks the exact itinerary one step at a time,
-    |f(p_j) - p_(j+1)| <= tol on the sphere, so rounding is never amplified
+    |f(p_j) - p_(j+1)| <= 1e-9 on the sphere, so rounding is never amplified
     along the orbit; the landing cycle is then classified from its landing
     point, which must give the exact period and a repelling multiplier.  Any
     disagreement raises ValidationFailed.  A depth is refused with
     PrecisionExhausted before any of this, by the one precision limit
     eps * |a|^(2k) <= 1e-8 that the collision solves share.
 
-    With strict_postcritical the spec-level invariant that the landing cycle
-    avoids {0, oo, v, w} is enforced by raising PostcriticalCollision;
-    by default such landings are recorded on the returned point instead,
-    since the default parameters (tau = y0 integral) genuinely land on the
-    fixed point 0 and the collision machinery handles that case.
+    A landing cycle that meets the postcritical set {0, oo, v, w} is
+    recorded on the returned point, not refused: the default parameters
+    (tau = y0 integral) land on the fixed point 0, and the shooting solve
+    handles that case.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -226,10 +229,10 @@ def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int, family: str,
     for j, p in enumerate(forward):
         nxt = forward[j + 1] if j + 1 < len(forward) else forward[pre]
         res = spherical_distance(eval_map(f, p), nxt)
-        if res > tol:
-            raise ValidationFailed(
-                f"exact itinerary step {j} misses its image by {res:.3g} (tolerance {tol:.2g})")
-    landing = classify_orbit(f, forward[pre], max_iter=per + 80, tol=tol)
+        if res > _MARKED_TOL:
+            raise ValidationFailed(f"exact itinerary step {j} misses its image by {res:.3g} "
+                                   f"(tolerance {_MARKED_TOL:.2g})")
+    landing = classify_orbit(f, forward[pre], max_iter=per + 80, tol=_MARKED_TOL)
     if not landing.found or landing.preperiod != 0 or landing.period != per:
         raise ValidationFailed(
             f"landing point classifies as (pre={landing.preperiod}, per={landing.period}, "
@@ -239,9 +242,6 @@ def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int, family: str,
     cert = dataclasses.replace(landing, preperiod=pre)
     postcritical = any(_is_half_lattice(addrs[j]) for j in range(pre, pre + per))
     runs_through_critical = any(_is_critical_address(spec, a_) for a_ in addrs)
-    if strict_postcritical and postcritical:
-        raise PostcriticalCollision(
-            f"landing cycle of {family} family meets the postcritical set at k={k}")
     return MarkedPreperiodicPoint(
         k=k,
         family=family,
@@ -264,7 +264,7 @@ def _landing_phase(marked: MarkedPreperiodicPoint) -> int:
 
 
 def track_marked_point(family: PerturbedFamily, marked: MarkedPreperiodicPoint,
-                       t: complex, steps: int = 4, tol: float = 1e-9) -> SpherePoint:
+                       t: complex) -> SpherePoint:
     """Position of the marked point for the member map at parameter t.
 
     Continues the landing cycle, then pulls the orbit back branch by branch
@@ -282,18 +282,18 @@ def track_marked_point(family: PerturbedFamily, marked: MarkedPreperiodicPoint,
     phase = _landing_phase(marked)
     current = list(marked.forward_orbit[: ell + 1])
     t_cur = 0j
-    dt = t / max(steps, 1)
+    dt = t / _TRACK_STEPS
     min_step = abs(t) / 2 ** 22
     ft = f0
     while abs(t_cur - t) > 0:
         t_next = t if abs(t - t_cur) <= abs(dt) * (1 + 1e-12) else t_cur + dt
         try:
             ft = _member(f0, t_next)
-            cont = continue_cycle(f0, cycle0, ft, steps=2)
+            cont = continue_cycle(f0, cycle0, ft)
             pts = [None] * (ell + 1)
             pts[ell] = cont.points[phase]
             for j in range(ell - 1, -1, -1):
-                pts[j] = pullback_branch(ft, pts[j + 1], current[j], tol=min(tol, 1e-12))
+                pts[j] = pullback_branch(ft, pts[j + 1], current[j], tol=1e-12)
         except (BranchAmbiguity, NoConvergence, ContinuationBreakdown) as exc:
             dt *= 0.5
             if abs(dt) < min_step:
@@ -304,7 +304,7 @@ def track_marked_point(family: PerturbedFamily, marked: MarkedPreperiodicPoint,
         t_cur = t_next
     for j in range(ell):
         res = spherical_distance(eval_map(ft, current[j]), current[j + 1])
-        if res > 100.0 * tol:
+        if res > 100.0 * _MARKED_TOL:
             raise ValidationFailed(f"tracked orbit violates the conjugacy at step {j}: {res:.3e}")
     return current[0]
 
@@ -333,12 +333,11 @@ def _limit_point(spec: LattesSpec, base: RationalMapCoeffs, t: complex, near: co
     return find_cycle(ft, seed, period, tol=tol).points[0].to_complex()
 
 
-def tracked_limits(spec: LattesSpec, h: float = 1e-4) -> TrackedLimits:
+def tracked_limits(spec: LattesSpec) -> TrackedLimits:
     """dx_infty/dt and dy_infty/dt at t = 0 by Richardson-extrapolated
-    central differences of the continued limit points; dv/dt = v and
-    dw/dt = w hold exactly for the scaling family."""
-    if not (1e-7 <= h <= 1e-3):
-        raise ValueError("h must lie in [1e-7, 1e-3]")
+    central differences of the continued limit points (step 1e-4 and half
+    of it); dv/dt = v and dw/dt = w hold exactly for the scaling family."""
+    h = _FD_STEP
     td = theta_data(spec.gamma.gamma)
     base = base_map_for(spec)
     out = []
@@ -370,10 +369,10 @@ class ResponseReport:
     c_from_w_side: complex
 
 
-def verify_lemma3(spec: LattesSpec, h: float = 1e-4) -> ResponseReport:
+def verify_lemma3(spec: LattesSpec) -> ResponseReport:
     """Measure the shared response constant c = (x_dot - v_dot)/v = (y_dot - w_dot)/w
     and compare with its exact per-case value."""
-    tl = tracked_limits(spec, h)
+    tl = tracked_limits(spec)
     td = theta_data(spec.gamma.gamma)
     cx = (tl.x_dot - tl.v_dot) / td.v
     cy = (tl.y_dot - tl.w_dot) / td.w
@@ -408,8 +407,8 @@ def closed_form_rescaled_root(spec: LattesSpec, marked: MarkedPreperiodicPoint) 
     return -quad * off * off / (c * cv)
 
 
-def rescaled_collision_fn(spec: LattesSpec, marked: MarkedPreperiodicPoint, u: complex,
-                          steps: int = 4) -> complex:
+def rescaled_collision_fn(spec: LattesSpec, marked: MarkedPreperiodicPoint,
+                          u: complex) -> complex:
     """a^(2k) * (tracked marked point - perturbed critical value) at t = u/a^(2k).
 
     Requires a pullback-trackable orbit; the shooting solver below does not.
@@ -419,7 +418,7 @@ def rescaled_collision_fn(spec: LattesSpec, marked: MarkedPreperiodicPoint, u: c
     td = theta_data(spec.gamma.gamma)
     cv = td.v if marked.family == "X" else td.w
     fam = PerturbedFamily(spec, base_map_for(spec), t)
-    tracked = track_marked_point(fam, marked, t, steps=steps)
+    tracked = track_marked_point(fam, marked, t)
     return a2k * (tracked.to_complex() - (1.0 + t) * cv)
 
 
@@ -446,7 +445,7 @@ def _shooting_misfit(spec: LattesSpec, marked: MarkedPreperiodicPoint,
                      t: complex):
     """Chart difference between the shot orbit of (1+t)cv and the continued cycle."""
     ft = _member(base, t)
-    cont = continue_cycle(base, marked.certificate.cycle, ft, steps=2)
+    cont = continue_cycle(base, marked.certificate.cycle, ft)
     target = cont.points[phase]
     z = SpherePoint.from_complex((1.0 + t) * cv)
     for _ in range(marked.exact_preperiod):
@@ -454,8 +453,7 @@ def _shooting_misfit(spec: LattesSpec, marked: MarkedPreperiodicPoint,
     return _chart_coord(z, chart) - _chart_coord(target, chart)
 
 
-def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint, tol: float = 1e-11,
-                    rescale: bool = True, max_iter: int = 80,
+def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint, rescale: bool = True,
                     u_seed: complex | None = None) -> CollisionResult:
     """Parameter t at which the perturbed critical value collides with the
     marked point: the orbit of (1+t)v (or (1+t)w) hits the continued landing
@@ -468,10 +466,10 @@ def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint, tol: float
 
     t enters the map as 1 + t, so u is representable only to the spacing
     eps * |a^(2k) + u|.  When the secant step falls below that spacing
-    before the residual reaches tol, the solve stops at the best iterate if
-    its residual is within the misfit's noise floor there (a few spacings
+    before the residual reaches 1e-12, the solve stops at the best iterate
+    if its residual is within the misfit's noise floor there (a few spacings
     times the misfit slope) and raises PrecisionExhausted otherwise.  The
-    returned residual may then exceed tol.
+    returned residual may then exceed 1e-12.
     """
     _check_resolution(spec.a, marked.k)
     a2k = _degree_power(spec, marked.k)
@@ -494,10 +492,10 @@ def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint, tol: float
     clamp = 0.35 * abs(u0)  # keep iterates near the seeded root; F has other zeros
     best_u, best_f = (u0, f0) if abs(f0) < abs(f1) else (u1, f1)
     slope = (f1 - f0) / (u1 - u0)
-    while abs(best_f) > tol:
-        if iters >= max_iter:
-            raise NoConvergence(
-                f"collision secant did not reach |residual| < {tol} in {max_iter} iterations")
+    while abs(best_f) > _COLLISION_TOL:
+        if iters >= _COLLISION_MAX_ITER:
+            raise NoConvergence(f"collision secant did not reach |residual| < {_COLLISION_TOL} "
+                                f"in {_COLLISION_MAX_ITER} iterations")
         # t enters the map as 1 + t, so u is resolved only to this spacing
         resolution = _EPS * abs(scale + u1)
         denom = f1 - f0
@@ -577,17 +575,15 @@ class ConstructionResult:
     distance_to_base: float
 
 
-def _collision_pair(spec: LattesSpec, pair: RationalPair, k: int, tol: float,
-                    seeds=(None, None)):
+def _collision_pair(spec: LattesSpec, pair: RationalPair, k: int, seeds=(None, None)):
     mx = make_marked_point(spec, pair, k, "X")
     my = make_marked_point(spec, pair, k, "Y")
-    cs = solve_collision(spec, mx, tol=tol, u_seed=seeds[0])
-    ct = solve_collision(spec, my, tol=tol, u_seed=seeds[1])
+    cs = solve_collision(spec, mx, u_seed=seeds[0])
+    ct = solve_collision(spec, my, u_seed=seeds[1])
     return cs, ct
 
 
 def solve_gamma_k(spec0: LattesSpec, pair: RationalPair, k: int, tol: float = 1e-10,
-                  max_iter: int = 30, collision_tol: float = _COLLISION_TOL,
                   base_pair: tuple | None = None) -> ConstructionResult:
     """Solve s_k(gamma) = t_k(gamma) near the base point and certify the result.
 
@@ -595,7 +591,7 @@ def solve_gamma_k(spec0: LattesSpec, pair: RationalPair, k: int, tol: float = 1e
     both collisions); at the root, g = (1 + r) f_gamma has both perturbed
     critical values preperiodic, hence is strictly postcritically finite.
     base_pair is the collision pair at spec0 already solved by
-    _collision_pair at collision_tol, unseeded; the secant starts from it
+    _collision_pair, unseeded; the secant starts from it
     instead of solving it again.  Raises PrecisionExhausted when tol is
     finer than the ratio can be resolved: each collision is known only to
     eps * a^(2k) / |u| relative.
@@ -606,7 +602,7 @@ def solve_gamma_k(spec0: LattesSpec, pair: RationalPair, k: int, tol: float = 1e
     def misfit(gamma: complex, solved=None):
         spec = LattesSpec(TorusParameter(gamma), spec0.a, spec0.case_tag)
         if solved is None:
-            solved = _collision_pair(spec, pair, k, collision_tol, seeds=tuple(warm))
+            solved = _collision_pair(spec, pair, k, seeds=tuple(warm))
         cs, ct = solved
         warm[0], warm[1] = cs.rescaled, ct.rescaled
         return cs.value / ct.value - 1.0, (spec, cs, ct)
@@ -634,8 +630,8 @@ def solve_gamma_k(spec0: LattesSpec, pair: RationalPair, k: int, tol: float = 1e
         h_cur, aux = misfit(g_cur)
     iters = 2
     while abs(h_cur) > tol:
-        if iters >= max_iter:
-            raise NoConvergence(f"gamma secant did not converge in {max_iter} iterations")
+        if iters >= _GAMMA_MAX_ITER:
+            raise NoConvergence(f"gamma secant did not converge in {_GAMMA_MAX_ITER} iterations")
         denom = h_cur - f_prev
         if abs(denom) < 1e-300:
             raise NoConvergence("gamma secant degenerated")
@@ -711,7 +707,7 @@ def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
     for k in k_range:
         row = dict(k=k, asymptotic=k >= 3)
         try:
-            cs, ct = _collision_pair(spec0, pair, k, tol=_COLLISION_TOL)
+            cs, ct = _collision_pair(spec0, pair, k)
             ratio = cs.value / ct.value
             row.update(
                 status="ok",

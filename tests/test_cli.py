@@ -1,6 +1,7 @@
 """Exit codes, artifacts, and determinism of the command line tool."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import sys
 
 import pytest
 
+import lattes_forge.cli as cli
+import lattes_forge.perturbation as perturbation
 from lattes_forge.cli import _atomic_write, main
 from lattes_forge.lattes import map_to_dict
 
@@ -19,7 +22,28 @@ Z2_PLUS_1 = {"degree": 2, "num": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
 def test_usage_errors():
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
-    assert main(["verify-lemma1", "--x0", "not-a-rational"]) == 1
+    assert main(["verify-lemma3", "--x0", "not-a-rational"]) == 1
+
+
+# each subcommand takes only the flags it reads
+@pytest.mark.parametrize("command,flag", [
+    ("verify-lemma1", "--a=3"), ("verify-lemma1", "--case=2"),
+    ("verify-lemma1", "--x0=1/5"), ("verify-lemma1", "--y0=1"),
+    ("verify-lemma1", "--seed=1"), ("verify-lemma1", "--corrupt-theta"),
+    ("verify-lemma3", "--seed=1"),
+    ("construct", "--format=csv"), ("construct", "--seed=1"),
+    ("certify", "--a=3"), ("certify", "--case=2"), ("certify", "--x0=1/5"),
+    ("certify", "--y0=1"), ("certify", "--format=csv"), ("certify", "--seed=1"),
+    ("render", "--tol=1e-6"), ("render", "--format=csv"), ("render", "--seed=1"),
+])
+def test_removed_flags_are_refused(tmp_path, base_a2, capsys, command, flag):
+    args = [command]
+    if command == "certify":
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(map_to_dict(base_a2)))
+        args.append(str(path))
+    assert main(args + [flag]) == 1
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
 
 
 def test_verify_lemma1_default_grid(tmp_path, capsys):
@@ -33,8 +57,11 @@ def test_verify_lemma1_default_grid(tmp_path, capsys):
     assert len(doc["rows"]) == 25
 
 
-def test_verify_lemma1_corrupt_detector():
-    assert main(["verify-lemma1", "--corrupt-theta"]) == 2
+def test_verify_lemma1_corrupt_detector(monkeypatch):
+    exact = cli.theta_data
+    monkeypatch.setattr(cli, "theta_data", lambda gamma: dataclasses.replace(
+        exact(gamma), lam=exact(gamma).lam + 1e-3))
+    assert main(["verify-lemma1"]) == 2
 
 
 def test_verify_lemma1_grid_validation(capsys):
@@ -71,7 +98,8 @@ def test_construct_artifacts_and_determinism(tmp_path):
     assert art.read_bytes() == (out2 / "construction_k3.json").read_bytes()
     assert csv.read_bytes() == (out2 / "convergence.csv").read_bytes()
     doc = json.loads(art.read_text())
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
+    assert "seed" not in doc
     assert doc["postcritical_count"] == 9
     assert len(doc["certificates"]) == 3
     assert doc["map"]["degree"] == 4
@@ -79,6 +107,23 @@ def test_construct_artifacts_and_determinism(tmp_path):
     assert lines[0] == "# lattes-forge convergence-table schema 1"
     assert lines[1].startswith("k,status,asymptotic,")
     assert lines[2].startswith("3,ok,true,")
+
+
+def test_construct_render(tmp_path, monkeypatch):
+    # the base map is fit once, for the table, and its render reads that fit
+    fits = []
+    for module in (cli, perturbation):
+        monkeypatch.setattr(module, "build_rational_map",
+                            lambda spec, fit=module.build_rational_map: fits.append(spec) or fit(spec))
+    perturbation.base_map_for.cache_clear()
+    out = tmp_path / "run"
+    assert main(["construct", "--k-min", "3", "--k-max", "3", "--render", "--size", "16",
+                 "--out", str(out)]) == 0
+    assert len(fits) == 7
+    assert (out / "g_k3.ppm").read_bytes().startswith(b"P6\n16 16\n255\n")
+    alone = tmp_path / "base.ppm"
+    assert main(["render", "--size", "16", "--out", str(alone)]) == 0
+    assert (out / "base.ppm").read_bytes() == alone.read_bytes()
 
 
 def test_construct_rejects_bad_parameters(capsys):
