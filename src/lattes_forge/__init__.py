@@ -4,104 +4,10 @@ The modules layer bottom-up: `elliptic` evaluates the torus quotient map,
 `lattes` builds the rational maps it semiconjugates, `dynamics` provides
 chart-safe iteration utilities on the sphere, `perturbation` tracks marked
 preperiodic points through one-parameter perturbations and solves collision
-equations, and `cli` wires it all into a command line tool.
+equations, and `cli` wires it all into a command line tool.  Importing the
+package loads every layer module except `cli`.
 """
 
-from .elliptic import (
-    TorusParameter,
-    TorusPoint,
-    ThetaData,
-    theta_data,
-    theta_map,
-    weierstrass_p,
-)
-from .lattes import (
-    CASE_TAGS,
-    LattesSpec,
-    RationalMapCoeffs,
-    build_rational_map,
-    critical_values,
-    map_from_dict,
-    map_to_dict,
-    postcritical_set,
-    verify_semiconjugacy,
-)
-from .dynamics import (
-    CycleData,
-    OrbitCertificate,
-    SpherePoint,
-    classify_orbit,
-    critical_points,
-    eval_map,
-    find_cycle,
-    julia_render,
-    multiplier,
-    orbit,
-    pullback_branch,
-    spherical_distance,
-)
-from .perturbation import (
-    ConstructionResult,
-    ConvergenceTable,
-    MarkedPreperiodicPoint,
-    PerturbedFamily,
-    RationalPair,
-    certify_strictly_pcf,
-    convergence_table,
-    make_marked_point,
-    solve_collision,
-    solve_gamma_k,
-    standard_parameters,
-    track_marked_point,
-    tracked_limits,
-    verify_lemma3,
-)
-from . import errors
+from . import dynamics, elliptic, errors, lattes, perturbation  # noqa: F401
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "TorusParameter",
-    "TorusPoint",
-    "ThetaData",
-    "theta_data",
-    "theta_map",
-    "weierstrass_p",
-    "CASE_TAGS",
-    "LattesSpec",
-    "RationalMapCoeffs",
-    "build_rational_map",
-    "critical_values",
-    "map_from_dict",
-    "map_to_dict",
-    "postcritical_set",
-    "verify_semiconjugacy",
-    "CycleData",
-    "OrbitCertificate",
-    "SpherePoint",
-    "classify_orbit",
-    "critical_points",
-    "eval_map",
-    "find_cycle",
-    "julia_render",
-    "multiplier",
-    "orbit",
-    "pullback_branch",
-    "spherical_distance",
-    "ConstructionResult",
-    "ConvergenceTable",
-    "MarkedPreperiodicPoint",
-    "PerturbedFamily",
-    "RationalPair",
-    "certify_strictly_pcf",
-    "convergence_table",
-    "make_marked_point",
-    "solve_collision",
-    "solve_gamma_k",
-    "standard_parameters",
-    "track_marked_point",
-    "tracked_limits",
-    "verify_lemma3",
-    "errors",
-    "__version__",
-]

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import critical_points, eval_map, julia_render, spherical_distance, write_ppm
+from .dynamics import MIN_GRID, critical_points, eval_map, julia_render, spherical_distance, write_ppm
 from .elliptic import TorusParameter, theta_data
 from .errors import (
     CoprimalityViolation,
@@ -48,10 +48,15 @@ EXIT_PRECISION = 3
 
 
 def _threads() -> int:
+    """Render workers: LATTES_FORGE_THREADS, a positive integer, or 1 when unset."""
+    text = os.environ.get("LATTES_FORGE_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("LATTES_FORGE_THREADS", "1")))
+        threads = int(text)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"LATTES_FORGE_THREADS must be a positive integer, got {text!r}")
+    return threads
 
 
 def _fmt(x: float) -> str:
@@ -255,6 +260,13 @@ def _certificate_doc(cert) -> dict:
 
 
 def cmd_construct(args) -> int:
+    # usage errors are refused before --out is created or anything is solved
+    if args.k_min > args.k_max:
+        raise ValueError(f"empty depth range: --k-min {args.k_min} > --k-max {args.k_max}")
+    if args.render:
+        threads = _threads()
+        if args.size < MIN_GRID:
+            raise ValueError(f"--render needs --size of at least {MIN_GRID}, got {args.size}")
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     try:
@@ -299,11 +311,11 @@ def cmd_construct(args) -> int:
     _atomic_write(os.path.join(out, "convergence.csv"), "\n".join(csv_lines) + "\n")
     if args.render:
         size = args.size
-        write_ppm(julia_render(base_map_for(spec0), size, size, threads=_threads()),
+        write_ppm(julia_render(base_map_for(spec0), size, size, threads=threads),
                   os.path.join(out, "base.ppm"))
         done = [r.construction for r in table.rows if r.construction is not None]
         if done:
-            write_ppm(julia_render(done[-1].g_k, size, size, threads=_threads()),
+            write_ppm(julia_render(done[-1].g_k, size, size, threads=threads),
                       os.path.join(out, f"g_k{done[-1].k}.ppm"))
     if exhausted:
         return EXIT_PRECISION
@@ -336,12 +348,13 @@ def cmd_certify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    threads = _threads()
     if args.map_file is not None:
         g = _load_map(args.map_file)
     else:
         g = build_rational_map(_spec(args))
     buffer = julia_render(g, args.size, args.size, max_iter=args.max_iter,
-                          span=args.span, threads=_threads())
+                          span=args.span, threads=threads)
     path = args.out if args.out else "render.ppm"
     if os.path.isdir(path):
         path = os.path.join(path, "render.ppm")

@@ -13,7 +13,6 @@ throughout this module.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -93,17 +92,12 @@ def spherical_distance(p: SpherePoint, q: SpherePoint) -> float:
 
 @dataclass(frozen=True)
 class CycleData:
-    """A periodic cycle with its multiplier.
-
-    contains_critical_point flags cycles through a critical point; they are
-    returned rather than rejected (the multiplier is then ~0).
-    """
+    """A periodic cycle with its multiplier."""
 
     points: tuple
     period: int
     multiplier: complex
     residual: float
-    contains_critical_point: bool = False
 
     @property
     def repelling(self) -> bool:
@@ -151,10 +145,6 @@ def _polyder(coeffs: np.ndarray) -> np.ndarray:
     if len(coeffs) <= 1:
         return np.zeros(1, dtype=complex)
     return coeffs[1:] * np.arange(1, len(coeffs), dtype=float)
-
-
-def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -225,7 +215,7 @@ def critical_points(f) -> list[tuple[SpherePoint, int]]:
     """Roots of the Wronskian P'Q - PQ' with multiplicities; total is 2D - 2."""
     num, den = _coeffs(f)
     D = f.degree
-    wr = _polymul(_polyder(num), den) - _polymul(num, _polyder(den))
+    wr = np.convolve(_polyder(num), den) - np.convolve(num, _polyder(den))
     wr = _trim(wr)
     deg_wr = len(wr) - 1
     mult_inf = (2 * D - 2) - deg_wr
@@ -320,13 +310,7 @@ def find_cycle(f, seed: SpherePoint, period: int, tol: float = 1e-12) -> CycleDa
         spherical_distance(eval_map(f, cycle_pts[i]), cycle_pts[(i + 1) % minimal])
         for i in range(minimal)
     )
-    return CycleData(
-        points=cycle_pts,
-        period=minimal,
-        multiplier=mult,
-        residual=residual,
-        contains_critical_point=abs(mult) < 1e-6,
-    )
+    return CycleData(points=cycle_pts, period=minimal, multiplier=mult, residual=residual)
 
 
 def _phase_align(num0, den0, num1, den1):
@@ -397,17 +381,6 @@ def continue_cycle(f0, cycle: CycleData, f1) -> CycleData:
         raise ContinuationBreakdown(
             f"period changed from {period} to {continued.period} during continuation")
     return continued
-
-
-def preimages(f, target: SpherePoint) -> list[SpherePoint]:
-    """All D preimages of target, with multiplicity, by root extraction."""
-    num, den = _coeffs(f)
-    poly = target.W * num - target.Z * den
-    poly = _trim(poly)
-    deg = len(poly) - 1
-    out = [SpherePoint.from_complex(complex(r)) for r in (np.roots(poly[::-1]) if deg >= 1 else [])]
-    out.extend(SpherePoint.infinity() for _ in range(f.degree - deg))
-    return out
 
 
 def pullback_branch(f, target: SpherePoint, near: SpherePoint, tol: float = 1e-12) -> SpherePoint:
@@ -483,39 +456,8 @@ def classify_orbit(f, z: SpherePoint, max_iter: int = 2000, tol: float = 1e-9) -
     return OrbitCertificate(True, preperiod, cycle.period, landing, cycle, cycle.repelling)
 
 
-def mobius_conjugate(f, mobius: tuple[complex, complex, complex, complex]):
-    """Coefficients of M o f o M^-1 for M(z) = (az + b)/(cz + d)."""
-    a, b, c, d = (complex(v) for v in mobius)
-    if abs(a * d - b * c) < 1e-14:
-        raise ValueError("Moebius map is singular")
-    num, den = _coeffs(f)
-    D = f.degree
-    # substitute z = M^-1(x) = (dx - b)/(-cx + a) into P and Q
-    top = np.array([-b, d], dtype=complex)
-    bot = np.array([a, -c], dtype=complex)
-    pow_top = [np.array([1.0 + 0j])]
-    pow_bot = [np.array([1.0 + 0j])]
-    for _ in range(D):
-        pow_top.append(_polymul(pow_top[-1], top))
-        pow_bot.append(_polymul(pow_bot[-1], bot))
-    size = D + 1
-
-    def substitute(coeffs):
-        acc = np.zeros(size, dtype=complex)
-        for j, cj in enumerate(coeffs):
-            term = _polymul(pow_top[j], pow_bot[D - j]) * cj
-            acc[: len(term)] += term
-        return acc
-
-    n1 = substitute(num)
-    d1 = substitute(den)
-    new_num = a * n1 + b * d1
-    new_den = c * n1 + d * d1
-    scale = max(np.max(np.abs(new_num)), np.max(np.abs(new_den)))
-    return dataclasses.replace(f, num=new_num / scale, den=new_den / scale)
-
-
 _BLOCK = 8192  # pixels per render block: 128 KB per complex array
+MIN_GRID = 16  # smallest render width and height
 
 
 def _horner_block(cn, cd, x, p, q, dp, dq, t) -> None:
@@ -605,8 +547,8 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
     within 1e-6 of infinity).  The grid is shaded in blocks of _BLOCK
     pixels by up to `threads` workers; the output bytes depend on neither.
     """
-    if width < 16 or height < 16:
-        raise ValueError("grid dimensions must be at least 16")
+    if width < MIN_GRID or height < MIN_GRID:
+        raise ValueError(f"grid dimensions must be at least {MIN_GRID}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(span) and span > 0.0):

@@ -2,8 +2,7 @@
 
 Evaluation uses the nome q = exp(i pi gamma) and Jacobi theta series, which
 converge geometrically once the argument is reduced to the centered
-fundamental domain.  A truncated symmetric lattice sum is provided as a slow,
-algorithmically independent cross-check (`weierstrass_p_lattice_sum`).
+fundamental domain.
 
 The quotient map `theta_map` is the degree-two branched cover of the sphere
 normalized so that the four branch values are 0, infinity, 1 and w(gamma):
@@ -22,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .dynamics import SpherePoint
 from .errors import LemmaViolation, NonConvergent, PoleAtLatticePoint
@@ -57,7 +54,9 @@ class TorusPoint:
     t: object
 
     def reduced(self) -> "TorusPoint":
-        return TorusPoint(self.s % 1, self.t % 1)
+        """Coordinates in [0, 1).  A float just below 0 rounds to 1.0 under
+        % 1, which the second % 1 takes to 0."""
+        return TorusPoint(self.s % 1 % 1, self.t % 1 % 1)
 
     def centered(self) -> tuple[float, float]:
         """Coordinates reduced into [-1/2, 1/2)."""
@@ -72,10 +71,6 @@ class TorusPoint:
     def is_lattice_point(self) -> bool:
         s, t = self.centered()
         return abs(s) < _LATTICE_EPS and abs(t) < _LATTICE_EPS
-
-    def value(self, gamma: complex) -> complex:
-        s, t = self.centered()
-        return s + t * gamma
 
 
 HALF_LATTICE = (
@@ -203,23 +198,6 @@ def weierstrass_p(tau: TorusPoint, gamma: complex) -> complex:
     return _context(gamma).p_value(tau)
 
 
-def weierstrass_p_lattice_sum(tau: TorusPoint, gamma: complex, box: int = 200) -> complex:
-    """Brute-force P by the symmetric truncated sum over |m|, |n| <= box.
-
-    Slow reference implementation used only as an independent oracle.
-    """
-    if tau.is_lattice_point():
-        raise PoleAtLatticePoint(f"P has a double pole at {tau}")
-    s, t = tau.centered()
-    z = s + t * gamma
-    m, n = np.mgrid[-box:box + 1, -box:box + 1]
-    w = m + n * np.complex128(gamma)
-    w = w[(m != 0) | (n != 0)]
-    terms = 1.0 / (z - w) ** 2 - 1.0 / w ** 2
-    # pair +/-w before accumulating so the O(1/w^3) parts cancel exactly
-    return 1.0 / z ** 2 + complex(np.sum(terms))
-
-
 def half_periods(gamma: complex) -> HalfPeriodValues:
     """P at the three half periods, checked to satisfy e1 + e2 + e3 = 0 and be distinct."""
     return _context(gamma).half_periods
@@ -232,13 +210,6 @@ def theta_map(tau: TorusPoint, gamma: complex) -> SpherePoint:
     ctx = _context(gamma)
     hp = ctx.half_periods
     return SpherePoint.make(hp.e1 - hp.e2, ctx.p_value(tau) - hp.e2)
-
-
-def theta_map_affine(tau: TorusPoint, gamma: complex) -> complex:
-    """Affine value of the quotient map; only valid away from (1+gamma)/2."""
-    if tau.is_lattice_point():
-        return 0j
-    return _context(gamma).affine(tau)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import SpherePoint, eval_map, spherical_distance
-from .elliptic import HALF_LATTICE, TorusParameter, TorusPoint, theta_map
+from .elliptic import HALF_LATTICE, TorusParameter, TorusPoint, theta_data, theta_map
 from .errors import IllConditioned, ValidationFailed
 
 CASE_TAGS = ("EvenZero", "OddZero", "OddHalf")
@@ -241,23 +241,16 @@ def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
     return f
 
 
-def critical_values(spec: LattesSpec) -> list[SpherePoint]:
-    """{oo, v, w} when |a| = 2, {0, oo, v, w} when |a| >= 3."""
-    gamma = spec.gamma.gamma
-    v = theta_map(TorusPoint(Fraction(1, 2), Fraction(0)), gamma)
-    w = theta_map(TorusPoint(Fraction(0), Fraction(1, 2)), gamma)
-    vals = [SpherePoint.infinity(), v, w]
+def critical_values(spec: LattesSpec, r: complex) -> list[SpherePoint]:
+    """Critical values of (1 + r) f: {oo, (1+r) v, (1+r) w} when |a| = 2, with 0
+    in front when |a| >= 3.  r = 0 gives f's own, since 1.0 * v == v."""
+    td = theta_data(spec.gamma.gamma)
+    vals = [SpherePoint.infinity(),
+            SpherePoint.from_complex((1.0 + r) * td.v),
+            SpherePoint.from_complex((1.0 + r) * td.w)]
     if abs(spec.a) >= 3:
         vals.insert(0, SpherePoint.zero())
     return vals
-
-
-def postcritical_set(spec: LattesSpec) -> list[SpherePoint]:
-    """{0, oo, v, w} in all three cases."""
-    gamma = spec.gamma.gamma
-    v = theta_map(TorusPoint(Fraction(1, 2), Fraction(0)), gamma)
-    w = theta_map(TorusPoint(Fraction(0), Fraction(1, 2)), gamma)
-    return [SpherePoint.zero(), SpherePoint.infinity(), v, w]
 
 
 def verify_semiconjugacy(f: RationalMapCoeffs, spec: LattesSpec, n: int,

@@ -14,15 +14,14 @@ continued repelling cycle after the marked point's preperiod.  This stays
 well defined even when the marked orbit runs through a critical point of f
 (which happens for the default parameters in the w family, where the
 landing point is the fixed point 0 itself); inverse-branch tracking would
-break down there, so track_marked_point refuses exactly those orbits while
-solve_collision does not need it.
+break down there, and solve_collision does not need it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,7 +38,6 @@ from .dynamics import (
 )
 from .elliptic import TorusParameter, TorusPoint, theta_data, theta_map
 from .errors import (
-    BranchAmbiguity,
     ContinuationBreakdown,
     CoprimalityViolation,
     LemmaViolation,
@@ -49,7 +47,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationFailed,
 )
-from .lattes import LattesSpec, RationalMapCoeffs, build_rational_map, torus_endo
+from .lattes import LattesSpec, RationalMapCoeffs, build_rational_map, critical_values, torus_endo
 
 FAMILIES = ("X", "Y")
 _EPS = 2.0 ** -52
@@ -58,7 +56,6 @@ _COLLISION_TOL = 1e-12  # residual target of the collision solves behind s_k/t_k
 _COLLISION_MAX_ITER = 80  # secant evaluations per collision solve
 _GAMMA_MAX_ITER = 30  # misfit evaluations per gamma_k solve
 _MARKED_TOL = 1e-9  # spherical tolerance of marked orbits, certified and tracked
-_TRACK_STEPS = 4  # initial parameter substeps of track_marked_point
 _FD_STEP = 1e-4  # central-difference step in t of tracked_limits
 
 
@@ -111,7 +108,7 @@ def standard_parameters(x0: Fraction, y0: Fraction, a: int) -> RationalPair:
 
 @dataclass(frozen=True)
 class MarkedPreperiodicPoint:
-    """A marked point near v or w, with its exact address and orbit data.
+    """A marked point near v or w, with its orbit data.
 
     exact_preperiod and exact_period are computed from the torus address
     (sign classes mod the lattice); the numeric certificate must agree.
@@ -122,7 +119,6 @@ class MarkedPreperiodicPoint:
 
     k: int
     family: str
-    torus_address: TorusPoint
     position: SpherePoint
     forward_orbit: tuple
     certificate: OrbitCertificate
@@ -131,19 +127,6 @@ class MarkedPreperiodicPoint:
     offset_value: complex
     postcritical_landing: bool
     pullback_trackable: bool
-
-
-@dataclass(frozen=True)
-class PerturbedFamily:
-    """The scaling family t -> (1+t) * base_map, with its member at t."""
-
-    spec: LattesSpec
-    base_map: RationalMapCoeffs
-    t: complex
-    member: RationalMapCoeffs = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "member", _member(self.base_map, self.t))
 
 
 def _member(base: RationalMapCoeffs, t: complex) -> RationalMapCoeffs:
@@ -245,7 +228,6 @@ def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int,
     return MarkedPreperiodicPoint(
         k=k,
         family=family,
-        torus_address=addr,
         position=position,
         forward_orbit=forward,
         certificate=cert,
@@ -261,52 +243,6 @@ def _landing_phase(marked: MarkedPreperiodicPoint) -> int:
     landing = marked.forward_orbit[marked.exact_preperiod]
     pts = marked.certificate.cycle.points
     return min(range(len(pts)), key=lambda i: spherical_distance(pts[i], landing))
-
-
-def track_marked_point(family: PerturbedFamily, marked: MarkedPreperiodicPoint,
-                       t: complex) -> SpherePoint:
-    """Position of the marked point for the member map at parameter t.
-
-    Continues the landing cycle, then pulls the orbit back branch by branch
-    using the unperturbed orbit as seeds, in adaptive parameter substeps.
-    """
-    if t == 0:
-        return marked.position
-    if not marked.pullback_trackable:
-        raise BranchAmbiguity(
-            "orbit passes through a critical point or lands on the postcritical set; "
-            "inverse branches are not single-valued along it")
-    f0 = family.base_map
-    ell = marked.exact_preperiod
-    cycle0 = marked.certificate.cycle
-    phase = _landing_phase(marked)
-    current = list(marked.forward_orbit[: ell + 1])
-    t_cur = 0j
-    dt = t / _TRACK_STEPS
-    min_step = abs(t) / 2 ** 22
-    ft = f0
-    while abs(t_cur - t) > 0:
-        t_next = t if abs(t - t_cur) <= abs(dt) * (1 + 1e-12) else t_cur + dt
-        try:
-            ft = _member(f0, t_next)
-            cont = continue_cycle(f0, cycle0, ft)
-            pts = [None] * (ell + 1)
-            pts[ell] = cont.points[phase]
-            for j in range(ell - 1, -1, -1):
-                pts[j] = pullback_branch(ft, pts[j + 1], current[j], tol=1e-12)
-        except (BranchAmbiguity, NoConvergence, ContinuationBreakdown) as exc:
-            dt *= 0.5
-            if abs(dt) < min_step:
-                raise ContinuationBreakdown(
-                    f"tracking step underflow at t = {t_cur}: {exc}") from None
-            continue
-        current = pts
-        t_cur = t_next
-    for j in range(ell):
-        res = spherical_distance(eval_map(ft, current[j]), current[j + 1])
-        if res > 100.0 * _MARKED_TOL:
-            raise ValidationFailed(f"tracked orbit violates the conjugacy at step {j}: {res:.3e}")
-    return current[0]
 
 
 @dataclass(frozen=True)
@@ -405,21 +341,6 @@ def closed_form_rescaled_root(spec: LattesSpec, marked: MarkedPreperiodicPoint) 
         quad, cv = td.mu, td.w
     off = marked.offset_value
     return -quad * off * off / (c * cv)
-
-
-def rescaled_collision_fn(spec: LattesSpec, marked: MarkedPreperiodicPoint,
-                          u: complex) -> complex:
-    """a^(2k) * (tracked marked point - perturbed critical value) at t = u/a^(2k).
-
-    Requires a pullback-trackable orbit; the shooting solver below does not.
-    """
-    a2k = _degree_power(spec, marked.k)
-    t = u / a2k
-    td = theta_data(spec.gamma.gamma)
-    cv = td.v if marked.family == "X" else td.w
-    fam = PerturbedFamily(spec, base_map_for(spec), t)
-    tracked = track_marked_point(fam, marked, t)
-    return a2k * (tracked.to_complex() - (1.0 + t) * cv)
 
 
 @dataclass(frozen=True)
@@ -645,12 +566,7 @@ def solve_gamma_k(spec0: LattesSpec, pair: RationalPair, k: int, tol: float = 1e
     spec_k, cs, ct = aux
     r_k = cs.value
     g_k = _member(base_map_for(spec_k), r_k)
-    td = theta_data(spec_k.gamma.gamma)
-    crit = [SpherePoint.infinity(),
-            SpherePoint.from_complex((1.0 + r_k) * td.v),
-            SpherePoint.from_complex((1.0 + r_k) * td.w)]
-    if abs(spec_k.a) >= 3:
-        crit.insert(0, SpherePoint.zero())
+    crit = critical_values(spec_k, r_k)
     certs, count = certify_strictly_pcf(g_k, crit, max_iter=2 * (k + 8) + 80, tol=_PCF_TOL)
     return ConstructionResult(
         k=k,

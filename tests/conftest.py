@@ -1,13 +1,17 @@
 """Shared fixtures and the acceptance-criteria terminal report."""
 
+import shutil
+import tempfile
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
-from lattes_forge import (
-    LattesSpec,
-    TorusParameter,
-    build_rational_map,
+from lattes_forge.elliptic import TorusParameter
+from lattes_forge.lattes import LattesSpec, build_rational_map
+from lattes_forge.perturbation import (
     make_marked_point,
     solve_collision,
     solve_gamma_k,
@@ -16,12 +20,31 @@ from lattes_forge import (
 
 GAMMA0 = complex(1.0 / 3.0, 1.0)
 
+# property tests draw the same examples on every run, keep no example
+# database and set no per-example time limit, which this suite's host speed
+# would make flaky
+settings.register_profile("lattes-forge", derandomize=True, database=None, deadline=None)
+settings.load_profile("lattes-forge")
+# hypothesis still caches the constants of the project's source files under
+# its home directory; a temporary one keeps .hypothesis/ out of the tree
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="lattes-forge-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+# hypothesis imports this module to report a failing example, and it imports
+# libcst, whose DeprecationWarning would turn that report into an INTERNALERROR
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
+
 # criterion label -> (passed, detail); filled by tests/test_acceptance.py
 ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}
 
 
 def record_criterion(label: str, passed: bool, detail: str) -> None:
     ACCEPTANCE_RESULTS[label] = (bool(passed), detail)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

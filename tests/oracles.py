@@ -1,0 +1,176 @@
+"""Independent reference implementations that the tests check the package against.
+
+None of these runs in a command: the lattice sum checks the theta series,
+the brute-force fiber checks `pullback_branch`, the Moebius conjugate checks
+the chart invariance of multipliers, and the inverse-branch tracker checks
+the shooting solve of the collision equations.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from lattes_forge.dynamics import (
+    SpherePoint,
+    _coeffs,
+    _trim,
+    continue_cycle,
+    eval_map,
+    pullback_branch,
+    spherical_distance,
+)
+from lattes_forge.elliptic import TorusPoint, theta_data
+from lattes_forge.errors import (
+    BranchAmbiguity,
+    ContinuationBreakdown,
+    NoConvergence,
+    PoleAtLatticePoint,
+    ValidationFailed,
+)
+from lattes_forge.lattes import LattesSpec, RationalMapCoeffs
+from lattes_forge.perturbation import (
+    _MARKED_TOL,
+    MarkedPreperiodicPoint,
+    _degree_power,
+    _landing_phase,
+    _member,
+    base_map_for,
+)
+
+_TRACK_STEPS = 4  # initial parameter substeps of track_marked_point
+
+
+def weierstrass_p_lattice_sum(tau: TorusPoint, gamma: complex, box: int = 200) -> complex:
+    """Brute-force P by the symmetric truncated sum over |m|, |n| <= box."""
+    if tau.is_lattice_point():
+        raise PoleAtLatticePoint(f"P has a double pole at {tau}")
+    s, t = tau.centered()
+    z = s + t * gamma
+    m, n = np.mgrid[-box:box + 1, -box:box + 1]
+    w = m + n * np.complex128(gamma)
+    w = w[(m != 0) | (n != 0)]
+    terms = 1.0 / (z - w) ** 2 - 1.0 / w ** 2
+    # pair +/-w before accumulating so the O(1/w^3) parts cancel exactly
+    return 1.0 / z ** 2 + complex(np.sum(terms))
+
+
+def preimages(f, target: SpherePoint) -> list[SpherePoint]:
+    """All D preimages of target, with multiplicity, by root extraction."""
+    num, den = _coeffs(f)
+    poly = target.W * num - target.Z * den
+    poly = _trim(poly)
+    deg = len(poly) - 1
+    out = [SpherePoint.from_complex(complex(r)) for r in (np.roots(poly[::-1]) if deg >= 1 else [])]
+    out.extend(SpherePoint.infinity() for _ in range(f.degree - deg))
+    return out
+
+
+def mobius_conjugate(f, mobius: tuple[complex, complex, complex, complex]):
+    """Coefficients of M o f o M^-1 for M(z) = (az + b)/(cz + d)."""
+    a, b, c, d = (complex(v) for v in mobius)
+    if abs(a * d - b * c) < 1e-14:
+        raise ValueError("Moebius map is singular")
+    num, den = _coeffs(f)
+    D = f.degree
+    # substitute z = M^-1(x) = (dx - b)/(-cx + a) into P and Q
+    top = np.array([-b, d], dtype=complex)
+    bot = np.array([a, -c], dtype=complex)
+    pow_top = [np.array([1.0 + 0j])]
+    pow_bot = [np.array([1.0 + 0j])]
+    for _ in range(D):
+        pow_top.append(np.convolve(pow_top[-1], top))
+        pow_bot.append(np.convolve(pow_bot[-1], bot))
+    size = D + 1
+
+    def substitute(coeffs):
+        acc = np.zeros(size, dtype=complex)
+        for j, cj in enumerate(coeffs):
+            term = np.convolve(pow_top[j], pow_bot[D - j]) * cj
+            acc[: len(term)] += term
+        return acc
+
+    n1 = substitute(num)
+    d1 = substitute(den)
+    new_num = a * n1 + b * d1
+    new_den = c * n1 + d * d1
+    scale = max(np.max(np.abs(new_num)), np.max(np.abs(new_den)))
+    return dataclasses.replace(f, num=new_num / scale, den=new_den / scale)
+
+
+@dataclass(frozen=True)
+class PerturbedFamily:
+    """The scaling family t -> (1+t) * base_map, with its member at t."""
+
+    spec: LattesSpec
+    base_map: RationalMapCoeffs
+    t: complex
+    member: RationalMapCoeffs = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "member", _member(self.base_map, self.t))
+
+
+def track_marked_point(family: PerturbedFamily, marked: MarkedPreperiodicPoint,
+                       t: complex) -> SpherePoint:
+    """Position of the marked point for the member map at parameter t.
+
+    Continues the landing cycle, then pulls the orbit back branch by branch
+    using the unperturbed orbit as seeds, in adaptive parameter substeps.
+    Refuses orbits that run through a critical point or land on the
+    postcritical set, where the inverse branches are not single-valued.
+    """
+    if t == 0:
+        return marked.position
+    if not marked.pullback_trackable:
+        raise BranchAmbiguity(
+            "orbit passes through a critical point or lands on the postcritical set; "
+            "inverse branches are not single-valued along it")
+    f0 = family.base_map
+    ell = marked.exact_preperiod
+    cycle0 = marked.certificate.cycle
+    phase = _landing_phase(marked)
+    current = list(marked.forward_orbit[: ell + 1])
+    t_cur = 0j
+    dt = t / _TRACK_STEPS
+    min_step = abs(t) / 2 ** 22
+    ft = f0
+    while abs(t_cur - t) > 0:
+        t_next = t if abs(t - t_cur) <= abs(dt) * (1 + 1e-12) else t_cur + dt
+        try:
+            ft = _member(f0, t_next)
+            cont = continue_cycle(f0, cycle0, ft)
+            pts = [None] * (ell + 1)
+            pts[ell] = cont.points[phase]
+            for j in range(ell - 1, -1, -1):
+                pts[j] = pullback_branch(ft, pts[j + 1], current[j], tol=1e-12)
+        except (BranchAmbiguity, NoConvergence, ContinuationBreakdown) as exc:
+            dt *= 0.5
+            if abs(dt) < min_step:
+                raise ContinuationBreakdown(
+                    f"tracking step underflow at t = {t_cur}: {exc}") from None
+            continue
+        current = pts
+        t_cur = t_next
+    for j in range(ell):
+        res = spherical_distance(eval_map(ft, current[j]), current[j + 1])
+        if res > 100.0 * _MARKED_TOL:
+            raise ValidationFailed(f"tracked orbit violates the conjugacy at step {j}: {res:.3e}")
+    return current[0]
+
+
+def rescaled_collision_fn(spec: LattesSpec, marked: MarkedPreperiodicPoint,
+                          u: complex) -> complex:
+    """a^(2k) * (tracked marked point - perturbed critical value) at t = u/a^(2k).
+
+    Requires a pullback-trackable orbit; the shooting solve does not.
+    """
+    a2k = _degree_power(spec, marked.k)
+    t = u / a2k
+    td = theta_data(spec.gamma.gamma)
+    cv = td.v if marked.family == "X" else td.w
+    fam = PerturbedFamily(spec, base_map_for(spec), t)
+    tracked = track_marked_point(fam, marked, t)
+    return a2k * (tracked.to_complex() - (1.0 + t) * cv)

@@ -10,8 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lattes_forge.dynamics import SpherePoint, multiplier, preimages, pullback_branch, spherical_distance
-from lattes_forge.elliptic import TorusParameter, TorusPoint, theta_data, theta_map, weierstrass_p, weierstrass_p_lattice_sum
+from lattes_forge.dynamics import SpherePoint, multiplier, pullback_branch, spherical_distance
+from lattes_forge.elliptic import TorusParameter, TorusPoint, theta_data, theta_map, weierstrass_p
 from lattes_forge.lattes import LattesSpec, build_rational_map, verify_semiconjugacy
 from lattes_forge.perturbation import (
     certify_strictly_pcf,
@@ -22,6 +22,7 @@ from lattes_forge.perturbation import (
 )
 
 from conftest import GAMMA0, record_criterion
+from oracles import preimages, weierstrass_p_lattice_sum
 
 GAMMA5 = complex(0.2, 1.0)
 

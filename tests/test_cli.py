@@ -131,6 +131,30 @@ def test_construct_rejects_bad_parameters(capsys):
     assert "coprime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,threads", [
+    (["construct", "--k-min", "5", "--k-max", "3"], None),
+    (["construct", "--k-min", "3", "--k-max", "3", "--render", "--size", "8"], None),
+    (["construct", "--k-min", "3", "--k-max", "3", "--render", "--size", "16"], "0"),
+    (["render", "--size", "16"], "abc"),
+    (["render", "--size", "16"], "0"),
+    (["render", "--size", "16"], "-2"),
+])
+def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args, threads):
+    # refused before --out is created and before anything is solved
+    monkeypatch.delenv("LATTES_FORGE_THREADS", raising=False)
+    if threads is not None:
+        monkeypatch.setenv("LATTES_FORGE_THREADS", threads)
+
+    def solve(*_args, **_kwargs):
+        raise AssertionError("solved before the usage error was refused")
+
+    monkeypatch.setattr(perturbation, "_collision_pair", solve)
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_construct_precision_ceiling(tmp_path):
     code = main(["construct", "--a", "3", "--case", "2", "--x0", "1/5",
                  "--k-min", "9", "--k-max", "10", "--out", str(tmp_path)])

@@ -13,10 +13,8 @@ from lattes_forge.dynamics import (
     eval_map,
     find_cycle,
     julia_render,
-    mobius_conjugate,
     multiplier,
     orbit,
-    preimages,
     pullback_branch,
     spherical_distance,
     write_ppm,
@@ -24,6 +22,8 @@ from lattes_forge.dynamics import (
 from lattes_forge.elliptic import TorusParameter
 from lattes_forge.errors import BranchAmbiguity
 from lattes_forge.lattes import LattesSpec, RationalMapCoeffs, build_rational_map
+
+from oracles import mobius_conjugate, preimages
 
 
 @pytest.fixture

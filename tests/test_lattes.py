@@ -15,7 +15,6 @@ from lattes_forge.lattes import (
     critical_values,
     map_from_dict,
     map_to_dict,
-    postcritical_set,
     torus_endo,
     verify_semiconjugacy,
 )
@@ -84,19 +83,14 @@ def test_semiconjugacy_rejects_zero_samples(spec_a2, base_a2):
 
 def test_critical_values_per_case():
     td = theta_data(GAMMA0)
-    cv2 = critical_values(LattesSpec(TorusParameter(GAMMA0), 2, "EvenZero"))
+    cv2 = critical_values(LattesSpec(TorusParameter(GAMMA0), 2, "EvenZero"), 0.0)
     assert len(cv2) == 3  # infinity, v, w; 0 is critical only for |a| >= 3
     assert any(p.is_infinity for p in cv2)
-    cv3 = critical_values(LattesSpec(TorusParameter(GAMMA0), 3, "OddZero"))
+    cv3 = critical_values(LattesSpec(TorusParameter(GAMMA0), 3, "OddZero"), 0.0)
     assert len(cv3) == 4
     assert any((not p.is_infinity) and abs(p.to_complex()) < 1e-12 for p in cv3)
     affine = [p.to_complex() for p in cv3 if not p.is_infinity]
     assert min(abs(z - td.w) for z in affine) < 1e-10
-
-
-def test_postcritical_set_is_four_points(spec_a2):
-    pc = postcritical_set(spec_a2)
-    assert len(pc) == 4
 
 
 def test_even_case_collapses_to_fixed_zero(spec_a2, base_a2):

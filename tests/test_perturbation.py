@@ -17,7 +17,6 @@ from lattes_forge.errors import (
 )
 from lattes_forge.lattes import LattesSpec
 from lattes_forge.perturbation import (
-    PerturbedFamily,
     _collision_pair,
     base_map_for,
     case_response_constant,
@@ -25,16 +24,15 @@ from lattes_forge.perturbation import (
     closed_form_rescaled_root,
     convergence_table,
     make_marked_point,
-    rescaled_collision_fn,
     solve_collision,
     solve_gamma_k,
     standard_parameters,
-    track_marked_point,
     tracked_limits,
     verify_lemma3,
 )
 
 from conftest import GAMMA0
+from oracles import PerturbedFamily, rescaled_collision_fn, track_marked_point
 
 GAMMA5 = complex(0.2, 1.0)  # base point for a = 3 (x0 = 1/5)
 

@@ -1,0 +1,89 @@
+"""Property tests over generated maps, torus points and perturbations."""
+
+import json
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from lattes_forge.cli import _json_text
+from lattes_forge.dynamics import SpherePoint, eval_map, spherical_distance
+from lattes_forge.elliptic import TorusParameter, TorusPoint
+from lattes_forge.lattes import (
+    LattesSpec,
+    RationalMapCoeffs,
+    build_rational_map,
+    critical_values,
+    map_from_dict,
+    map_to_dict,
+)
+
+from conftest import GAMMA0
+
+EPS = np.finfo(float).eps
+SPECS = [LattesSpec(TorusParameter(GAMMA0), 2, "EvenZero"),
+         LattesSpec(TorusParameter(1j), 2, "EvenZero"),
+         LattesSpec(TorusParameter(0.2 + 1j), 3, "OddZero"),
+         LattesSpec(TorusParameter(0.2 + 1j), 3, "OddHalf")]
+LATTES_MAPS = [build_rational_map(spec) for spec in SPECS]
+
+coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+coordinates = st.one_of(st.fractions(), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def maps(draw):
+    """Maps that pass the entry check: degree 1..6, coefficients up to 10."""
+    D = draw(st.integers(1, 6))
+    num = draw(st.lists(coefficients, min_size=D + 1, max_size=D + 1))
+    den = draw(st.lists(coefficients, min_size=D + 1, max_size=D + 1))
+    try:
+        return RationalMapCoeffs(num=num, den=den, degree=D)
+    except ValueError:
+        assume(False)
+
+
+@given(maps())
+def test_json_text_round_trip_is_bit_exact(f):
+    # 17 significant digits give back every coefficient bit
+    doc = map_to_dict(f)
+    again = json.loads(_json_text(doc))
+    assert again == doc
+    g, h = map_from_dict(doc), map_from_dict(again)
+    assert np.array_equal(g.num, h.num) and np.array_equal(g.den, h.den)
+    # loading normalizes again, which moves the coefficients by rounding only
+    assert g.degree == f.degree
+    assert np.max(np.abs(np.concatenate([g.num - f.num, g.den - f.den]))) <= 4 * EPS
+
+
+@given(coordinates, coordinates)
+def test_torus_point_reduction(s, t):
+    cs, ct = TorusPoint(s, t).centered()
+    assert -0.5 <= cs < 0.5 and -0.5 <= ct < 0.5
+    once = TorusPoint(s, t).reduced()
+    assert 0 <= once.s < 1 and 0 <= once.t < 1
+    assert once.reduced() == once
+
+
+@given(st.sampled_from(LATTES_MAPS),
+       st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6, allow_nan=False,
+                          allow_infinity=False))
+def test_eval_map_agrees_in_both_charts(f, x):
+    # the point x given by its coordinate x in chart 0 and by 1/x in chart 1
+    in_chart0 = eval_map(f, SpherePoint.from_coord(x, 0))
+    in_chart1 = eval_map(f, SpherePoint.from_coord(1.0 / x, 1))
+    assert spherical_distance(in_chart0, in_chart1) < 1e-12
+
+
+@given(st.sampled_from(SPECS),
+       st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False))
+def test_critical_values_scale_with_the_family(spec, r):
+    base = critical_values(spec, 0.0)
+    scaled = critical_values(spec, r)
+    assert len(scaled) == len(base) == (3 if abs(spec.a) == 2 else 4)
+    for p, q in zip(base, scaled):
+        if p.is_infinity:
+            assert q == p
+        else:
+            want = (1.0 + r) * p.to_complex()
+            assert abs(q.to_complex() - want) <= 8 * EPS * abs(want)
