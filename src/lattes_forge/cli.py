@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import MIN_GRID, critical_points, eval_map, julia_render, spherical_distance, write_ppm
+from .dynamics import MIN_GRID, critical_points, eval_map, julia_render, ppm_bytes, spherical_distance
 from .elliptic import TorusParameter, theta_data
 from .errors import (
     CoprimalityViolation,
@@ -45,18 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_PRECISION = 3
-
-
-def _threads() -> int:
-    """Render workers: LATTES_FORGE_THREADS, a positive integer, or 1 when unset."""
-    text = os.environ.get("LATTES_FORGE_THREADS", "1")
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"LATTES_FORGE_THREADS must be a positive integer, got {text!r}")
-    return threads
 
 
 def _fmt(x: float) -> str:
@@ -88,12 +76,15 @@ def _json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
-def _atomic_write(path: str, data: str) -> None:
-    """Write through a fresh temp file beside path, then rename it over path."""
+def _atomic_write(path: str, data: bytes | str) -> None:
+    """Write through a fresh temp file beside path, then rename it over path;
+    text is encoded as ASCII first."""
+    if isinstance(data, str):
+        data = data.encode("ascii")
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         umask = os.umask(0)
         os.umask(umask)
@@ -263,12 +254,8 @@ def cmd_construct(args) -> int:
     # usage errors are refused before --out is created or anything is solved
     if args.k_min > args.k_max:
         raise ValueError(f"empty depth range: --k-min {args.k_min} > --k-max {args.k_max}")
-    if args.render:
-        threads = _threads()
-        if args.size < MIN_GRID:
-            raise ValueError(f"--render needs --size of at least {MIN_GRID}, got {args.size}")
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    if args.render and args.size < MIN_GRID:
+        raise ValueError(f"--render needs --size of at least {MIN_GRID}, got {args.size}")
     try:
         pair = standard_parameters(args.x0, args.y0, args.a)
     except (CoprimalityViolation, ValueError) as exc:
@@ -276,6 +263,8 @@ def cmd_construct(args) -> int:
         return EXIT_USAGE
     spec0 = _spec(args)
     gamma0 = spec0.gamma.gamma
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
     table = convergence_table(spec0, pair, range(args.k_min, args.k_max + 1), tol=args.tol)
     csv_lines = ["# lattes-forge convergence-table schema 1", _CSV_HEADER]
     exhausted = False
@@ -311,12 +300,12 @@ def cmd_construct(args) -> int:
     _atomic_write(os.path.join(out, "convergence.csv"), "\n".join(csv_lines) + "\n")
     if args.render:
         size = args.size
-        write_ppm(julia_render(base_map_for(spec0), size, size, threads=threads),
-                  os.path.join(out, "base.ppm"))
+        _atomic_write(os.path.join(out, "base.ppm"),
+                      ppm_bytes(julia_render(base_map_for(spec0), size, size)))
         done = [r.construction for r in table.rows if r.construction is not None]
         if done:
-            write_ppm(julia_render(done[-1].g_k, size, size, threads=threads),
-                      os.path.join(out, f"g_k{done[-1].k}.ppm"))
+            _atomic_write(os.path.join(out, f"g_k{done[-1].k}.ppm"),
+                          ppm_bytes(julia_render(done[-1].g_k, size, size)))
     if exhausted:
         return EXIT_PRECISION
     return EXIT_OK if all_certified else EXIT_VIOLATION
@@ -348,17 +337,15 @@ def cmd_certify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    threads = _threads()
     if args.map_file is not None:
         g = _load_map(args.map_file)
     else:
         g = build_rational_map(_spec(args))
-    buffer = julia_render(g, args.size, args.size, max_iter=args.max_iter,
-                          span=args.span, threads=threads)
+    buffer = julia_render(g, args.size, args.size, max_iter=args.max_iter, span=args.span)
     path = args.out if args.out else "render.ppm"
     if os.path.isdir(path):
         path = os.path.join(path, "render.ppm")
-    write_ppm(buffer, path)
+    _atomic_write(path, ppm_bytes(buffer))
     print(f"wrote {path} ({args.size}x{args.size})")
     return EXIT_OK
 

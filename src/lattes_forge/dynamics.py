@@ -14,7 +14,6 @@ throughout this module.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -503,7 +502,6 @@ def _shade_block(num, den, xs, ys, max_iter: int, start: int, stop: int,
     W = np.ones_like(Z)
     log_acc = np.zeros(n)
     xi, p, q, dp, dq, t = (np.empty(n, dtype=complex) for _ in range(6))
-    au, ag = np.empty(n), np.empty(n)  # |u| and |g| of the quotient and its derivative
     for _ in range(max_iter):
         chart0 = np.abs(W) >= np.abs(Z)
         n0 = int(np.count_nonzero(chart0))
@@ -516,15 +514,10 @@ def _shade_block(num, den, xs, ys, max_iter: int, start: int, stop: int,
             if lo < hi:
                 _horner_block(cn, cd, xi[lo:hi], p[lo:hi], q[lo:hi], dp[lo:hi], dq[lo:hi], t[lo:hi])
         ap, aq = np.abs(p), np.abs(q)
-        out0 = aq >= ap
-        # output chart 0 takes u = p/q, chart 1 takes u = q/p (g likewise)
-        for idx, top, bot, dtop, dbot in ((np.flatnonzero(out0), p, q, dp, dq),
-                                          (np.flatnonzero(~out0), q, p, dq, dp)):
-            if len(idx):
-                a, b, da, db = top[idx], bot[idx], dtop[idx], dbot[idx]
-                au[idx] = np.abs(a / b)
-                ag[idx] = np.abs((da * b - a * db) / (b * b))
-        sph = ag * (1.0 + np.square(np.abs(xi))) / (1.0 + np.square(au))
+        # spherical derivative of f = (p : q) at xi, the same in either output
+        # chart: |p'q - pq'| (1 + |xi|^2) / (|p|^2 + |q|^2)
+        sph = (np.abs(dp * q - p * dq) * (1.0 + np.square(np.abs(xi)))
+               / (np.square(ap) + np.square(aq)))
         log_acc += np.log(np.maximum(sph, 1e-300))
         m = np.maximum(ap, aq)
         m[m == 0.0] = 1.0
@@ -539,13 +532,13 @@ def _shade_block(num, den, xs, ys, max_iter: int, start: int, stop: int,
 
 
 def julia_render(f, width: int, height: int, max_iter: int = 40,
-                 span: float = 2.0, threads: int = 1) -> np.ndarray:
+                 span: float = 2.0) -> np.ndarray:
     """Derivative-growth shading over [-span, span]^2; (height, width, 3) uint8.
 
     Red encodes the average log spherical derivative, green the final chart
     (bright = bounded), blue carries the escape marker 255 (final point
     within 1e-6 of infinity).  The grid is shaded in blocks of _BLOCK
-    pixels by up to `threads` workers; the output bytes depend on neither.
+    pixels; the output bytes do not depend on the split.
     """
     if width < MIN_GRID or height < MIN_GRID:
         raise ValueError(f"grid dimensions must be at least {MIN_GRID}")
@@ -558,21 +551,14 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
     ys = np.linspace(-span, span, height)
     size = width * height
     out = np.empty((size, 3), dtype=np.uint8)
-
-    def shade(start):
+    for start in range(0, size, _BLOCK):
         _shade_block(num, den, xs, ys, max_iter, start, min(start + _BLOCK, size), out)
-
-    starts = range(0, size, _BLOCK)
-    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(starts)))) as pool:
-        list(pool.map(shade, starts))
     return out.reshape(height, width, 3)
 
 
-def write_ppm(buffer: np.ndarray, path: str) -> None:
-    """Write an (H, W, 3) uint8 buffer as binary PPM (P6)."""
+def ppm_bytes(buffer: np.ndarray) -> bytes:
+    """An (H, W, 3) uint8 buffer as binary PPM (P6)."""
     h, w, c = buffer.shape
     if c != 3 or buffer.dtype != np.uint8:
         raise ValueError("buffer must be (H, W, 3) uint8")
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(buffer.tobytes())
+    return f"P6\n{w} {h}\n255\n".encode("ascii") + buffer.tobytes()

@@ -112,21 +112,16 @@ class MarkedPreperiodicPoint:
 
     exact_preperiod and exact_period are computed from the torus address
     (sign classes mod the lattice); the numeric certificate must agree.
-    pullback_trackable is False when the forward orbit runs through a
-    critical point or lands on the postcritical set, in which case the
-    inverse-branch motion is undefined (collisions still are, by shooting).
+    forward_orbit starts at the marked point itself.
     """
 
     k: int
     family: str
-    position: SpherePoint
     forward_orbit: tuple
     certificate: OrbitCertificate
     exact_preperiod: int
     exact_period: int
     offset_value: complex
-    postcritical_landing: bool
-    pullback_trackable: bool
 
 
 def _member(base: RationalMapCoeffs, t: complex) -> RationalMapCoeffs:
@@ -141,10 +136,6 @@ def base_map_for(spec: LattesSpec) -> RationalMapCoeffs:
     return build_rational_map(spec)
 
 
-def _is_half_lattice(tp: TorusPoint) -> bool:
-    return (2 * Fraction(tp.s)) % 1 == 0 and (2 * Fraction(tp.t)) % 1 == 0
-
-
 def _same_sphere_class(p: TorusPoint, q: TorusPoint) -> bool:
     """Theta(p) == Theta(q): addresses agree mod lattice up to global sign."""
     ps, pt, qs, qt = Fraction(p.s), Fraction(p.t), Fraction(q.s), Fraction(q.t)
@@ -152,10 +143,12 @@ def _same_sphere_class(p: TorusPoint, q: TorusPoint) -> bool:
         (ps + qs) % 1 == 0 and (pt + qt) % 1 == 0)
 
 
-def _is_critical_address(spec: LattesSpec, tp: TorusPoint) -> bool:
-    """Critical points of f are Theta of the non-half-lattice preimages of
-    the half lattice under the torus endomorphism."""
-    return _is_half_lattice(torus_endo(spec, tp)) and not _is_half_lattice(tp)
+def _marked_address(pair: RationalPair, a: int, k: int, family: str) -> TorusPoint:
+    """Torus address of the k-th marked point: 1/2 + sigma/a^k (X), gamma/2 + tau/a^k (Y)."""
+    ak = a ** k
+    if family == "X":
+        return TorusPoint(Fraction(1, 2) + pair.alpha / ak, pair.alpha_prime / ak)
+    return TorusPoint(pair.beta / ak, Fraction(1, 2) + pair.beta_prime / ak)
 
 
 def _exact_itinerary(spec: LattesSpec, addr: TorusPoint, max_steps: int):
@@ -188,10 +181,9 @@ def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int,
     PrecisionExhausted before any of this, by the one precision limit
     eps * |a|^(2k) <= 1e-8 that the collision solves share.
 
-    A landing cycle that meets the postcritical set {0, oo, v, w} is
-    recorded on the returned point, not refused: the default parameters
-    (tau = y0 integral) land on the fixed point 0, and the shooting solve
-    handles that case.
+    A landing cycle may meet the postcritical set {0, oo, v, w}: the
+    default parameters (tau = y0 integral) land on the fixed point 0, and
+    the shooting solve handles that case.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -199,14 +191,8 @@ def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int,
         raise ValueError(f"family must be one of {FAMILIES}")
     _check_resolution(spec.a, k)
     gamma = spec.gamma.gamma
-    ak = spec.a ** k
-    if family == "X":
-        addr = TorusPoint(Fraction(1, 2) + pair.alpha / ak, pair.alpha_prime / ak)
-    else:
-        addr = TorusPoint(pair.beta / ak, Fraction(1, 2) + pair.beta_prime / ak)
-    addr = addr.reduced()
-    pre, per, addrs = _exact_itinerary(spec, addr, max_steps=k + 64)
-    position = theta_map(addr, gamma)
+    pre, per, addrs = _exact_itinerary(spec, _marked_address(pair, spec.a, k, family),
+                                       max_steps=k + 64)
     forward = tuple(theta_map(p, gamma) for p in addrs)
     f = base_map_for(spec)
     for j, p in enumerate(forward):
@@ -222,20 +208,14 @@ def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int,
             f"found={landing.found}); exact itinerary has period {per}")
     if not landing.repelling:
         raise ValidationFailed("marked point landed on a non-repelling cycle")
-    cert = dataclasses.replace(landing, preperiod=pre)
-    postcritical = any(_is_half_lattice(addrs[j]) for j in range(pre, pre + per))
-    runs_through_critical = any(_is_critical_address(spec, a_) for a_ in addrs)
     return MarkedPreperiodicPoint(
         k=k,
         family=family,
-        position=position,
         forward_orbit=forward,
-        certificate=cert,
+        certificate=dataclasses.replace(landing, preperiod=pre),
         exact_preperiod=pre,
         exact_period=per,
         offset_value=pair.offset(family, gamma),
-        postcritical_landing=postcritical,
-        pullback_trackable=not (postcritical or runs_through_critical),
     )
 
 
@@ -301,8 +281,6 @@ class ResponseReport:
     c_measured: complex
     c_expected: complex
     residual: float
-    c_from_v_side: complex
-    c_from_w_side: complex
 
 
 def verify_lemma3(spec: LattesSpec) -> ResponseReport:
@@ -321,8 +299,6 @@ def verify_lemma3(spec: LattesSpec) -> ResponseReport:
         c_measured=(cx + cy) / 2.0,
         c_expected=case_response_constant(spec),
         residual=residual,
-        c_from_v_side=cx,
-        c_from_w_side=cy,
     )
 
 
@@ -604,7 +580,6 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ConvergenceTable:
     rows: tuple
-    monotonic_deviation: bool
 
 
 def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
@@ -647,6 +622,4 @@ def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
                 NotPCF, NotRepelling) as exc:
             row["status"] = f"error:{type(exc).__name__}"
         rows.append(ConvergenceRow(**row))
-    devs = [r.deviation for r in rows if r.status == "ok" and r.asymptotic]
-    monotonic = all(b <= a * (1 + 1e-9) for a, b in zip(devs, devs[1:])) and len(devs) >= 2
-    return ConvergenceTable(rows=tuple(rows), monotonic_deviation=monotonic)
+    return ConvergenceTable(rows=tuple(rows))

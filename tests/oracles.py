@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,17 +32,29 @@ from lattes_forge.errors import (
     PoleAtLatticePoint,
     ValidationFailed,
 )
-from lattes_forge.lattes import LattesSpec, RationalMapCoeffs
+from lattes_forge.lattes import LattesSpec, RationalMapCoeffs, torus_endo
 from lattes_forge.perturbation import (
     _MARKED_TOL,
     MarkedPreperiodicPoint,
+    RationalPair,
     _degree_power,
+    _exact_itinerary,
     _landing_phase,
+    _marked_address,
     _member,
     base_map_for,
 )
 
 _TRACK_STEPS = 4  # initial parameter substeps of track_marked_point
+
+
+@lru_cache(maxsize=2)
+def _lattice(gamma: complex, box: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero lattice points m + n gamma with |m|, |n| <= box, and 1/w^2."""
+    m, n = np.mgrid[-box:box + 1, -box:box + 1]
+    w = m + n * np.complex128(gamma)
+    w = w[(m != 0) | (n != 0)]
+    return w, 1.0 / w ** 2
 
 
 def weierstrass_p_lattice_sum(tau: TorusPoint, gamma: complex, box: int = 200) -> complex:
@@ -49,10 +63,8 @@ def weierstrass_p_lattice_sum(tau: TorusPoint, gamma: complex, box: int = 200) -
         raise PoleAtLatticePoint(f"P has a double pole at {tau}")
     s, t = tau.centered()
     z = s + t * gamma
-    m, n = np.mgrid[-box:box + 1, -box:box + 1]
-    w = m + n * np.complex128(gamma)
-    w = w[(m != 0) | (n != 0)]
-    terms = 1.0 / (z - w) ** 2 - 1.0 / w ** 2
+    w, inv_w2 = _lattice(gamma, box)
+    terms = 1.0 / (z - w) ** 2 - inv_w2
     # pair +/-w before accumulating so the O(1/w^3) parts cancel exactly
     return 1.0 / z ** 2 + complex(np.sum(terms))
 
@@ -113,8 +125,36 @@ class PerturbedFamily:
         object.__setattr__(self, "member", _member(self.base_map, self.t))
 
 
-def track_marked_point(family: PerturbedFamily, marked: MarkedPreperiodicPoint,
-                       t: complex) -> SpherePoint:
+def is_half_lattice(tp: TorusPoint) -> bool:
+    return (2 * Fraction(tp.s)) % 1 == 0 and (2 * Fraction(tp.t)) % 1 == 0
+
+
+def marked_addresses(spec: LattesSpec, pair: RationalPair,
+                     marked: MarkedPreperiodicPoint) -> list[TorusPoint]:
+    """Exact torus addresses of the marked orbit: its preperiodic tail, then one cycle."""
+    addr = _marked_address(pair, spec.a, marked.k, marked.family)
+    return _exact_itinerary(spec, addr, marked.k + 64)[2]
+
+
+def lands_on_postcritical_set(spec: LattesSpec, pair: RationalPair,
+                              marked: MarkedPreperiodicPoint) -> bool:
+    """The landing cycle meets {0, oo, v, w}, which Theta takes from the half lattice."""
+    cycle = marked_addresses(spec, pair, marked)[marked.exact_preperiod:]
+    return any(is_half_lattice(p) for p in cycle)
+
+
+def pullback_trackable(spec: LattesSpec, pair: RationalPair,
+                       marked: MarkedPreperiodicPoint) -> bool:
+    """False when the orbit lands on the postcritical set or runs through a
+    critical point of f: Theta of an address off the half lattice that the
+    torus endomorphism takes into it."""
+    critical = any(is_half_lattice(torus_endo(spec, p)) and not is_half_lattice(p)
+                   for p in marked_addresses(spec, pair, marked))
+    return not (critical or lands_on_postcritical_set(spec, pair, marked))
+
+
+def track_marked_point(family: PerturbedFamily, pair: RationalPair,
+                       marked: MarkedPreperiodicPoint, t: complex) -> SpherePoint:
     """Position of the marked point for the member map at parameter t.
 
     Continues the landing cycle, then pulls the orbit back branch by branch
@@ -123,8 +163,8 @@ def track_marked_point(family: PerturbedFamily, marked: MarkedPreperiodicPoint,
     postcritical set, where the inverse branches are not single-valued.
     """
     if t == 0:
-        return marked.position
-    if not marked.pullback_trackable:
+        return marked.forward_orbit[0]
+    if not pullback_trackable(family.spec, pair, marked):
         raise BranchAmbiguity(
             "orbit passes through a critical point or lands on the postcritical set; "
             "inverse branches are not single-valued along it")
@@ -161,8 +201,8 @@ def track_marked_point(family: PerturbedFamily, marked: MarkedPreperiodicPoint,
     return current[0]
 
 
-def rescaled_collision_fn(spec: LattesSpec, marked: MarkedPreperiodicPoint,
-                          u: complex) -> complex:
+def rescaled_collision_fn(spec: LattesSpec, pair: RationalPair,
+                          marked: MarkedPreperiodicPoint, u: complex) -> complex:
     """a^(2k) * (tracked marked point - perturbed critical value) at t = u/a^(2k).
 
     Requires a pullback-trackable orbit; the shooting solve does not.
@@ -172,5 +212,5 @@ def rescaled_collision_fn(spec: LattesSpec, marked: MarkedPreperiodicPoint,
     td = theta_data(spec.gamma.gamma)
     cv = td.v if marked.family == "X" else td.w
     fam = PerturbedFamily(spec, base_map_for(spec), t)
-    tracked = track_marked_point(fam, marked, t)
+    tracked = track_marked_point(fam, pair, marked, t)
     return a2k * (tracked.to_complex() - (1.0 + t) * cv)

@@ -131,20 +131,16 @@ def test_construct_rejects_bad_parameters(capsys):
     assert "coprime" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args,threads", [
-    (["construct", "--k-min", "5", "--k-max", "3"], None),
-    (["construct", "--k-min", "3", "--k-max", "3", "--render", "--size", "8"], None),
-    (["construct", "--k-min", "3", "--k-max", "3", "--render", "--size", "16"], "0"),
-    (["render", "--size", "16"], "abc"),
-    (["render", "--size", "16"], "0"),
-    (["render", "--size", "16"], "-2"),
+@pytest.mark.parametrize("args", [
+    ["construct", "--k-min", "5", "--k-max", "3"],
+    ["construct", "--k-min", "3", "--k-max", "3", "--render", "--size", "8"],
+    ["construct", "--x0=1/2"],  # denominator not coprime with 2a
+    ["construct", "--y0=-1"],
+    ["construct", "--a", "1"],
+    ["construct", "--a", "2", "--case", "2"],  # case 2 needs odd a
 ])
-def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args, threads):
+def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args):
     # refused before --out is created and before anything is solved
-    monkeypatch.delenv("LATTES_FORGE_THREADS", raising=False)
-    if threads is not None:
-        monkeypatch.setenv("LATTES_FORGE_THREADS", threads)
-
     def solve(*_args, **_kwargs):
         raise AssertionError("solved before the usage error was refused")
 
@@ -252,15 +248,26 @@ def test_render_construct_artifact(tmp_path, capsys):
     assert "cannot load map" in capsys.readouterr().err
 
 
-def test_render_writes_ppm(tmp_path, monkeypatch):
+def test_render_writes_ppm(tmp_path):
     target = tmp_path / "img.ppm"
     assert main(["render", "--size", "16", "--max-iter", "6", "--out", str(target)]) == 0
     data = target.read_bytes()
     assert data.startswith(b"P6\n16 16\n255\n")
-    monkeypatch.setenv("LATTES_FORGE_THREADS", "2")
-    other = tmp_path / "img2.ppm"
-    assert main(["render", "--size", "16", "--max-iter", "6", "--out", str(other)]) == 0
-    assert other.read_bytes() == data
+    assert len(data) == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
+
+
+def test_render_failed_write_keeps_the_old_ppm(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "img.ppm"
+    target.write_bytes(b"old picture")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["render", "--size", "16", "--max-iter", "2", "--out", str(target)]) == 1
+    assert "rename refused" in capsys.readouterr().err
+    assert target.read_bytes() == b"old picture"
+    assert os.listdir(tmp_path) == ["img.ppm"]
 
 
 @pytest.mark.parametrize("args", [["--max-iter", "0"], ["--span", "0"], ["--span=-1"],

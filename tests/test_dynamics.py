@@ -7,6 +7,7 @@ import pytest
 
 from lattes_forge.dynamics import (
     SpherePoint,
+    chart_derivative,
     classify_orbit,
     continue_cycle,
     critical_points,
@@ -16,8 +17,8 @@ from lattes_forge.dynamics import (
     multiplier,
     orbit,
     pullback_branch,
+    ppm_bytes,
     spherical_distance,
-    write_ppm,
 )
 from lattes_forge.elliptic import TorusParameter
 from lattes_forge.errors import BranchAmbiguity
@@ -149,14 +150,11 @@ def test_classify_orbit_attracting_landing(z2):
     assert cert.found and not cert.repelling  # superattracting infinity
 
 
-def test_julia_render_deterministic(z2, tmp_path):
+def test_julia_render_deterministic(z2):
     buf = julia_render(z2, 16, 16, max_iter=10)
     assert buf.shape == (16, 16, 3) and buf.dtype == np.uint8
     assert np.array_equal(buf, julia_render(z2, 16, 16, max_iter=10))
-    assert np.array_equal(buf, julia_render(z2, 16, 16, max_iter=10, threads=3))
-    path = tmp_path / "out.ppm"
-    write_ppm(buf, str(path))
-    data = path.read_bytes()
+    data = ppm_bytes(buf)
     assert data.startswith(b"P6\n16 16\n255\n")
     assert len(data) == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
 
@@ -232,17 +230,33 @@ def render_maps(z2, base_a2, base_a3):
 
 
 @pytest.mark.parametrize("name", ["z2", "a2", "a3"])
-@pytest.mark.parametrize("width,height,max_iter,threads", [
-    (16, 16, 10, 1),
-    (16, 16, 10, 3),
-    (16, 16, 10, 8),  # more workers than blocks
-    (97, 91, 4, 1),  # 8,827 pixels: a full block and a ragged one
-    (97, 91, 4, 3),
+@pytest.mark.parametrize("width,height,max_iter", [
+    (16, 16, 10),
+    (97, 91, 4),  # 8,827 pixels: a full block and a ragged one
 ])
-def test_julia_render_matches_reference(render_maps, name, width, height, max_iter, threads):
+def test_julia_render_matches_reference(render_maps, name, width, height, max_iter):
     f = render_maps[name]
     expected = reference_render(f, width, height, max_iter)
-    assert np.array_equal(julia_render(f, width, height, max_iter=max_iter, threads=threads), expected)
+    assert np.array_equal(julia_render(f, width, height, max_iter=max_iter), expected)
+
+
+@pytest.mark.parametrize("name", ["z2", "a2", "a3"])
+def test_julia_render_red_is_the_spherical_derivative(render_maps, name):
+    # one iteration: red is floor(128 + 28 log s) with s the spherical
+    # derivative, here from a chart derivative and the image's coordinate
+    f = render_maps[name]
+    axis = np.linspace(-2.0, 2.0, 16)
+    red = julia_render(f, 16, 16, max_iter=1)[:, :, 0].astype(int)
+    for i, y in enumerate(axis):
+        for j, x in enumerate(axis):
+            z = SpherePoint.from_complex(complex(x, y))
+            image = eval_map(f, z)
+            u = image.coord(image.chart())
+            g = chart_derivative(f, z, z.chart(), image.chart())
+            xi = z.coord(z.chart())
+            s = abs(g) * (1.0 + abs(xi) ** 2) / (1.0 + abs(u) ** 2)
+            want = min(max(math.floor(128.0 + 28.0 * math.log(s)), 0), 254)
+            assert abs(red[i, j] - want) <= 1
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -16,10 +16,9 @@ from lattes_forge.elliptic import (
     weierstrass_p,
 )
 from lattes_forge.errors import LemmaViolation, PoleAtLatticePoint
-from lattes_forge.perturbation import _is_half_lattice
 
 from conftest import GAMMA0
-from oracles import weierstrass_p_lattice_sum
+from oracles import is_half_lattice, weierstrass_p_lattice_sum
 
 
 def test_gamma_must_be_upper_half_plane():
@@ -36,9 +35,9 @@ def test_torus_point_exact_reduction():
 
 
 def test_half_lattice_predicates():
-    assert _is_half_lattice(TorusPoint(Fraction(1, 2), Fraction(0)))
-    assert _is_half_lattice(TorusPoint(Fraction(1, 2), Fraction(1, 2)))
-    assert not _is_half_lattice(TorusPoint(Fraction(1, 3), Fraction(0)))
+    assert is_half_lattice(TorusPoint(Fraction(1, 2), Fraction(0)))
+    assert is_half_lattice(TorusPoint(Fraction(1, 2), Fraction(1, 2)))
+    assert not is_half_lattice(TorusPoint(Fraction(1, 3), Fraction(0)))
     assert TorusPoint(Fraction(0), Fraction(0)).is_lattice_point()
     assert not TorusPoint(Fraction(1, 2), Fraction(0)).is_lattice_point()
 

@@ -32,7 +32,13 @@ from lattes_forge.perturbation import (
 )
 
 from conftest import GAMMA0
-from oracles import PerturbedFamily, rescaled_collision_fn, track_marked_point
+from oracles import (
+    PerturbedFamily,
+    lands_on_postcritical_set,
+    pullback_trackable,
+    rescaled_collision_fn,
+    track_marked_point,
+)
 
 GAMMA5 = complex(0.2, 1.0)  # base point for a = 3 (x0 = 1/5)
 
@@ -63,11 +69,13 @@ def test_standard_parameters_rejections():
 def test_marked_point_exact_itinerary(spec_a2, pair_a2):
     mx = make_marked_point(spec_a2, pair_a2, 3, "X")
     assert (mx.exact_preperiod, mx.exact_period) == (3, 1)
-    assert mx.pullback_trackable and not mx.postcritical_landing
+    assert pullback_trackable(spec_a2, pair_a2, mx)
+    assert not lands_on_postcritical_set(spec_a2, pair_a2, mx)
     assert abs(mx.certificate.cycle.multiplier - (-2.0)) < 1e-6
     my = make_marked_point(spec_a2, pair_a2, 3, "Y")
     assert (my.exact_preperiod, my.exact_period) == (3, 1)
-    assert my.postcritical_landing and not my.pullback_trackable
+    assert lands_on_postcritical_set(spec_a2, pair_a2, my)
+    assert not pullback_trackable(spec_a2, pair_a2, my)
     assert abs(my.certificate.cycle.multiplier - 4.0) < 1e-6
     landing = my.forward_orbit[my.exact_preperiod]
     assert spherical_distance(landing, SpherePoint.zero()) < 1e-12
@@ -98,7 +106,7 @@ def test_half_translated_even_k_orbit_endpoint():
 
 def test_marked_points_tend_to_first_branch_value(spec_a2, pair_a2):
     v = SpherePoint.from_complex(theta_data(GAMMA0).v)
-    gaps = [spherical_distance(make_marked_point(spec_a2, pair_a2, k, "X").position, v)
+    gaps = [spherical_distance(make_marked_point(spec_a2, pair_a2, k, "X").forward_orbit[0], v)
             for k in range(3, 7)]
     for near, far in zip(gaps[1:], gaps):
         assert 0.15 < near / far < 0.4  # quadratic address offset: factor ~ 1/4
@@ -107,7 +115,7 @@ def test_marked_points_tend_to_first_branch_value(spec_a2, pair_a2):
 def test_track_identity_at_zero(spec_a2, pair_a2):
     mx = make_marked_point(spec_a2, pair_a2, 3, "X")
     fam = PerturbedFamily(spec_a2, base_map_for(spec_a2), 0.0)
-    assert track_marked_point(fam, mx, 0.0) is mx.position
+    assert track_marked_point(fam, pair_a2, mx, 0.0) is mx.forward_orbit[0]
 
 
 def test_track_equivariance(spec_a2, pair_a2):
@@ -116,7 +124,7 @@ def test_track_equivariance(spec_a2, pair_a2):
     mx = make_marked_point(spec_a2, pair_a2, 3, "X")
     base = base_map_for(spec_a2)
     fam = PerturbedFamily(spec_a2, base, t)
-    moved = track_marked_point(fam, mx, t)
+    moved = track_marked_point(fam, pair_a2, mx, t)
     cont = continue_cycle(base, mx.certificate.cycle, fam.member)
     z = moved
     for _ in range(mx.exact_preperiod):
@@ -129,7 +137,7 @@ def test_track_refuses_untrackable_orbit(spec_a2, pair_a2):
     my = make_marked_point(spec_a2, pair_a2, 3, "Y")
     fam = PerturbedFamily(spec_a2, base_map_for(spec_a2), 1e-4)
     with pytest.raises(BranchAmbiguity):
-        track_marked_point(fam, my, 1e-4)
+        track_marked_point(fam, pair_a2, my, 1e-4)
 
 
 def test_scaled_family_keeps_zero_fixed(spec_a2):
@@ -175,7 +183,7 @@ def test_response_constant_all_cases_and_lattices(a, case, gamma):
     spec = spec_for(a, case, gamma)
     report = verify_lemma3(spec)
     assert abs(report.c_measured - report.c_expected) < 1e-6
-    assert abs(report.c_from_v_side - report.c_from_w_side) < 1e-6
+    assert report.residual < 1e-6  # |c from the v side - c from the w side|
     assert report.c_expected == case_response_constant(spec)
 
 
@@ -195,7 +203,7 @@ def test_rescaled_fn_limit_at_zero(spec_a2, pair_a2):
     devs = []
     for k in (6, 8):
         mx = make_marked_point(spec_a2, pair_a2, k, "X")
-        devs.append(abs(rescaled_collision_fn(spec_a2, mx, 0.0) - limit))
+        devs.append(abs(rescaled_collision_fn(spec_a2, pair_a2, mx, 0.0) - limit))
     assert devs[0] < 2e-2 and devs[1] < 2e-3
     assert devs[1] < devs[0] / 4
 
@@ -204,7 +212,8 @@ def test_rescaled_fn_affine_slope(spec_a2, pair_a2):
     mx = make_marked_point(spec_a2, pair_a2, 10, "X")
     tl = tracked_limits(spec_a2)
     u = 0.5
-    slope = (rescaled_collision_fn(spec_a2, mx, u) - rescaled_collision_fn(spec_a2, mx, 0.0)) / u
+    slope = (rescaled_collision_fn(spec_a2, pair_a2, mx, u)
+             - rescaled_collision_fn(spec_a2, pair_a2, mx, 0.0)) / u
     assert abs(slope - (tl.x_dot - tl.v_dot)) < 1e-4
 
 
@@ -220,7 +229,7 @@ def test_collision_point_meets_critical_value(spec_a2, pair_a2):
     mx = make_marked_point(spec_a2, pair_a2, 4, "X")
     s4 = solve_collision(spec_a2, mx).value
     fam = PerturbedFamily(spec_a2, base_map_for(spec_a2), s4)
-    moved = track_marked_point(fam, mx, s4)
+    moved = track_marked_point(fam, pair_a2, mx, s4)
     cv = SpherePoint.from_complex((1.0 + s4) * theta_data(GAMMA0).v)
     assert spherical_distance(moved, cv) < 1e-9
 
@@ -297,10 +306,10 @@ def test_convergence_table_small_k_transient(spec_a2, pair_a2):
 
 
 def test_convergence_table_monotonic_deviation(spec_a2, pair_a2):
-    table = convergence_table(spec_a2, pair_a2, range(3, 6), solve_construction=False)
-    assert table.monotonic_deviation
-    devs = [row.deviation for row in table.rows]
-    assert all(b < a for a, b in zip(devs, devs[1:]))
+    rows = convergence_table(spec_a2, pair_a2, range(3, 6), solve_construction=False).rows
+    assert all(row.status == "ok" and row.asymptotic for row in rows)
+    devs = [row.deviation for row in rows]
+    assert len(devs) == 3 and all(b < a for a, b in zip(devs, devs[1:]))
 
 
 def test_gamma_solve_frozen_k3(construction_results):

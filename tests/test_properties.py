@@ -7,8 +7,16 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lattes_forge.cli import _json_text
-from lattes_forge.dynamics import SpherePoint, eval_map, spherical_distance
+from lattes_forge.dynamics import (
+    SpherePoint,
+    chart_derivative,
+    eval_map,
+    find_cycle,
+    multiplier,
+    spherical_distance,
+)
 from lattes_forge.elliptic import TorusParameter, TorusPoint
+from lattes_forge.errors import NoConvergence
 from lattes_forge.lattes import (
     LattesSpec,
     RationalMapCoeffs,
@@ -87,3 +95,22 @@ def test_critical_values_scale_with_the_family(spec, r):
         else:
             want = (1.0 + r) * p.to_complex()
             assert abs(q.to_complex() - want) <= 8 * EPS * abs(want)
+
+
+@given(maps())
+def test_multiplier_is_chart_invariant(f):
+    # at a fixed point z, f' in chart 0 and the derivative of 1/f(1/y) at
+    # y = 1/z agree: both are the multiplier
+    fixed = np.concatenate([f.num, [0j]]) - np.concatenate([[0j], f.den])  # P(x) - x Q(x)
+    for root in np.roots(fixed[::-1]):
+        if not 1e-3 < abs(root) < 1e3:
+            continue
+        try:
+            z = find_cycle(f, SpherePoint.from_complex(complex(root)), 1).points[0]
+        except NoConvergence:
+            continue
+        if z.is_infinity or abs(z.Z) < 1e-3:
+            continue
+        lam = multiplier(f, [z])
+        for chart in (0, 1):
+            assert abs(chart_derivative(f, z, chart, chart) - lam) <= 1e-8 * abs(lam)
