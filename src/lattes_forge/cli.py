@@ -32,7 +32,6 @@ from .errors import (
 from .lattes import LattesSpec, build_rational_map, map_from_dict, map_to_dict
 from .perturbation import (
     base_map_for,
-    case_response_constant,
     certify_strictly_pcf,
     convergence_table,
     standard_parameters,
@@ -189,7 +188,7 @@ def cmd_verify_lemma3(args) -> int:
     spec = _spec(args)
     gamma0 = spec.gamma.gamma
     report = verify_lemma3(spec)
-    expected = case_response_constant(spec)
+    expected = report.c_expected
     err = abs(report.c_measured - expected)
     ok = err < tol
     print(f"a={spec.a} case={spec.case_tag} gamma0={gamma0:.6f}")

@@ -171,22 +171,27 @@ def _root_separation(num: np.ndarray, den: np.ndarray, D: int) -> float:
     return min(spherical_distance(z, p) for z in zeros for p in poles)
 
 
+# converted once: _half_lattice_gap runs for every candidate sample
+_HALF_LATTICE_ST = tuple((float(h.s), float(h.t)) for h in HALF_LATTICE)
+
+
 def _half_lattice_gap(s: float, t: float) -> float:
     """Torus distance from (s, t) to the nearest half-lattice address."""
     best = math.inf
-    for h in HALF_LATTICE:
-        ds = (s - float(h.s)) % 1.0
-        dt = (t - float(h.t)) % 1.0
+    for hs, ht in _HALF_LATTICE_ST:
+        ds = (s - hs) % 1.0
+        dt = (t - ht) % 1.0
         ds = min(ds, 1.0 - ds)
         dt = min(dt, 1.0 - dt)
         best = min(best, math.hypot(ds, dt))
     return best
 
 
-def _sample_stream(spec: LattesSpec, start: int):
-    """Quasi-random torus samples with their sphere images, guard-filtered."""
+def _sample_stream(spec: LattesSpec):
+    """Sphere images (theta(tau), theta(L tau)) of quasi-random torus samples
+    tau, guard-filtered."""
     gamma = spec.gamma.gamma
-    j = start
+    j = 0
     while True:
         j += 1
         s = (0.5 + j * _R2_A) % 1.0
@@ -201,7 +206,7 @@ def _sample_stream(spec: LattesSpec, start: int):
         w = theta_map(lt, gamma)
         if abs(z.Z) > _CHART_BOUND * abs(z.W) or abs(w.Z) > _CHART_BOUND * abs(w.W):
             continue
-        yield j, tau, z, w
+        yield z, w
 
 
 def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
@@ -209,18 +214,17 @@ def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
 
     Homogeneous system rows V_j P(Z_j, W_j) - U_j Q(Z_j, W_j) = 0 over
     quasi-random samples; the coefficient vector is the smallest-singular-
-    value direction.  Held-out samples must validate below 1e-9 in the
-    spherical metric.
+    value direction.  The next 100 samples of the same stream are held out
+    and must validate below 1e-9 in the spherical metric.
     """
     D = spec.degree
     if D > _MAX_DEGREE:
         raise ValueError(f"degree {D} exceeds the cap {_MAX_DEGREE}")
     n_fit = _OVERSAMPLE * (2 * D + 2)
-    stream = _sample_stream(spec, start=0)
+    stream = _sample_stream(spec)
     rows = []
-    last_j = 0
     for _ in range(n_fit):
-        last_j, tau, z, w = next(stream)
+        z, w = next(stream)
         zp = np.array([z.Z ** k * z.W ** (D - k) for k in range(D + 1)])
         rows.append(np.concatenate([w.W * zp, -w.Z * zp]))
     A = np.array(rows)
@@ -230,10 +234,9 @@ def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
             f"degree ambiguity: smallest singular values {sing[-1]:.3e}, {sing[-2]:.3e}")
     vec = np.conj(vh[-1])  # A = U S V^H, null direction is the conjugated row
     f = RationalMapCoeffs(num=vec[: D + 1], den=vec[D + 1:], degree=D)
-    held = _sample_stream(spec, start=last_j)
     worst = 0.0
     for _ in range(100):
-        _, tau, z, w = next(held)
+        z, w = next(stream)
         worst = max(worst, spherical_distance(eval_map(f, z), w))
     if worst >= _HELD_OUT_TOL:
         raise ValidationFailed(

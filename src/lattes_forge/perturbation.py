@@ -373,8 +373,8 @@ def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint, rescale: b
     base = base_map_for(spec)
     td = theta_data(spec.gamma.gamma)
     cv = td.v if marked.family == "X" else td.w
-    chart = marked.certificate.cycle.points[_landing_phase(marked)].chart()
     phase = _landing_phase(marked)
+    chart = marked.certificate.cycle.points[phase].chart()
     scale = a2k if rescale else 1.0
     if u_seed is None:
         u_seed = closed_form_rescaled_root(spec, marked)
@@ -583,9 +583,9 @@ class ConvergenceTable:
 
 
 def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
-                      solve_construction: bool = True, tol: float = 1e-10) -> ConvergenceTable:
-    """Collision values, their ratio against -sigma^2/tau^2, and (optionally)
-    the constructed strictly postcritically finite maps, one row per k.
+                      tol: float = 1e-10) -> ConvergenceTable:
+    """Collision values, their ratio against -sigma^2/tau^2, and the
+    constructed strictly postcritically finite maps, one row per k.
 
     Failing rows carry an error status instead of aborting the table; a row
     whose collisions were solved before the construction failed keeps them.
@@ -606,15 +606,14 @@ def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
                 u_s=cs.rescaled, u_t=ct.rescaled,
                 ratio=ratio, target=target, deviation=abs(ratio - target),
             )
-            if solve_construction:
-                built = solve_gamma_k(spec0, pair, k, tol=tol, base_pair=(cs, ct))
-                row.update(
-                    gamma_k=built.gamma_k, r_k=built.r_k,
-                    gamma_gap=abs(built.gamma_k - gamma0),
-                    postcritical_count=built.postcritical_count,
-                    certified=all(c.repelling for c in built.certificates),
-                    construction=built,
-                )
+            built = solve_gamma_k(spec0, pair, k, tol=tol, base_pair=(cs, ct))
+            row.update(
+                gamma_k=built.gamma_k, r_k=built.r_k,
+                gamma_gap=abs(built.gamma_k - gamma0),
+                postcritical_count=built.postcritical_count,
+                certified=all(c.repelling for c in built.certificates),
+                construction=built,
+            )
         except PrecisionExhausted:
             # collisions solved before the construction was refused are kept
             row["status"] = "precision_exhausted"

@@ -1,10 +1,12 @@
 """Chart-safe sphere dynamics: evaluation, cycles, pullbacks, rendering."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from lattes_forge import dynamics
 from lattes_forge.dynamics import (
     SpherePoint,
     chart_derivative,
@@ -259,10 +261,63 @@ def test_julia_render_red_is_the_spherical_derivative(render_maps, name):
             assert abs(red[i, j] - want) <= 1
 
 
+# 131 x 127 = 16,637 pixels: two full blocks and a ragged one
+FORK_GRID = dict(width=131, height=127)
+
+
+def _cpus(n):
+    return lambda pid: set(range(n))
+
+
+def _no_fork():
+    raise AssertionError("julia_render forked")
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(max_iter=0),
     dict(span=0.0), dict(span=-1.0), dict(span=math.inf), dict(span=math.nan),
+    dict(width=15, height=2000), dict(width=2000, height=15),
 ])
-def test_julia_render_refuses_degenerate_arguments(z2, kwargs):
+def test_julia_render_refuses_degenerate_arguments(z2, monkeypatch, kwargs):
+    # with three CPUs every grid here has enough blocks to fork; the
+    # refusal must come first
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", _cpus(3))
+    monkeypatch.setattr(dynamics.os, "fork", _no_fork)
     with pytest.raises(ValueError):
-        julia_render(z2, 16, 16, **kwargs)
+        julia_render(z2, **(FORK_GRID | kwargs))
+
+
+def test_julia_render_bytes_do_not_depend_on_processes(base_a3, monkeypatch):
+    expected = reference_render(base_a3, max_iter=4, **FORK_GRID)
+    all_cpus = julia_render(base_a3, max_iter=4, **FORK_GRID)
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", _cpus(3))
+    three = julia_render(base_a3, max_iter=4, **FORK_GRID)
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", _cpus(1))
+    monkeypatch.setattr(dynamics.os, "fork", _no_fork)
+    one = julia_render(base_a3, max_iter=4, **FORK_GRID)
+    for buf in (all_cpus, three, one):
+        assert np.array_equal(buf, expected)
+
+
+class _ShadeFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["worker", "parent"])
+def test_julia_render_reaps_every_worker(z2, monkeypatch, capfd, failing):
+    parent = os.getpid()
+    shade = dynamics._shade_block
+
+    def shade_or_fail(*args):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise _ShadeFailure(f"{failing} share failed")
+        shade(*args)
+
+    monkeypatch.setattr(dynamics, "_shade_block", shade_or_fail)
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", _cpus(3))
+    raised = RuntimeError if failing == "worker" else _ShadeFailure
+    with pytest.raises(raised):
+        julia_render(z2, max_iter=2, **FORK_GRID)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert ("worker share failed" in capfd.readouterr().err) == (failing == "worker")

@@ -294,19 +294,21 @@ def test_gamma_solve_refuses_tolerance_below_resolution(spec_a2, pair_a2):
 
 
 def test_convergence_table_marks_exhausted_rows(spec_a2, pair_a2):
-    table = convergence_table(spec_a2, pair_a2, range(13, 15), solve_construction=False)
+    table = convergence_table(spec_a2, pair_a2, range(13, 15))
     assert [row.status for row in table.rows] == ["precision_exhausted"] * 2
     assert [row.k for row in table.rows] == [13, 14]
 
 
 def test_convergence_table_small_k_transient(spec_a2, pair_a2):
-    table = convergence_table(spec_a2, pair_a2, range(1, 4), solve_construction=False)
+    table = convergence_table(spec_a2, pair_a2, range(1, 4))
     assert [row.asymptotic for row in table.rows] == [False, False, True]
-    assert all(row.status == "ok" for row in table.rows)
+    # every collision pair is solved; only the k = 1 construction is refused
+    assert all(row.deviation is not None for row in table.rows)
+    assert [row.status for row in table.rows] == ["precision_exhausted", "ok", "ok"]
 
 
 def test_convergence_table_monotonic_deviation(spec_a2, pair_a2):
-    rows = convergence_table(spec_a2, pair_a2, range(3, 6), solve_construction=False).rows
+    rows = convergence_table(spec_a2, pair_a2, range(3, 6)).rows
     assert all(row.status == "ok" and row.asymptotic for row in rows)
     devs = [row.deviation for row in rows]
     assert len(devs) == 3 and all(b < a for a, b in zip(devs, devs[1:]))
