@@ -159,7 +159,7 @@ def cmd_verify_lemma1(args) -> int:
     for gamma in grid:
         td = theta_data(gamma)
         res_ratio = abs(td.lam / td.v + td.mu / td.w)
-        kappa_other = 4.0 * td.lam / (td.v * (td.v - td.w))
+        kappa_other = 4.0 * td.mu / (td.w * (td.w - td.v))
         res_kappa = abs(kappa_other - td.kappa)
         worst = max(worst, res_ratio, res_kappa)
         rows.append((gamma, res_ratio, res_kappa))
@@ -231,21 +231,22 @@ def _row_csv(row) -> str:
     for z in (row.s_value, row.t_value, row.u_s, row.u_t, row.ratio, row.target):
         cells += c(z)
     cells.append(_fmt(row.deviation) if row.deviation is not None else "")
-    cells += c(row.gamma_k)
-    cells += c(row.r_k)
-    cells.append(_fmt(row.gamma_gap) if row.gamma_gap is not None else "")
-    cells.append(str(row.postcritical_count) if row.postcritical_count is not None else "")
-    cells.append(str(row.certified).lower() if row.certified is not None else "")
+    built = row.construction
+    if built is None:
+        cells += [""] * 7  # gamma_k and r_k pairs, gamma_gap, postcritical_count, certified
+    else:
+        cells += c(built.gamma_k) + c(built.r_k)
+        cells += [_fmt(row.gamma_gap), str(built.postcritical_count), "true"]
     return ",".join(cells)
 
 
 def _certificate_doc(cert) -> dict:
     return {
         "preperiod": cert.preperiod,
-        "period": cert.period,
+        "period": cert.cycle.period,
         "landing_residual": cert.landing_residual,
         "multiplier": _pair(cert.cycle.multiplier),
-        "repelling": cert.repelling,
+        "repelling": cert.cycle.repelling,
     }
 
 
@@ -270,17 +271,16 @@ def cmd_construct(args) -> int:
     all_certified = True
     for row in table.rows:
         csv_lines.append(_row_csv(row))
+        built = row.construction
         print(f"k={row.k}: {row.status}"
               + (f" deviation={row.deviation:.3e} gamma_gap={row.gamma_gap:.3e}"
-                 f" postcritical={row.postcritical_count}"
-                 if row.status == "ok" and row.gamma_gap is not None else ""))
+                 f" postcritical={built.postcritical_count}" if built is not None else ""))
         if row.status == "precision_exhausted":
             exhausted = True
             continue
-        if row.status != "ok" or not row.certified:
+        if built is None:
             all_certified = False
             continue
-        built = row.construction
         doc = {
             "schema_version": "2",
             "a": spec0.a,

@@ -107,18 +107,12 @@ class CycleData:
 
 @dataclass(frozen=True)
 class OrbitCertificate:
-    """Result of orbit classification.
+    """An orbit that lands, after preperiod steps, within landing_residual
+    of cycle."""
 
-    found is False when no near-return showed up within the iteration
-    budget; the remaining fields are then meaningless.
-    """
-
-    found: bool
     preperiod: int
-    period: int
     landing_residual: float
-    cycle: CycleData | None
-    repelling: bool
+    cycle: CycleData
 
 
 def _coeffs(f) -> tuple[np.ndarray, np.ndarray]:
@@ -251,9 +245,6 @@ def critical_points(f) -> list[tuple[SpherePoint, int]]:
     out = [(SpherePoint.from_complex(sum(cl) / len(cl)), len(cl)) for cl in clusters]
     if mult_inf > 0:
         out.append((SpherePoint.infinity(), mult_inf))
-    total = sum(m for _, m in out)
-    if total != 2 * D - 2:
-        raise RootCountMismatch(f"found {total} critical points with multiplicity, expected {2 * D - 2}")
     return out
 
 
@@ -419,16 +410,16 @@ def pullback_branch(f, target: SpherePoint, near: SpherePoint, tol: float = 1e-1
 _WINDOW = 64
 
 
-def classify_orbit(f, z: SpherePoint, max_iter: int = 2000, tol: float = 1e-9) -> OrbitCertificate:
+def classify_orbit(f, z: SpherePoint, max_iter: int = 2000,
+                   tol: float = 1e-9) -> OrbitCertificate | None:
     """Detect (pre)periodicity of the orbit of z by trailing-window near-return.
 
     On a near-return the candidate period is polished with find_cycle and the
     minimal preperiod is the first iterate within landing tolerance of the
-    cycle.  Absence of a near-return is reported with found=False, not an
-    exception.
+    cycle.  Absence of a near-return, or of an iterate within landing
+    tolerance, is reported by returning None, not by an exception.
     """
     pts = [z]
-    hit = None
     for n in range(1, max_iter + 1):
         pts.append(eval_map(f, pts[-1]))
         lo = max(0, n - _WINDOW)
@@ -438,23 +429,16 @@ def classify_orbit(f, z: SpherePoint, max_iter: int = 2000, tol: float = 1e-9) -
             best = min(d for d, _ in close)
             # smallest period among returns within 2x the best distance
             m_best = max(m for d, m in close if d <= 2.0 * best)
-            hit = (n, m_best)
             break
-    if hit is None:
-        return OrbitCertificate(False, -1, -1, math.inf, None, False)
-    n, m = hit
-    cycle = find_cycle(f, pts[m], n - m, tol=max(tol * 1e-4, 1e-13))
+    else:
+        return None
+    cycle = find_cycle(f, pts[m_best], n - m_best, tol=max(tol * 1e-4, 1e-13))
     landing_tol = max(100.0 * tol, 1e-10)
-    preperiod = None
-    landing = math.inf
     for i, p in enumerate(pts):
         d = min(spherical_distance(p, c) for c in cycle.points)
         if d < landing_tol:
-            preperiod, landing = i, d
-            break
-    if preperiod is None:
-        return OrbitCertificate(False, -1, -1, math.inf, None, False)
-    return OrbitCertificate(True, preperiod, cycle.period, landing, cycle, cycle.repelling)
+            return OrbitCertificate(i, d, cycle)
+    return None
 
 
 _BLOCK = 8192  # pixels per render block: 128 KB per complex array

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .dynamics import SpherePoint
-from .errors import LemmaViolation, NonConvergent, PoleAtLatticePoint
+from .errors import LemmaViolation, NoConvergence, PoleAtLatticePoint
 
 _MAX_TERMS = 220
 _LOG_CUT = -41.0  # stop theta terms below ~1.5e-18 in magnitude
@@ -105,7 +105,7 @@ def _theta(kind: int, v: complex, lq: complex) -> complex:
             acc += term
             n += 1
             if n > _MAX_TERMS:
-                raise NonConvergent(f"theta_{kind} series needed more than {_MAX_TERMS} terms")
+                raise NoConvergence(f"theta_{kind} series needed more than {_MAX_TERMS} terms")
         return 2.0 * acc
     if kind in (3, 4):
         hump = iv / decay
@@ -121,7 +121,7 @@ def _theta(kind: int, v: complex, lq: complex) -> complex:
             acc += 2.0 * term
             n += 1
             if n > _MAX_TERMS:
-                raise NonConvergent(f"theta_{kind} series needed more than {_MAX_TERMS} terms")
+                raise NoConvergence(f"theta_{kind} series needed more than {_MAX_TERMS} terms")
         return acc
     raise ValueError(f"theta kind must be 1..4, got {kind}")
 
@@ -191,11 +191,6 @@ class _TorusContext:
 @lru_cache(maxsize=64)
 def _context(gamma: complex) -> _TorusContext:
     return _TorusContext(gamma)
-
-
-def weierstrass_p(tau: TorusPoint, gamma: complex) -> complex:
-    """P(s + t*gamma) for the lattice Z + gamma Z, via the theta q-series."""
-    return _context(gamma).p_value(tau)
 
 
 def half_periods(gamma: complex) -> HalfPeriodValues:

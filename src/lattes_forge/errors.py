@@ -14,10 +14,6 @@ class PoleAtLatticePoint(LattesForgeError):
     """Weierstrass P was requested exactly at a lattice point."""
 
 
-class NonConvergent(LattesForgeError):
-    """A series needed more terms than its fixed maximum."""
-
-
 class LemmaViolation(LattesForgeError):
     """A structural identity failed beyond the verification tolerance."""
 
@@ -39,7 +35,7 @@ class RootCountMismatch(LattesForgeError):
 
 
 class NoConvergence(LattesForgeError):
-    """An iterative solve ran out of iterations."""
+    """An iterative solve or a series ran out of iterations or terms."""
 
 
 class ContinuationBreakdown(LattesForgeError):

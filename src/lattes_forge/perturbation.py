@@ -19,14 +19,13 @@ break down there, and solve_collision does not need it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .dynamics import (
-    OrbitCertificate,
+    CycleData,
     SpherePoint,
     classify_orbit,
     continue_cycle,
@@ -110,17 +109,17 @@ def standard_parameters(x0: Fraction, y0: Fraction, a: int) -> RationalPair:
 class MarkedPreperiodicPoint:
     """A marked point near v or w, with its orbit data.
 
-    exact_preperiod and exact_period are computed from the torus address
-    (sign classes mod the lattice); the numeric certificate must agree.
-    forward_orbit starts at the marked point itself.
+    exact_preperiod is computed from the torus address (sign classes mod the
+    lattice).  forward_orbit starts at the marked point itself; cycle is its
+    repelling landing cycle, starting at forward_orbit[exact_preperiod], with
+    the exact period.
     """
 
     k: int
     family: str
     forward_orbit: tuple
-    certificate: OrbitCertificate
+    cycle: CycleData
     exact_preperiod: int
-    exact_period: int
     offset_value: complex
 
 
@@ -175,11 +174,12 @@ def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int,
     The address is exact rational and preperiod and period are derived
     exactly.  The certificate checks the exact itinerary one step at a time,
     |f(p_j) - p_(j+1)| <= 1e-9 on the sphere, so rounding is never amplified
-    along the orbit; the landing cycle is then classified from its landing
-    point, which must give the exact period and a repelling multiplier.  Any
-    disagreement raises ValidationFailed.  A depth is refused with
-    PrecisionExhausted before any of this, by the one precision limit
-    eps * |a|^(2k) <= 1e-8 that the collision solves share.
+    along the orbit; the landing cycle is then polished from its landing
+    point with the exact period, and must keep that period, stay within
+    1e-7 of the landing point and be repelling.  Any disagreement raises
+    ValidationFailed.  A depth is refused with PrecisionExhausted before any
+    of this, by the one precision limit eps * |a|^(2k) <= 1e-8 that the
+    collision solves share.
 
     A landing cycle may meet the postcritical set {0, oo, v, w}: the
     default parameters (tau = y0 integral) land on the fixed point 0, and
@@ -201,38 +201,30 @@ def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int,
         if res > _MARKED_TOL:
             raise ValidationFailed(f"exact itinerary step {j} misses its image by {res:.3g} "
                                    f"(tolerance {_MARKED_TOL:.2g})")
-    landing = classify_orbit(f, forward[pre], max_iter=per + 80, tol=_MARKED_TOL)
-    if not landing.found or landing.preperiod != 0 or landing.period != per:
+    cycle = find_cycle(f, forward[pre], per, tol=1e-13)
+    landing = spherical_distance(forward[pre], cycle.points[0])
+    if cycle.period != per or landing >= 1e-7:
         raise ValidationFailed(
-            f"landing point classifies as (pre={landing.preperiod}, per={landing.period}, "
-            f"found={landing.found}); exact itinerary has period {per}")
-    if not landing.repelling:
+            f"landing cycle has period {cycle.period} at distance {landing:.3g} from the "
+            f"landing point; exact itinerary has period {per}")
+    if not cycle.repelling:
         raise ValidationFailed("marked point landed on a non-repelling cycle")
     return MarkedPreperiodicPoint(
         k=k,
         family=family,
         forward_orbit=forward,
-        certificate=dataclasses.replace(landing, preperiod=pre),
+        cycle=cycle,
         exact_preperiod=pre,
-        exact_period=per,
         offset_value=pair.offset(family, gamma),
     )
 
 
-def _landing_phase(marked: MarkedPreperiodicPoint) -> int:
-    landing = marked.forward_orbit[marked.exact_preperiod]
-    pts = marked.certificate.cycle.points
-    return min(range(len(pts)), key=lambda i: spherical_distance(pts[i], landing))
-
-
 @dataclass(frozen=True)
 class TrackedLimits:
-    """First-order response of the limit points and critical values to t."""
+    """First-order response of the limit points to t."""
 
     x_dot: complex
     y_dot: complex
-    v_dot: complex
-    w_dot: complex
     fd_error: float
 
 
@@ -263,7 +255,7 @@ def tracked_limits(spec: LattesSpec) -> TrackedLimits:
         d2 = (_limit_point(spec, base, h / 2, near) - _limit_point(spec, base, -h / 2, near)) / h
         out.append((4.0 * d2 - d1) / 3.0)
         err = max(err, abs(d2 - d1) / 3.0)
-    return TrackedLimits(x_dot=out[0], y_dot=out[1], v_dot=td.v, w_dot=td.w, fd_error=err)
+    return TrackedLimits(x_dot=out[0], y_dot=out[1], fd_error=err)
 
 
 def case_response_constant(spec: LattesSpec) -> complex:
@@ -288,8 +280,8 @@ def verify_lemma3(spec: LattesSpec) -> ResponseReport:
     and compare with its exact per-case value."""
     tl = tracked_limits(spec)
     td = theta_data(spec.gamma.gamma)
-    cx = (tl.x_dot - tl.v_dot) / td.v
-    cy = (tl.y_dot - tl.w_dot) / td.w
+    cx = (tl.x_dot - td.v) / td.v
+    cy = (tl.y_dot - td.w) / td.w
     residual = abs(cx - cy)
     budget = max(tl.fd_error, 1e-10)
     if residual > 100.0 * budget:
@@ -337,13 +329,12 @@ def _chart_coord(p: SpherePoint, chart: int) -> complex:
     return num / den
 
 
-def _shooting_misfit(spec: LattesSpec, marked: MarkedPreperiodicPoint,
-                     base: RationalMapCoeffs, cv: complex, chart: int, phase: int,
-                     t: complex):
-    """Chart difference between the shot orbit of (1+t)cv and the continued cycle."""
+def _shooting_misfit(marked: MarkedPreperiodicPoint, base: RationalMapCoeffs, cv: complex,
+                     chart: int, t: complex):
+    """Chart difference between the shot orbit of (1+t)cv and the continued
+    landing point."""
     ft = _member(base, t)
-    cont = continue_cycle(base, marked.certificate.cycle, ft)
-    target = cont.points[phase]
+    target = continue_cycle(base, marked.cycle, ft).points[0]
     z = SpherePoint.from_complex((1.0 + t) * cv)
     for _ in range(marked.exact_preperiod):
         z = eval_map(ft, z)
@@ -373,15 +364,14 @@ def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint, rescale: b
     base = base_map_for(spec)
     td = theta_data(spec.gamma.gamma)
     cv = td.v if marked.family == "X" else td.w
-    phase = _landing_phase(marked)
-    chart = marked.certificate.cycle.points[phase].chart()
+    chart = marked.cycle.points[0].chart()
     scale = a2k if rescale else 1.0
     if u_seed is None:
         u_seed = closed_form_rescaled_root(spec, marked)
     u0 = u_seed / (a2k / scale)
 
     def fn(u):
-        return _shooting_misfit(spec, marked, base, cv, chart, phase, u / scale)
+        return _shooting_misfit(marked, base, cv, chart, u / scale)
 
     u1 = u0 * (1.0 + 1e-3)
     f0, f1 = fn(u0), fn(u1)
@@ -444,14 +434,14 @@ def certify_strictly_pcf(g: RationalMapCoeffs, crit_values: list, max_iter: int 
     points = []
     for cv in crit_values:
         cert = classify_orbit(g, cv, max_iter=max_iter, tol=tol)
-        if not cert.found:
+        if cert is None:
             raise NotPCF(f"orbit of critical value {cv} found no cycle within {max_iter} iterates")
-        if not cert.repelling:
+        if not cert.cycle.repelling:
             raise NotRepelling(
                 f"orbit of critical value {cv} lands on a cycle with multiplier "
                 f"{cert.cycle.multiplier:.4g}")
         certs.append(cert)
-        points.extend(orbit(g, cv, cert.preperiod + cert.period - 1))
+        points.extend(orbit(g, cv, cert.preperiod + cert.cycle.period - 1))
     clusters: list[SpherePoint] = []
     for p in points:
         if all(spherical_distance(p, c) > 1e-6 for c in clusters):
@@ -557,7 +547,8 @@ def solve_gamma_k(spec0: LattesSpec, pair: RationalPair, k: int, tol: float = 1e
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One k of the collision/construction experiment."""
+    """One k of the collision/construction experiment; construction is set
+    exactly when g_k was built and certified."""
 
     k: int
     status: str
@@ -569,11 +560,7 @@ class ConvergenceRow:
     ratio: complex | None = None
     target: complex | None = None
     deviation: float | None = None
-    gamma_k: complex | None = None
-    r_k: complex | None = None
     gamma_gap: float | None = None
-    postcritical_count: int | None = None
-    certified: bool | None = None
     construction: ConstructionResult | None = None
 
 
@@ -607,13 +594,7 @@ def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
                 ratio=ratio, target=target, deviation=abs(ratio - target),
             )
             built = solve_gamma_k(spec0, pair, k, tol=tol, base_pair=(cs, ct))
-            row.update(
-                gamma_k=built.gamma_k, r_k=built.r_k,
-                gamma_gap=abs(built.gamma_k - gamma0),
-                postcritical_count=built.postcritical_count,
-                certified=all(c.repelling for c in built.certificates),
-                construction=built,
-            )
+            row.update(gamma_gap=abs(built.gamma_k - gamma0), construction=built)
         except PrecisionExhausted:
             # collisions solved before the construction was refused are kept
             row["status"] = "precision_exhausted"

@@ -1,7 +1,8 @@
 """Independent reference implementations that the tests check the package against.
 
-None of these runs in a command: the lattice sum checks the theta series,
-the brute-force fiber checks `pullback_branch`, the Moebius conjugate checks
+None of these runs in a command: the lattice sum checks the theta series
+of P (read through `weierstrass_p`, which no command needs), the
+brute-force fiber checks `pullback_branch`, the Moebius conjugate checks
 the chart invariance of multipliers, and the inverse-branch tracker checks
 the shooting solve of the collision equations.
 """
@@ -24,7 +25,7 @@ from lattes_forge.dynamics import (
     pullback_branch,
     spherical_distance,
 )
-from lattes_forge.elliptic import TorusPoint, theta_data
+from lattes_forge.elliptic import TorusPoint, _context, theta_data
 from lattes_forge.errors import (
     BranchAmbiguity,
     ContinuationBreakdown,
@@ -39,13 +40,17 @@ from lattes_forge.perturbation import (
     RationalPair,
     _degree_power,
     _exact_itinerary,
-    _landing_phase,
     _marked_address,
     _member,
     base_map_for,
 )
 
 _TRACK_STEPS = 4  # initial parameter substeps of track_marked_point
+
+
+def weierstrass_p(tau: TorusPoint, gamma: complex) -> complex:
+    """P(s + t*gamma) for the lattice Z + gamma Z, via the package's theta q-series."""
+    return _context(gamma).p_value(tau)
 
 
 @lru_cache(maxsize=2)
@@ -170,8 +175,6 @@ def track_marked_point(family: PerturbedFamily, pair: RationalPair,
             "inverse branches are not single-valued along it")
     f0 = family.base_map
     ell = marked.exact_preperiod
-    cycle0 = marked.certificate.cycle
-    phase = _landing_phase(marked)
     current = list(marked.forward_orbit[: ell + 1])
     t_cur = 0j
     dt = t / _TRACK_STEPS
@@ -181,9 +184,8 @@ def track_marked_point(family: PerturbedFamily, pair: RationalPair,
         t_next = t if abs(t - t_cur) <= abs(dt) * (1 + 1e-12) else t_cur + dt
         try:
             ft = _member(f0, t_next)
-            cont = continue_cycle(f0, cycle0, ft)
             pts = [None] * (ell + 1)
-            pts[ell] = cont.points[phase]
+            pts[ell] = continue_cycle(f0, marked.cycle, ft).points[0]
             for j in range(ell - 1, -1, -1):
                 pts[j] = pullback_branch(ft, pts[j + 1], current[j], tol=1e-12)
         except (BranchAmbiguity, NoConvergence, ContinuationBreakdown) as exc:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lattes_forge.dynamics import SpherePoint, multiplier, pullback_branch, spherical_distance
-from lattes_forge.elliptic import TorusParameter, TorusPoint, theta_data, theta_map, weierstrass_p
+from lattes_forge.elliptic import TorusParameter, TorusPoint, theta_data, theta_map
 from lattes_forge.lattes import LattesSpec, build_rational_map, verify_semiconjugacy
 from lattes_forge.perturbation import (
     certify_strictly_pcf,
@@ -22,7 +22,7 @@ from lattes_forge.perturbation import (
 )
 
 from conftest import GAMMA0, record_criterion
-from oracles import preimages, weierstrass_p_lattice_sum
+from oracles import preimages, weierstrass_p, weierstrass_p_lattice_sum
 
 GAMMA5 = complex(0.2, 1.0)
 
@@ -34,7 +34,7 @@ def test_criterion_1_branch_derivative_identity():
         for im in np.linspace(0.8, 1.6, 5):
             td = theta_data(complex(re, im))
             worst = max(worst, abs(td.lam / td.v + td.mu / td.w))
-            worst = max(worst, abs(4.0 * td.lam / (td.v * (td.v - td.w)) - td.kappa))
+            worst = max(worst, abs(4.0 * td.mu / (td.w * (td.w - td.v)) - td.kappa))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-8 and elapsed < 10.0
     record_criterion("criterion 1 (derivative identity on 5x5 grid)", ok,
@@ -140,7 +140,7 @@ def test_criterion_6iii_normalized_collision_limit(spec_a2, pair_a2, collision_r
     sigma = pair_a2.offset("X", GAMMA0)
     td = theta_data(GAMMA0)
     tl = tracked_limits(spec_a2)
-    response = tl.x_dot - tl.v_dot
+    response = tl.x_dot - td.v
     devs = []
     for k, cs, _ in collision_rows:
         a2k = 4.0 ** k
@@ -154,7 +154,7 @@ def test_criterion_6iii_normalized_collision_limit(spec_a2, pair_a2, collision_r
 def test_criterion_7_construction_pipeline(spec_a2, base_a2, construction_results):
     gaps = [abs(b.gamma_k - GAMMA0) for b in construction_results]
     gaps_ok = all(b < a for a, b in zip(gaps, gaps[1:]))
-    cert_ok = all(c.repelling and c.landing_residual < 1e-8
+    cert_ok = all(c.cycle.repelling and c.landing_residual < 1e-8
                   for b in construction_results for c in b.certificates)
     count_ok = all(b.postcritical_count > 4 for b in construction_results)
     td = theta_data(GAMMA0)

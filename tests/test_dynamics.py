@@ -2,6 +2,7 @@
 
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from lattes_forge.dynamics import (
     spherical_distance,
 )
 from lattes_forge.elliptic import TorusParameter
-from lattes_forge.errors import BranchAmbiguity
+from lattes_forge.errors import BranchAmbiguity, IndeterminatePoint, RootCountMismatch
 from lattes_forge.lattes import LattesSpec, RationalMapCoeffs, build_rational_map
 
 from oracles import mobius_conjugate, preimages
@@ -59,6 +60,13 @@ def test_eval_map_charts(z2):
     assert abs(eval_map(z2, SpherePoint.from_complex(4e200)).coord(1)) < 1e-300
 
 
+def test_eval_map_refuses_common_zero():
+    # z (z - 1) / (z (z + 2)), built without the map check, is 0/0 at z = 0
+    f = SimpleNamespace(num=[0, -1, 1], den=[0, 2, 1], degree=2)
+    with pytest.raises(IndeterminatePoint):
+        eval_map(f, SpherePoint.zero())
+
+
 def test_orbit_length(z2):
     pts = orbit(z2, SpherePoint.from_complex(0.5), 5)
     assert len(pts) == 6
@@ -70,6 +78,13 @@ def test_critical_points_z2(z2):
     assert sum(m for _, m in found) == 2  # 2D - 2
     classes = {("inf" if p.is_infinity else round(abs(p.to_complex()), 9)) for p, m in found}
     assert classes == {0.0, "inf"}
+
+
+def test_critical_points_refuse_understated_degree():
+    # z^3 declared as degree 1: its Wronskian 3 z^2 has degree 2 > 2D - 2 = 0
+    f = SimpleNamespace(num=[0, 0, 0, 1], den=[1, 0, 0, 0], degree=1)
+    with pytest.raises(RootCountMismatch):
+        critical_points(f)
 
 
 def test_find_cycle_fixed_point(z2):
@@ -143,13 +158,13 @@ def test_pullback_branch_rejects_critical_neighborhood(z2):
 
 def test_classify_orbit_preperiodic(z2):
     cert = classify_orbit(z2, SpherePoint.from_complex(-1.0))
-    assert cert.found and cert.preperiod == 1 and cert.period == 1
-    assert cert.repelling and cert.landing_residual < 1e-10
+    assert cert.preperiod == 1 and cert.cycle.period == 1
+    assert cert.cycle.repelling and cert.landing_residual < 1e-10
 
 
 def test_classify_orbit_attracting_landing(z2):
     cert = classify_orbit(z2, SpherePoint.from_complex(1.5), max_iter=60)
-    assert cert.found and not cert.repelling  # superattracting infinity
+    assert not cert.cycle.repelling  # superattracting infinity
 
 
 def test_julia_render_deterministic(z2):

@@ -13,12 +13,11 @@ from lattes_forge.elliptic import (
     half_periods,
     theta_data,
     theta_map,
-    weierstrass_p,
 )
 from lattes_forge.errors import LemmaViolation, PoleAtLatticePoint
 
 from conftest import GAMMA0
-from oracles import is_half_lattice, weierstrass_p_lattice_sum
+from oracles import is_half_lattice, weierstrass_p, weierstrass_p_lattice_sum
 
 
 def test_gamma_must_be_upper_half_plane():
@@ -144,5 +143,5 @@ def test_branch_derivative_identity(gamma):
     # lam/v + mu/w = 0 and the two kappa expressions agree
     td = theta_data(gamma)
     assert abs(td.lam / td.v + td.mu / td.w) < 1e-8
-    kappa_other = 4.0 * td.lam / (td.v * (td.v - td.w))
+    kappa_other = 4.0 * td.mu / (td.w * (td.w - td.v))
     assert abs(kappa_other - td.kappa) < 1e-8

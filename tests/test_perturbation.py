@@ -68,15 +68,15 @@ def test_standard_parameters_rejections():
 
 def test_marked_point_exact_itinerary(spec_a2, pair_a2):
     mx = make_marked_point(spec_a2, pair_a2, 3, "X")
-    assert (mx.exact_preperiod, mx.exact_period) == (3, 1)
+    assert (mx.exact_preperiod, mx.cycle.period) == (3, 1)
     assert pullback_trackable(spec_a2, pair_a2, mx)
     assert not lands_on_postcritical_set(spec_a2, pair_a2, mx)
-    assert abs(mx.certificate.cycle.multiplier - (-2.0)) < 1e-6
+    assert abs(mx.cycle.multiplier - (-2.0)) < 1e-6
     my = make_marked_point(spec_a2, pair_a2, 3, "Y")
-    assert (my.exact_preperiod, my.exact_period) == (3, 1)
+    assert (my.exact_preperiod, my.cycle.period) == (3, 1)
     assert lands_on_postcritical_set(spec_a2, pair_a2, my)
     assert not pullback_trackable(spec_a2, pair_a2, my)
-    assert abs(my.certificate.cycle.multiplier - 4.0) < 1e-6
+    assert abs(my.cycle.multiplier - 4.0) < 1e-6
     landing = my.forward_orbit[my.exact_preperiod]
     assert spherical_distance(landing, SpherePoint.zero()) < 1e-12
 
@@ -125,7 +125,7 @@ def test_track_equivariance(spec_a2, pair_a2):
     base = base_map_for(spec_a2)
     fam = PerturbedFamily(spec_a2, base, t)
     moved = track_marked_point(fam, pair_a2, mx, t)
-    cont = continue_cycle(base, mx.certificate.cycle, fam.member)
+    cont = continue_cycle(base, mx.cycle, fam.member)
     z = moved
     for _ in range(mx.exact_preperiod):
         z = eval_map(fam.member, z)
@@ -173,8 +173,6 @@ def test_tracked_limits_match_closed_forms(a, case, gamma, expected):
     spec = spec_for(a, case, gamma)
     tl = tracked_limits(spec)
     assert abs(tl.x_dot - expected) < 1e-6
-    assert tl.v_dot == theta_data(gamma).v
-    assert tl.w_dot == theta_data(gamma).w
 
 
 @pytest.mark.parametrize("a,case", [(2, "EvenZero"), (3, "OddZero"), (3, "OddHalf")])
@@ -191,8 +189,8 @@ def test_cross_lemma_consistency(spec_a2):
     # -(x_dot - v_dot)/lam = (y_dot - w_dot)/mu ties both branch responses
     tl = tracked_limits(spec_a2)
     td = theta_data(GAMMA0)
-    left = -(tl.x_dot - tl.v_dot) / td.lam
-    right = (tl.y_dot - tl.w_dot) / td.mu
+    left = -(tl.x_dot - td.v) / td.lam
+    right = (tl.y_dot - td.w) / td.mu
     assert abs(left - right) < 1e-6
 
 
@@ -211,10 +209,11 @@ def test_rescaled_fn_limit_at_zero(spec_a2, pair_a2):
 def test_rescaled_fn_affine_slope(spec_a2, pair_a2):
     mx = make_marked_point(spec_a2, pair_a2, 10, "X")
     tl = tracked_limits(spec_a2)
+    v = theta_data(GAMMA0).v
     u = 0.5
     slope = (rescaled_collision_fn(spec_a2, pair_a2, mx, u)
              - rescaled_collision_fn(spec_a2, pair_a2, mx, 0.0)) / u
-    assert abs(slope - (tl.x_dot - tl.v_dot)) < 1e-4
+    assert abs(slope - (tl.x_dot - v)) < 1e-4
 
 
 def test_collision_frozen_root(spec_a2, pair_a2):
@@ -278,9 +277,9 @@ def test_marked_points_certified_at_k12(spec_a2, pair_a2):
     mx = make_marked_point(spec_a2, pair_a2, 12, "X")
     my = make_marked_point(spec_a2, pair_a2, 12, "Y")
     for marked, mult in ((mx, -2.0), (my, 4.0)):
-        assert (marked.exact_preperiod, marked.exact_period) == (12, 1)
-        assert marked.certificate.preperiod == 12 and marked.certificate.repelling
-        assert abs(marked.certificate.cycle.multiplier - mult) < 1e-6
+        assert (marked.exact_preperiod, marked.cycle.period) == (12, 1)
+        assert marked.cycle.repelling
+        assert abs(marked.cycle.multiplier - mult) < 1e-6
 
 
 def test_marked_point_refuses_k13(spec_a2, pair_a2):
@@ -319,7 +318,7 @@ def test_gamma_solve_frozen_k3(construction_results):
     assert abs(built.gamma_k - (0.11317737693245941 + 1.243695463760073j)) < 1e-8
     assert abs(built.r_k - (0.2477692621286274 + 0.012532118265764175j)) < 1e-8
     assert built.postcritical_count == 9
-    assert all(c.repelling for c in built.certificates)
+    assert all(c.cycle.repelling for c in built.certificates)
 
 
 def test_gamma_solve_deterministic(spec_a2, pair_a2, construction_results):
@@ -339,8 +338,8 @@ def test_convergence_row_solves_the_base_pair_once(spec_a2, pair_a2, constructio
     row = convergence_table(spec_a2, pair_a2, [3]).rows[0]
     assert len(seeds) == 7
     assert seeds[0] is None and all(None not in s for s in seeds[1:])
-    assert row.gamma_k == construction_results[0].gamma_k
-    assert row.r_k == construction_results[0].r_k
+    assert row.construction.gamma_k == construction_results[0].gamma_k
+    assert row.construction.r_k == construction_results[0].r_k
 
 
 def test_gamma_solve_approaches_base(construction_results):
@@ -356,7 +355,7 @@ def test_certify_base_map_has_four_postcritical_points(spec_a2, base_a2):
             SpherePoint.from_complex(td.w)]
     certs, count = certify_strictly_pcf(base_a2, crit)
     assert count == 4
-    assert all(c.repelling for c in certs)
+    assert all(c.cycle.repelling for c in certs)
 
 
 def test_certify_rejects_generic_perturbation(spec_a2, base_a2):
