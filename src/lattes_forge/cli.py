@@ -17,8 +17,6 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
 from .dynamics import MIN_GRID, critical_points, eval_map, julia_render, ppm_bytes, spherical_distance
 from .elliptic import TorusParameter, theta_data
 from .errors import (
@@ -64,11 +62,11 @@ def _json_text(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         return "[" + ", ".join(_json_text(v, indent) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)) or obj is None:
-        return json.dumps(bool(obj) if obj is not None else None)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
         return _fmt(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -127,9 +125,24 @@ def _parse_grid(text: str):
         raise ValueError("grid needs at least one point per axis")
     if im0 <= 0 or im1 <= 0:
         raise ValueError("gamma grid must stay in the upper half plane")
-    res = np.linspace(re0, re1, n)
-    ims = np.linspace(im0, im1, n)
+    res = _linspace(re0, re1, n)
+    ims = _linspace(im0, im1, n)
     return [complex(r, i) for i in ims for r in res]
+
+
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """numpy.linspace(start, stop, n) bit for bit, for n >= 1: start + i * step
+    in numpy's order of operations, with the last point set to stop."""
+    delta = stop - start
+    if n == 1:
+        return [0.0 * delta + start]
+    step = delta / (n - 1)
+    if step:
+        points = [i * step + start for i in range(n)]
+    else:  # the step underflowed to zero: numpy scales i / (n - 1) by delta
+        points = [i / (n - 1) * delta + start for i in range(n)]
+    points[-1] = stop
+    return points
 
 
 def _spec(args) -> LattesSpec:

@@ -8,17 +8,19 @@ w = W/Z otherwise) and multipliers are telescoping products of chart
 derivatives, which makes them chart-independent.
 
 Polynomial coefficient vectors are ascending (constant term first)
-throughout this module.
+throughout this module.  The scalar code is pure Python over any Python
+numbers; numpy is imported only inside the array code (the coefficient
+continuation and the render kernel).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import mmap
 import os
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     BranchAmbiguity,
@@ -28,14 +30,15 @@ from .errors import (
     RootCountMismatch,
 )
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 _GUARD = 10.0 * _EPS ** (1.0 / 3.0)  # derivative floor for branch tracking
-_INDETERMINATE_FLOOR = 1e-12
+_INDETERMINATE_FLOOR = 1e-12  # of the coefficient sum at the point, sum |c_k| |xi|^k
 _PARALLEL_TOL = 1e-12  # relative tolerance of the scaling check in continue_cycle
 _TRIM_REL = 1e-12  # coefficients below this share of the largest are dropped
 _CRITICAL_RADIUS = 1e-9 ** 0.5  # Wronskian roots closer than this are one critical point
 _CONTINUE_STEP = 0.5  # first and largest substep of continue_cycle, in s from 0 (f0) to 1 (f1)
 _CONTINUE_TOL = 1e-12  # cycle residual at each continuation substep
+_ROOT_SWEEPS = 200  # Aberth sweeps over all unconverged zeros before roots gives up
 
 
 @dataclass(frozen=True)
@@ -115,58 +118,167 @@ class OrbitCertificate:
     cycle: CycleData
 
 
-def _coeffs(f) -> tuple[np.ndarray, np.ndarray]:
+def _coeffs(f):
+    """f's numerator and denominator as numpy arrays, for the array code."""
+    import numpy as np
+
     return np.asarray(f.num, dtype=complex), np.asarray(f.den, dtype=complex)
 
 
-def _horner(coeffs: np.ndarray, x: complex) -> complex:
+def _horner(desc, x: complex) -> complex:
+    """Value at x of the polynomial whose coefficients desc run from the
+    highest power down."""
     acc = 0j
-    for c in coeffs[::-1]:
+    for c in desc:
         acc = acc * x + c
     return acc
 
 
-def _horner_pair(coeffs: np.ndarray, x: complex) -> tuple[complex, complex]:
-    """Value and derivative in one pass."""
+def _horner_pair(desc, x: complex) -> tuple[complex, complex]:
+    """Value and derivative in one pass; desc as in _horner."""
     acc = 0j
     der = 0j
-    for c in coeffs[::-1]:
+    for c in desc:
         der = der * x + acc
         acc = acc * x + c
     return acc, der
 
 
-def _polyder(coeffs: np.ndarray) -> np.ndarray:
+def _polyder(coeffs) -> list:
     if len(coeffs) <= 1:
-        return np.zeros(1, dtype=complex)
-    return coeffs[1:] * np.arange(1, len(coeffs), dtype=float)
+        return [0j]
+    return [c * float(k) for k, c in enumerate(coeffs) if k]
 
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    scale = np.max(np.abs(coeffs))
-    if scale == 0.0:
-        return coeffs[:1]
-    keep = np.nonzero(np.abs(coeffs) > _TRIM_REL * scale)[0]
-    return coeffs[: keep[-1] + 1] if len(keep) else coeffs[:1]
+def _convolve(a, b) -> list:
+    """Ascending coefficients of the product of two polynomials."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
-def _chart_polys(f, chart: int) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator of f as polynomials in the chart coordinate."""
-    num, den = _coeffs(f)
+def _trim(coeffs):
+    """coeffs without the top coefficients below _TRIM_REL of the largest."""
+    mags = [abs(c) for c in coeffs]
+    cut = _TRIM_REL * max(mags)
+    keep = [k for k, m in enumerate(mags) if m > cut]
+    return coeffs[: keep[-1] + 1] if keep else coeffs[:1]
+
+
+def _aberth_start(c: list) -> list:
+    """Starting points for the zeros of the polynomial with ascending
+    coefficients c (both end coefficients nonzero): for each edge of the
+    upper convex hull of (k, log |c_k|), as many points as the edge is long,
+    evenly spaced on the circle whose radius the edge's slope gives."""
+    n = len(c) - 1
+    logs = [math.log(abs(a)) if a else -math.inf for a in c]
+    hull = [0]
+    for k in range(1, n + 1):
+        if logs[k] == -math.inf:
+            continue
+        # drop the last vertex while it lies on or below the chord to k
+        while len(hull) >= 2 and ((logs[hull[-1]] - logs[hull[-2]]) * (k - hull[-2])
+                                  <= (logs[k] - logs[hull[-2]]) * (hull[-1] - hull[-2])):
+            hull.pop()
+        hull.append(k)
+    z = []
+    for lo, hi in zip(hull, hull[1:]):
+        m = hi - lo
+        radius = math.exp((logs[lo] - logs[hi]) / m)
+        z.extend(radius * cmath.exp(1j * (2.0 * math.pi * (j / m + lo / n) + 0.7))
+                 for j in range(m))
+    return z
+
+
+def roots(coeffs) -> list[complex]:
+    """Zeros, with multiplicity, of the polynomial with ascending coefficients
+    coeffs.  Zero top coefficients lower the degree; zero low coefficients
+    give exact zeros at 0.
+
+    Aberth-Ehrlich iteration, Gauss-Seidel order, from the starting points
+    of _aberth_start.  A zero stops moving once its backward error is at the
+    rounding level of Horner's rule, |p(z)| <= 4 n eps sum |c_k| |z|^k, with
+    p evaluated through its reversal at 1/z where |z| > 1 (Bini, Numer.
+    Algorithms 13 (1996) 179-200).  Simple zeros come out to a few rounding
+    units times their condition number, a double zero to about sqrt(eps),
+    like the companion-matrix eigenvalues of numpy.roots.  Raises
+    NoConvergence when a zero has not settled within _ROOT_SWEEPS sweeps.
+    """
+    c = [complex(x) for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    at_zero = 0
+    while at_zero < len(c) and c[at_zero] == 0:
+        at_zero += 1
+    c = c[at_zero:]
+    n = len(c) - 1
+    if n < 1:
+        return [0j] * at_zero
+    ascending = list(zip(c, map(abs, c)))  # Horner order of the reversal
+    descending = ascending[::-1]
+    noise = 4.0 * n * _EPS
+    z = _aberth_start(c)
+    active = range(n)
+    for _ in range(_ROOT_SWEEPS):
+        moving = []
+        for i in active:
+            zi = z[i]
+            p = dp = 0j
+            size = 0.0
+            inside = abs(zi) <= 1.0
+            x = zi if inside else 1.0 / zi
+            r = abs(x)
+            for a, m in descending if inside else ascending:
+                dp = dp * x + p
+                p = p * x + a
+                size = size * r + m
+            if p == 0:
+                continue  # an exact zero
+            # p'(z)/p(z); through the reversal q(x) = x^n p(1/x) it is x (n - x q'(x)/q(x))
+            newton = dp / p if inside else x * (n - x * dp / p)
+            pull = 0j
+            for j in range(n):
+                if j != i:
+                    pull += 1.0 / (zi - z[j])
+            z[i] = zi - 1.0 / (newton - pull)
+            if abs(p) > noise * size:
+                moving.append(i)
+        if not moving:
+            return [0j] * at_zero + z
+        active = moving
+    raise NoConvergence(f"polynomial zeros not settled within {_ROOT_SWEEPS} Aberth sweeps")
+
+
+def _chart_polys(f, chart: int):
+    """Numerator and denominator of f as polynomials in the chart coordinate,
+    coefficients from the highest power down (Horner's order)."""
     if chart == 0:
-        return num, den
-    return num[::-1], den[::-1]
+        return reversed(f.num), reversed(f.den)
+    return f.num, f.den
 
 
 def eval_map(f, z: SpherePoint) -> SpherePoint:
-    """Homogeneous evaluation (P(Z,W) : Q(Z,W)), exact at infinity."""
+    """Homogeneous evaluation (P(Z,W) : Q(Z,W)), exact at infinity.
+
+    Raises IndeterminatePoint where max(|P|, |Q|) is at most 1e-12 of the
+    coefficient sum at the point, sum (|p_k| + |q_k|) |xi|^k: a floor
+    relative to the map's own scale.  |xi| <= 1 in its chart, so that sum is
+    computed only below 1e-12 of the plain coefficient sum.
+    """
     c = z.chart()
     p, q = _chart_polys(f, c)
     xi = z.coord(c)
     pv = _horner(p, xi)
     qv = _horner(q, xi)
-    if max(abs(pv), abs(qv)) < _INDETERMINATE_FLOOR:
-        raise IndeterminatePoint(f"both homogeneous forms vanish near {z}")
+    size = max(abs(pv), abs(qv))
+    if size <= _INDETERMINATE_FLOOR * (sum(map(abs, f.num)) + sum(map(abs, f.den))):
+        p, q = _chart_polys(f, c)  # afresh: chart 0's reversed iterators are spent
+        r = abs(xi)
+        at_point = abs(_horner(map(abs, p), r)) + abs(_horner(map(abs, q), r))
+        if size <= _INDETERMINATE_FLOOR * at_point:
+            raise IndeterminatePoint(f"both homogeneous forms vanish near {z}")
     # in chart 1, P(1/y)/Q(1/y) = rev(num)(y)/rev(den)(y), still standard coords
     return SpherePoint.make(pv, qv)
 
@@ -208,23 +320,23 @@ def orbit(f, z: SpherePoint, n: int) -> list[SpherePoint]:
 
 def critical_points(f) -> list[tuple[SpherePoint, int]]:
     """Roots of the Wronskian P'Q - PQ' with multiplicities; total is 2D - 2."""
-    num, den = _coeffs(f)
+    num, den = f.num, f.den
     D = f.degree
-    wr = np.convolve(_polyder(num), den) - np.convolve(num, _polyder(den))
-    wr = _trim(wr)
+    wr = _trim([u - v for u, v in zip(_convolve(_polyder(num), den),
+                                       _convolve(num, _polyder(den)))])
     deg_wr = len(wr) - 1
     mult_inf = (2 * D - 2) - deg_wr
     if mult_inf < 0:
         raise RootCountMismatch(f"Wronskian degree {deg_wr} exceeds 2D-2 = {2 * D - 2}")
-    roots = np.roots(wr[::-1]) if deg_wr >= 1 else np.array([], dtype=complex)
-    wr_d = _polyder(wr)
+    wr_desc = wr[::-1]
+    wr_d_desc = _polyder(wr)[::-1]
+    flat = 1e-14 * max(map(abs, wr))  # Newton polish stops on a slope this flat
     polished = []
-    for r in roots:
-        x = complex(r)
+    for x in roots(wr):
         for _ in range(3):
-            v = _horner(wr, x)
-            d = _horner(wr_d, x)
-            if abs(d) < 1e-14:
+            v = _horner(wr_desc, x)
+            d = _horner(wr_d_desc, x)
+            if abs(d) < flat:
                 break
             step = v / d
             if abs(step) > 1.0:
@@ -307,6 +419,8 @@ def find_cycle(f, seed: SpherePoint, period: int, tol: float = 1e-12) -> CycleDa
 
 def _phase_align(num0, den0, num1, den1):
     """Rotate (num1, den1) by the unit scalar best matching (num0, den0)."""
+    import numpy as np
+
     inner = np.vdot(np.concatenate([num1, den1]), np.concatenate([num0, den0]))
     if abs(inner) < 1e-14:
         return num1, den1
@@ -314,9 +428,11 @@ def _phase_align(num0, den0, num1, den1):
     return num1 * phase, den1 * phase
 
 
-def _check_scaling(c0: np.ndarray, c1: np.ndarray) -> None:
+def _check_scaling(c0, c1) -> None:
     """ValueError unless c1 = lam * c0 up to rounding, with (1 - s) + s lam
     kept away from 0 for s in [0, 1]."""
+    import numpy as np
+
     lam = complex(np.vdot(c0, c1) / np.vdot(c0, c0))
     if not np.linalg.norm(c1 - lam * c0) <= _PARALLEL_TOL * np.linalg.norm(c1):
         raise ValueError("continue_cycle requires f1 to scale f0's numerator and denominator")
@@ -455,6 +571,8 @@ def _horner_block(cn, cd, x, p, q, dp, dq, t) -> None:
     one-element product in place through a loop without fused multiply-add,
     which changes the last bit.
     """
+    import numpy as np
+
     # the first step multiplies zeros by x; one product serves all four
     np.multiply(np.zeros_like(x), x, out=t)
     np.add(t, 0.0, out=dp)
@@ -473,7 +591,7 @@ def _horner_block(cn, cd, x, p, q, dp, dq, t) -> None:
 
 
 def _shade_block(num, den, xs, ys, max_iter: int, start: int, stop: int,
-                 out: np.ndarray) -> None:
+                 out) -> None:
     """Shade the row-major pixels start:stop of the grid ys x xs into out.
 
     Pixels stay grouped by input chart (chart 0 first, grid order kept
@@ -481,6 +599,8 @@ def _shade_block(num, den, xs, ys, max_iter: int, start: int, stop: int,
     Every pixel gets the same IEEE operations, in the same order, whatever
     the block and whatever its neighbours.
     """
+    import numpy as np
+
     rnum, rden = num[::-1], den[::-1]
     n = stop - start
     pos = np.arange(start, stop)  # grid index of each pixel as the groups move
@@ -525,7 +645,7 @@ def _usable_cpus() -> int:
 
 
 def julia_render(f, width: int, height: int, max_iter: int = 40,
-                 span: float = 2.0) -> np.ndarray:
+                 span: float = 2.0):
     """Derivative-growth shading over [-span, span]^2; (height, width, 3) uint8.
 
     Red encodes the average log spherical derivative, green the final chart
@@ -538,6 +658,8 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
     shared anonymous mapping; the processes share no interpreter lock.
     Every worker is reaped before the call returns or raises.
     """
+    import numpy as np
+
     if width < MIN_GRID or height < MIN_GRID:
         raise ValueError(f"grid dimensions must be at least {MIN_GRID}")
     if max_iter < 1:
@@ -579,8 +701,10 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
     return out.reshape(height, width, 3).copy()
 
 
-def ppm_bytes(buffer: np.ndarray) -> bytes:
+def ppm_bytes(buffer) -> bytes:
     """An (H, W, 3) uint8 buffer as binary PPM (P6)."""
+    import numpy as np
+
     h, w, c = buffer.shape
     if c != 3 or buffer.dtype != np.uint8:
         raise ValueError("buffer must be (H, W, 3) uint8")

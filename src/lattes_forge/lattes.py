@@ -16,19 +16,18 @@ and validated on held-out samples.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .dynamics import SpherePoint, eval_map, spherical_distance
+from .dynamics import SpherePoint, eval_map, roots, spherical_distance
 from .elliptic import HALF_LATTICE, TorusParameter, TorusPoint, theta_data, theta_map
 from .errors import IllConditioned, ValidationFailed
 
 CASE_TAGS = ("EvenZero", "OddZero", "OddHalf")
 _ROOT_GAP_FLOOR = 1e-6
-_DEGREE_FLOOR = 1e-9  # normalized coefficients at or below this do not count toward the degree
+_DEGREE_FLOOR = 1e-9  # coefficients at or below this share of the largest do not count toward the degree
 _MAX_DEGREE = 25
 # Roberts R2 quasi-random sequence constants (1/phi2, 1/phi2^2 for the
 # plastic number phi2); low-discrepancy and deterministic
@@ -79,31 +78,39 @@ def torus_endo(spec: LattesSpec, tau: TorusPoint) -> TorusPoint:
 
 @dataclass(frozen=True, eq=False)
 class RationalMapCoeffs:
-    """Degree-D rational map as ascending numerator/denominator coefficients.
+    """Degree-D rational map as ascending numerator/denominator coefficients,
+    held as tuples of Python complex.
 
-    Construction normalizes (pads to D + 1 coefficients, scales the joint max
-    coefficient modulus to 1, rotates the joint phase) and then checks the
-    map: the effective degree must match and the numerator and denominator
-    roots must stay apart (no common roots).  Maps derived from a checked map
-    by scaling its numerator and denominator come from `rescaled`, which
-    only normalizes.
+    Construction pads both to D + 1 coefficients and checks the map: finite
+    and not identically zero, the effective degree must match and the
+    numerator and denominator roots must stay apart (no common roots).  It
+    keeps the coefficients as given, scale included.  Maps derived from a
+    checked map by scaling its numerator and denominator come from
+    `rescaled`, which normalizes and does not check.
     """
 
-    num: np.ndarray
-    den: np.ndarray
+    num: tuple
+    den: tuple
     degree: int
 
     def __post_init__(self):
         D = self.degree
         if D < 1 or D > _MAX_DEGREE:
             raise ValueError(f"degree must be between 1 and {_MAX_DEGREE}, got {D}")
-        num, den = _normalized(self.num, self.den, D)
+        if len(self.num) > D + 1 or len(self.den) > D + 1:
+            raise ValueError("coefficient vectors longer than degree + 1")
+        pad = (0j,)
+        num = tuple(complex(c) for c in self.num) + pad * (D + 1 - len(self.num))
+        den = tuple(complex(c) for c in self.den) + pad * (D + 1 - len(self.den))
+        scale = max(map(abs, num + den))
+        if not (scale > 0.0 and all(map(cmath.isfinite, num + den))):
+            raise ValueError("coefficients are identically zero or non-finite")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        eff = max(_effective_degree(num), _effective_degree(den))
+        eff = max(_effective_degree(num, scale), _effective_degree(den, scale))
         if eff != D:
             raise ValueError(f"effective degree {eff} does not match declared degree {D}")
-        gap = _root_separation(num, den, D)
+        gap = _root_separation(num, den, scale, D)
         if gap < _ROOT_GAP_FLOOR:
             raise ValueError(f"numerator and denominator share a root (chordal gap {gap:.3e})")
 
@@ -116,25 +123,20 @@ class RationalMapCoeffs:
         The caller guarantees the scalings.
         """
         out = object.__new__(RationalMapCoeffs)
-        num, den = _normalized(num, den, self.degree)
+        num, den = _normalized(num, den)
         object.__setattr__(out, "num", num)
         object.__setattr__(out, "den", den)
         object.__setattr__(out, "degree", self.degree)
         return out
 
 
-def _normalized(num, den, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """num, den padded to D + 1 coefficients, divided by their joint max
-    modulus and rotated so that the largest coefficient is real positive."""
+def _normalized(num, den) -> tuple[tuple, tuple]:
+    """num, den divided by their joint max modulus and rotated so that the
+    largest coefficient is real positive, as tuples of Python complex."""
+    import numpy as np
+
     num = np.asarray(num, dtype=complex)
-    den = np.asarray(den, dtype=complex)
-    if len(num) > D + 1 or len(den) > D + 1:
-        raise ValueError("coefficient vectors longer than degree + 1")
-    if len(num) < D + 1:
-        num = np.pad(num, (0, D + 1 - len(num)))
-    if len(den) < D + 1:
-        den = np.pad(den, (0, D + 1 - len(den)))
-    joint = np.concatenate([num, den])
+    joint = np.concatenate([num, np.asarray(den, dtype=complex)])
     scale = np.max(np.abs(joint))
     if not 0.0 < scale < math.inf:
         raise ValueError("coefficients are identically zero or non-finite")
@@ -142,32 +144,32 @@ def _normalized(num, den, D: int) -> tuple[np.ndarray, np.ndarray]:
     # rotate the joint phase so the largest coefficient is real positive;
     # makes the projectively-unique vector canonical for serialization
     lead = joint[int(np.argmax(np.abs(joint)))]
-    joint = joint * (np.conj(lead) / abs(lead))
-    return joint[: D + 1], joint[D + 1:]
+    joint = (joint * (np.conj(lead) / abs(lead))).tolist()
+    return tuple(joint[: len(num)]), tuple(joint[len(num):])
 
 
-def _effective_degree(coeffs: np.ndarray) -> int:
-    idx = np.nonzero(np.abs(coeffs) > _DEGREE_FLOOR)[0]
-    return int(idx[-1]) if len(idx) else 0
+def _effective_degree(coeffs: tuple, scale: float) -> int:
+    """Index of the last coefficient above _DEGREE_FLOOR * scale (0 if none)."""
+    cut = _DEGREE_FLOOR * scale
+    return max((k for k, c in enumerate(coeffs) if abs(c) > cut), default=0)
 
 
-def _homogeneous_roots(coeffs: np.ndarray, D: int) -> list[SpherePoint]:
+def _homogeneous_roots(coeffs: tuple, scale: float, D: int) -> list[SpherePoint]:
     """Roots of the degree-D homogeneous lift, infinity included by degree drop."""
-    trimmed = coeffs[: _effective_degree(coeffs) + 1]
-    finite = np.roots(trimmed[::-1]) if len(trimmed) > 1 else []
-    pts = [SpherePoint.from_complex(complex(r)) for r in finite]
+    trimmed = coeffs[: _effective_degree(coeffs, scale) + 1]
+    pts = [SpherePoint.from_complex(r) for r in roots(trimmed)]
     pts.extend(SpherePoint.infinity() for _ in range(D - len(trimmed) + 1))
     return pts
 
 
-def _root_separation(num: np.ndarray, den: np.ndarray, D: int) -> float:
+def _root_separation(num: tuple, den: tuple, scale: float, D: int) -> float:
     """Min chordal distance between numerator and denominator root sets.
 
     Scale-free detector of common roots; a raw resultant floor is useless at
     degree ~9 where legitimate resultants of normalized vectors underflow.
     """
-    zeros = _homogeneous_roots(num, D)
-    poles = _homogeneous_roots(den, D)
+    zeros = _homogeneous_roots(num, scale, D)
+    poles = _homogeneous_roots(den, scale, D)
     return min(spherical_distance(z, p) for z in zeros for p in poles)
 
 
@@ -187,10 +189,20 @@ def _half_lattice_gap(s: float, t: float) -> float:
     return best
 
 
+def _float_endo(spec: LattesSpec):
+    """torus_endo for float coordinates (s, t), with the translation added as
+    floats: the same bits, since float + Fraction is float + float(Fraction),
+    without a trip through Fraction's reverse operators per point."""
+    a, b = spec.a, spec.translation
+    bs, bt = float(b.s), float(b.t)
+    return lambda s, t: TorusPoint(a * s + bs, a * t + bt).reduced()
+
+
 def _sample_stream(spec: LattesSpec):
     """Sphere images (theta(tau), theta(L tau)) of quasi-random torus samples
     tau, guard-filtered."""
     gamma = spec.gamma.gamma
+    endo = _float_endo(spec)
     j = 0
     while True:
         j += 1
@@ -198,11 +210,10 @@ def _sample_stream(spec: LattesSpec):
         t = (0.5 + j * _R2_B) % 1.0
         if _half_lattice_gap(s, t) < _SAMPLE_GAP:
             continue
-        tau = TorusPoint(s, t)
-        lt = torus_endo(spec, tau)
-        if _half_lattice_gap(float(lt.s), float(lt.t)) < _SAMPLE_GAP:
+        lt = endo(s, t)
+        if _half_lattice_gap(lt.s, lt.t) < _SAMPLE_GAP:
             continue
-        z = theta_map(tau, gamma)
+        z = theta_map(TorusPoint(s, t), gamma)
         w = theta_map(lt, gamma)
         if abs(z.Z) > _CHART_BOUND * abs(z.W) or abs(w.Z) > _CHART_BOUND * abs(w.W):
             continue
@@ -217,6 +228,8 @@ def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
     value direction.  The next 100 samples of the same stream are held out
     and must validate below 1e-9 in the spherical metric.
     """
+    import numpy as np
+
     D = spec.degree
     if D > _MAX_DEGREE:
         raise ValueError(f"degree {D} exceeds the cap {_MAX_DEGREE}")
@@ -233,7 +246,8 @@ def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
         raise IllConditioned(
             f"degree ambiguity: smallest singular values {sing[-1]:.3e}, {sing[-2]:.3e}")
     vec = np.conj(vh[-1])  # A = U S V^H, null direction is the conjugated row
-    f = RationalMapCoeffs(num=vec[: D + 1], den=vec[D + 1:], degree=D)
+    num, den = _normalized(vec[: D + 1], vec[D + 1:])
+    f = RationalMapCoeffs(num=num, den=den, degree=D)
     worst = 0.0
     for _ in range(100):
         z, w = next(stream)
@@ -259,22 +273,24 @@ def critical_values(spec: LattesSpec, r: complex) -> list[SpherePoint]:
 def verify_semiconjugacy(f: RationalMapCoeffs, spec: LattesSpec, n: int,
                          seed: int = 0) -> float:
     """Max spherical distance between f(theta(tau)) and theta(L(tau)) at n random points."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     gamma = spec.gamma.gamma
+    endo = _float_endo(spec)
     worst = 0.0
     count = 0
     while count < n:
         s, t = rng.random(2)
         if _half_lattice_gap(s, t) < 5e-3:
             continue
-        tau = TorusPoint(s, t)
-        lt = torus_endo(spec, tau)
-        if _half_lattice_gap(float(lt.s), float(lt.t)) < 5e-3:
+        lt = endo(s, t)
+        if _half_lattice_gap(lt.s, lt.t) < 5e-3:
             continue
         worst = max(worst, spherical_distance(
-            eval_map(f, theta_map(tau, gamma)), theta_map(lt, gamma)))
+            eval_map(f, theta_map(TorusPoint(s, t), gamma)), theta_map(lt, gamma)))
         count += 1
     return worst
 
@@ -289,6 +305,7 @@ def map_to_dict(f: RationalMapCoeffs) -> dict:
 
 
 def map_from_dict(doc: dict) -> RationalMapCoeffs:
-    num = np.array([complex(re, im) for re, im in doc["num"]])
-    den = np.array([complex(re, im) for re, im in doc["den"]])
+    """The checked map of a map_to_dict document, coefficients bit for bit."""
+    num = [complex(re, im) for re, im in doc["num"]]
+    den = [complex(re, im) for re, im in doc["den"]]
     return RationalMapCoeffs(num=num, den=den, degree=int(doc["degree"]))

@@ -125,9 +125,11 @@ class MarkedPreperiodicPoint:
 
 def _member(base: RationalMapCoeffs, t: complex) -> RationalMapCoeffs:
     """(1+t) * base: the numerator scaled by 1 + t, so it needs no root check."""
+    import numpy as np
+
     if t == -1:
         raise ValueError("t = -1 collapses the family to the zero map")
-    return base.rescaled((1.0 + t) * base.num, base.den)
+    return base.rescaled((1.0 + t) * np.asarray(base.num), base.den)
 
 
 @lru_cache(maxsize=32)

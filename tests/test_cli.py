@@ -180,7 +180,10 @@ def test_construct_certifies_k10(tmp_path):
     assert doc["postcritical_count"] == 23
 
 
-def test_certify_construct_artifact(tmp_path):
+def test_certify_construct_artifact(tmp_path, monkeypatch):
+    built, loaded = [], []
+    monkeypatch.setattr(cli, "map_to_dict", lambda f, save=cli.map_to_dict: built.append(f) or save(f))
+    monkeypatch.setattr(cli, "_load_map", lambda path, load=cli._load_map: loaded.append(load(path)) or loaded[-1])
     out = tmp_path / "run"
     assert main(["construct", "--k-min", "3", "--k-max", "3", "--out", str(out)]) == 0
     code = main(["certify", str(out / "construction_k3.json"), "--out", str(out)])
@@ -188,6 +191,34 @@ def test_certify_construct_artifact(tmp_path):
     doc = json.loads((out / "certificate.json").read_text())
     assert doc["postcritical_count"] == 9
     assert doc["lattes_witness"] is False
+    # certify works on the very map construct certified, not one rounding away
+    (g_k,), (g,) = built, loaded
+    assert (g.num, g.den, g.degree) == (g_k.num, g_k.den, g_k.degree)
+
+
+_NUMPY_FREE = """
+import sys
+import lattes_forge
+stages = ["numpy" in sys.modules]
+from lattes_forge.cli import main
+stages += [main(["certify", sys.argv[1], "--out", sys.argv[2]]), "numpy" in sys.modules]
+stages += [main(["verify-lemma1", "--grid=-0.1:0.1:0.9:1.1:2"]), "numpy" in sys.modules]
+print(stages)
+"""
+
+
+def test_certify_and_verify_lemma1_never_load_numpy(tmp_path):
+    # the map type and the scalar dynamics are pure Python; only the fit, the
+    # family's members, the continuation and the render kernel import numpy
+    out = tmp_path / "run"
+    assert main(["construct", "--k-min", "3", "--k-max", "3", "--out", str(out)]) == 0
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE, str(out / "construction_k3.json"),
+                           str(tmp_path / "cert")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, 0, False, 0, False]"
 
 
 def test_certify_base_map_is_lattes_witness(tmp_path, base_a2, capsys):

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lattes_forge import dynamics
 from lattes_forge.dynamics import (
@@ -21,6 +23,7 @@ from lattes_forge.dynamics import (
     orbit,
     pullback_branch,
     ppm_bytes,
+    roots,
     spherical_distance,
 )
 from lattes_forge.elliptic import TorusParameter
@@ -65,6 +68,15 @@ def test_eval_map_refuses_common_zero():
     f = SimpleNamespace(num=[0, -1, 1], den=[0, 2, 1], degree=2)
     with pytest.raises(IndeterminatePoint):
         eval_map(f, SpherePoint.zero())
+
+
+def test_eval_map_floor_is_relative_to_the_coefficients():
+    # (z^9 - a)/(z^9 - b) at z = 0.1: |P| = |Q| = 6e-13, below the old absolute
+    # floor 1e-12, while the coefficient sum there is about 4e-9 and P/Q = -i
+    a, b = 1e-9 - 6e-13, 1e-9 - 6e-13j
+    f = RationalMapCoeffs(num=[-a] + [0] * 8 + [1], den=[-b] + [0] * 8 + [1], degree=9)
+    image = eval_map(f, SpherePoint.from_complex(0.1))
+    assert abs(image.to_complex() + 1j) < 1e-9
 
 
 def test_orbit_length(z2):
@@ -336,3 +348,69 @@ def test_julia_render_reaps_every_worker(z2, monkeypatch, capfd, failing):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert ("worker share failed" in capfd.readouterr().err) == (failing == "worker")
+
+
+def _paired_gaps(found, oracle) -> list[tuple[complex, float]]:
+    """Each oracle zero with its distance to the nearest found zero not yet
+    paired, nearest pairs first."""
+    assert len(found) == len(oracle)
+    pairs = sorted((abs(x - z), i, j) for i, z in enumerate(oracle) for j, x in enumerate(found))
+    used_i, used_j, out = set(), set(), []
+    for d, i, j in pairs:
+        if i not in used_i and j not in used_j:
+            used_i.add(i)
+            used_j.add(j)
+            out.append((oracle[i], d))
+    return out
+
+
+def _from_zeros(zeros, scale) -> list:
+    """Ascending coefficients of scale * prod (z - zeros)."""
+    c = [scale]
+    for r in zeros:
+        c = [a - r * b for a, b in zip([0j] + c, c + [0j])]
+    return c
+
+
+# bounds fixed before measuring: a simple zero moves by about its condition
+# number times eps, a double zero by about sqrt(eps), in either solver
+SIMPLE_TOL = 1e-10
+DOUBLE_TOL = 1e-6
+
+
+@given(st.integers(1, 48).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n),
+    st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+    st.one_of(st.none(), st.integers(0, n - 1)))))
+def test_roots_match_numpy(drawn):
+    # separated zeros near the unit circle, one of them doubled or none
+    turns, radii, scale, double = drawn
+    n = len(turns)
+    zeros = [(1.0 + r) * np.exp(2j * np.pi * (k + t) / n) for k, (t, r) in enumerate(zip(turns, radii))]
+    if double is not None:
+        zeros.append(zeros[double])
+    c = _from_zeros(zeros, scale)
+    for z, gap in _paired_gaps(roots(c), np.roots(c[::-1])):
+        tol = DOUBLE_TOL if double is not None and abs(z - zeros[double]) < 1e-3 else SIMPLE_TOL
+        assert gap <= tol * max(1.0, abs(z))
+
+
+@pytest.mark.parametrize("a,case,gamma", [
+    (2, "EvenZero", 1 / 3 + 1j), (3, "OddZero", 0.2 + 1j), (3, "OddHalf", 0.2 + 1j),
+    (4, "EvenZero", 1 / 3 + 1j), (5, "OddZero", 0.2 + 1j),
+])
+def test_roots_of_base_maps_match_numpy(a, case, gamma):
+    # numerators of |a| >= 3 maps have double zeros (f vanishes to second
+    # order at the preimages of the critical value 0); Wronskian zeros are the
+    # critical points
+    f = build_rational_map(LattesSpec(TorusParameter(gamma), a, case))
+    num, den = np.asarray(f.num), np.asarray(f.den)
+    wr = (np.convolve(num[1:] * np.arange(1, len(num)), den)
+          - np.convolve(num, den[1:] * np.arange(1, len(den))))
+    for c in (num, den, wr):
+        c = dynamics._trim(c)
+        oracle = np.roots(c[::-1])
+        for z, gap in _paired_gaps(roots(c), oracle):
+            doubled = sorted(abs(oracle - z))[1] < 1e-4
+            assert gap <= (DOUBLE_TOL if doubled else SIMPLE_TOL) * max(1.0, abs(z))
