@@ -9,8 +9,7 @@ derivatives, which makes them chart-independent.
 
 Polynomial coefficient vectors are ascending (constant term first)
 throughout this module.  The scalar code is pure Python over any Python
-numbers; numpy is imported only inside the array code (the coefficient
-continuation and the render kernel).
+numbers; numpy is imported only inside the array code (the render kernel).
 """
 
 from __future__ import annotations
@@ -33,10 +32,9 @@ from .errors import (
 _EPS = sys.float_info.epsilon
 _GUARD = 10.0 * _EPS ** (1.0 / 3.0)  # derivative floor for branch tracking
 _INDETERMINATE_FLOOR = 1e-12  # of the coefficient sum at the point, sum |c_k| |xi|^k
-_PARALLEL_TOL = 1e-12  # relative tolerance of the scaling check in continue_cycle
 _TRIM_REL = 1e-12  # coefficients below this share of the largest are dropped
 _CRITICAL_RADIUS = 1e-9 ** 0.5  # Wronskian roots closer than this are one critical point
-_CONTINUE_STEP = 0.5  # first and largest substep of continue_cycle, in s from 0 (f0) to 1 (f1)
+_CONTINUE_STEP = 0.5  # first and largest substep of continue_cycle, in s from 0 to 1 along the path
 _CONTINUE_TOL = 1e-12  # cycle residual at each continuation substep
 _ROOT_SWEEPS = 200  # Aberth sweeps over all unconverged zeros before roots gives up
 
@@ -116,13 +114,6 @@ class OrbitCertificate:
     preperiod: int
     landing_residual: float
     cycle: CycleData
-
-
-def _coeffs(f):
-    """f's numerator and denominator as numpy arrays, for the array code."""
-    import numpy as np
-
-    return np.asarray(f.num, dtype=complex), np.asarray(f.den, dtype=complex)
 
 
 def _horner(desc, x: complex) -> complex:
@@ -363,7 +354,6 @@ def critical_points(f) -> list[tuple[SpherePoint, int]]:
 def _newton_periodic(f, seed: SpherePoint, period: int, tol: float, max_iter: int = 60) -> tuple[SpherePoint, float]:
     """Newton iteration for f^period(z) = z, tracked in a moving chart."""
     z = seed
-    last_res = math.inf
     for _ in range(max_iter):
         pts = orbit(f, z, period)
         res = spherical_distance(pts[-1], pts[0])
@@ -391,9 +381,6 @@ def _newton_periodic(f, seed: SpherePoint, period: int, tol: float, max_iter: in
         if not math.isfinite(abs(step)):
             raise NoConvergence("Newton step overflow")
         z = SpherePoint.from_coord(xi - step, c0)
-        if res > 1.0 and res >= last_res:
-            raise NoConvergence("periodic-point Newton diverged")
-        last_res = res
     raise NoConvergence(f"no periodic point of period {period} within {max_iter} Newton steps")
 
 
@@ -417,64 +404,24 @@ def find_cycle(f, seed: SpherePoint, period: int, tol: float = 1e-12) -> CycleDa
     return CycleData(points=cycle_pts, period=minimal, multiplier=mult, residual=residual)
 
 
-def _phase_align(num0, den0, num1, den1):
-    """Rotate (num1, den1) by the unit scalar best matching (num0, den0)."""
-    import numpy as np
+def continue_cycle(member, cycle: CycleData) -> CycleData:
+    """Continuation of a repelling cycle of member(0) along the path of maps
+    member(s), s from 0 to 1.
 
-    inner = np.vdot(np.concatenate([num1, den1]), np.concatenate([num0, den0]))
-    if abs(inner) < 1e-14:
-        return num1, den1
-    phase = np.conj(inner) / abs(inner)
-    return num1 * phase, den1 * phase
-
-
-def _check_scaling(c0, c1) -> None:
-    """ValueError unless c1 = lam * c0 up to rounding, with (1 - s) + s lam
-    kept away from 0 for s in [0, 1]."""
-    import numpy as np
-
-    lam = complex(np.vdot(c0, c1) / np.vdot(c0, c0))
-    if not np.linalg.norm(c1 - lam * c0) <= _PARALLEL_TOL * np.linalg.norm(c1):
-        raise ValueError("continue_cycle requires f1 to scale f0's numerator and denominator")
-    step = lam - 1.0
-    s = min(1.0, max(0.0, -step.real / abs(step) ** 2)) if step else 0.0
-    if abs(1.0 + s * step) <= _PARALLEL_TOL * max(1.0, abs(lam)):
-        raise ValueError("continue_cycle: interpolating from f0 to f1 passes through zero")
-
-
-def continue_cycle(f0, cycle: CycleData, f1) -> CycleData:
-    """Homotopy continuation of a repelling cycle from f0 to f1.
-
-    f1's numerator and denominator must each be a scalar multiple of f0's,
-    as for members of a scaling family; ValueError otherwise.  Linear
-    interpolation of the coefficient vectors (phase-aligned first), with
-    Newton correction at each substep and adaptive halving on failure.
+    Newton correction at each substep and adaptive halving on failure; the
+    result is the cycle of member(1.0), polished with the same period.
     """
     if not cycle.repelling:
         raise ValueError("continue_cycle requires a repelling cycle")
-    num0, den0 = _coeffs(f0)
-    num1, den1 = _coeffs(f1)
-    if len(num0) != len(num1) or len(den0) != len(den1):
-        raise ValueError("coefficient vectors must have matching shapes")
-    num1, den1 = _phase_align(num0, den0, num1, den1)
-    # num1 = lam num0 makes each interpolant's numerator (1 - s + s lam) num0, a
-    # nonzero multiple of num0 (likewise the denominator): every interpolant has
-    # f0's zeros, poles and degree, so f0.rescaled need not check it again
-    _check_scaling(num0, num1)
-    _check_scaling(den0, den1)
     z = cycle.points[0]
     period = cycle.period
     s = 0.0
     ds = _CONTINUE_STEP
     min_ds = ds / 2 ** 24
-
-    def at(sv):
-        return f0.rescaled((1.0 - sv) * num0 + sv * num1, (1.0 - sv) * den0 + sv * den1)
-
     while s < 1.0 - 1e-15:
         sv = min(1.0, s + ds)
         try:
-            z_new, _ = _newton_periodic(at(sv), z, period, _CONTINUE_TOL, max_iter=20)
+            z_new, _ = _newton_periodic(member(sv), z, period, _CONTINUE_TOL, max_iter=20)
         except (NoConvergence, ValueError):
             ds *= 0.5
             if ds < min_ds:
@@ -484,7 +431,7 @@ def continue_cycle(f0, cycle: CycleData, f1) -> CycleData:
         z, s = z_new, sv
         if ds < _CONTINUE_STEP:
             ds *= 2.0
-    continued = find_cycle(at(1.0), z, period, _CONTINUE_TOL)
+    continued = find_cycle(member(1.0), z, period, _CONTINUE_TOL)
     if continued.period != period:
         raise ContinuationBreakdown(
             f"period changed from {period} to {continued.period} during continuation")
@@ -666,7 +613,7 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(span) and span > 0.0):
         raise ValueError(f"span must be finite and positive, got {span}")
-    num, den = _coeffs(f)
+    num, den = np.asarray(f.num, dtype=complex), np.asarray(f.den, dtype=complex)
     xs = np.linspace(-span, span, width)
     ys = np.linspace(-span, span, height)
     size = width * height

@@ -84,9 +84,9 @@ class RationalMapCoeffs:
     Construction pads both to D + 1 coefficients and checks the map: finite
     and not identically zero, the effective degree must match and the
     numerator and denominator roots must stay apart (no common roots).  It
-    keeps the coefficients as given, scale included.  Maps derived from a
-    checked map by scaling its numerator and denominator come from
-    `rescaled`, which normalizes and does not check.
+    keeps the coefficients as given, scale included.  The scaling-family
+    members (1 + t) f of a checked map come from `scaled`, which normalizes
+    and does not check.
     """
 
     num: tuple
@@ -114,16 +114,19 @@ class RationalMapCoeffs:
         if gap < _ROOT_GAP_FLOOR:
             raise ValueError(f"numerator and denominator share a root (chordal gap {gap:.3e})")
 
-    def rescaled(self, num, den) -> RationalMapCoeffs:
-        """The map with numerator num and denominator den, each a nonzero
-        scalar multiple of this map's, normalized but not checked again.
+    def scaled(self, factor) -> RationalMapCoeffs:
+        """The map (factor P : Q), normalized but not checked again.
 
-        Scaling a polynomial by a nonzero constant keeps its zeros and its
-        degree, so such a map passes the check exactly when this one does.
-        The caller guarantees the scalings.
+        Scaling the numerator by a nonzero constant keeps its zeros and its
+        degree, so the result passes the check exactly when this map does.
+        Raises ValueError for a zero or non-finite factor.
         """
+        import numpy as np
+
+        if factor == 0 or not cmath.isfinite(factor):
+            raise ValueError(f"scaling factor {factor} is zero or non-finite")
         out = object.__new__(RationalMapCoeffs)
-        num, den = _normalized(num, den)
+        num, den = _normalized(factor * np.asarray(self.num), self.den)
         object.__setattr__(out, "num", num)
         object.__setattr__(out, "den", den)
         object.__setattr__(out, "degree", self.degree)

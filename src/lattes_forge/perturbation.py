@@ -123,15 +123,6 @@ class MarkedPreperiodicPoint:
     offset_value: complex
 
 
-def _member(base: RationalMapCoeffs, t: complex) -> RationalMapCoeffs:
-    """(1+t) * base: the numerator scaled by 1 + t, so it needs no root check."""
-    import numpy as np
-
-    if t == -1:
-        raise ValueError("t = -1 collapses the family to the zero map")
-    return base.rescaled((1.0 + t) * np.asarray(base.num), base.den)
-
-
 @lru_cache(maxsize=32)
 def base_map_for(spec: LattesSpec) -> RationalMapCoeffs:
     return build_rational_map(spec)
@@ -232,7 +223,7 @@ class TrackedLimits:
 
 def _limit_point(spec: LattesSpec, base: RationalMapCoeffs, t: complex, near: complex) -> complex:
     """Continuation of the marked limit point (near v or w) to parameter t."""
-    ft = _member(base, t)
+    ft = base.scaled(1.0 + t)
     seed = SpherePoint.from_complex(near)
     if spec.case_tag == "EvenZero":
         return pullback_branch(ft, SpherePoint.zero(), seed, tol=1e-13).to_complex()
@@ -333,10 +324,17 @@ def _chart_coord(p: SpherePoint, chart: int) -> complex:
 
 def _shooting_misfit(marked: MarkedPreperiodicPoint, base: RationalMapCoeffs, cv: complex,
                      chart: int, t: complex):
-    """Chart difference between the shot orbit of (1+t)cv and the continued
-    landing point."""
-    ft = _member(base, t)
-    target = continue_cycle(base, marked.cycle, ft).points[0]
+    """Chart difference between the shot orbit of (1+t)cv and the landing
+    point continued along the family (1 + s t) f, s from 0 to 1.
+
+    Raises ValueError, before any Newton step, when the path passes through
+    the zero map: |1 + s t| is least at s = -Re(t) / |t|^2 clamped to [0, 1].
+    """
+    least = min(1.0, max(0.0, -t.real / abs(t) ** 2)) if t else 0.0
+    if abs(1.0 + least * t) <= 1e-12 * max(1.0, abs(1.0 + t)):
+        raise ValueError(f"the family path from f to (1 + t) f, t = {t}, passes through zero")
+    ft = base.scaled(1.0 + t)
+    target = continue_cycle(lambda s: base.scaled(1.0 + s * t), marked.cycle).points[0]
     z = SpherePoint.from_complex((1.0 + t) * cv)
     for _ in range(marked.exact_preperiod):
         z = eval_map(ft, z)
@@ -533,7 +531,7 @@ def solve_gamma_k(spec0: LattesSpec, pair: RationalPair, k: int, tol: float = 1e
         iters += 1
     spec_k, cs, ct = aux
     r_k = cs.value
-    g_k = _member(base_map_for(spec_k), r_k)
+    g_k = base_map_for(spec_k).scaled(1.0 + r_k)
     crit = critical_values(spec_k, r_k)
     certs, count = certify_strictly_pcf(g_k, crit, max_iter=2 * (k + 8) + 80, tol=_PCF_TOL)
     return ConstructionResult(

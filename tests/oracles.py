@@ -18,7 +18,6 @@ import numpy as np
 
 from lattes_forge.dynamics import (
     SpherePoint,
-    _coeffs,
     _trim,
     continue_cycle,
     eval_map,
@@ -41,7 +40,6 @@ from lattes_forge.perturbation import (
     _degree_power,
     _exact_itinerary,
     _marked_address,
-    _member,
     base_map_for,
 )
 
@@ -76,7 +74,7 @@ def weierstrass_p_lattice_sum(tau: TorusPoint, gamma: complex, box: int = 200) -
 
 def preimages(f, target: SpherePoint) -> list[SpherePoint]:
     """All D preimages of target, with multiplicity, by root extraction."""
-    num, den = _coeffs(f)
+    num, den = np.asarray(f.num, dtype=complex), np.asarray(f.den, dtype=complex)
     poly = target.W * num - target.Z * den
     poly = _trim(poly)
     deg = len(poly) - 1
@@ -90,7 +88,7 @@ def mobius_conjugate(f, mobius: tuple[complex, complex, complex, complex]):
     a, b, c, d = (complex(v) for v in mobius)
     if abs(a * d - b * c) < 1e-14:
         raise ValueError("Moebius map is singular")
-    num, den = _coeffs(f)
+    num, den = np.asarray(f.num, dtype=complex), np.asarray(f.den, dtype=complex)
     D = f.degree
     # substitute z = M^-1(x) = (dx - b)/(-cx + a) into P and Q
     top = np.array([-b, d], dtype=complex)
@@ -127,7 +125,7 @@ class PerturbedFamily:
     member: RationalMapCoeffs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "member", _member(self.base_map, self.t))
+        object.__setattr__(self, "member", self.base_map.scaled(1.0 + self.t))
 
 
 def is_half_lattice(tp: TorusPoint) -> bool:
@@ -183,9 +181,10 @@ def track_marked_point(family: PerturbedFamily, pair: RationalPair,
     while abs(t_cur - t) > 0:
         t_next = t if abs(t - t_cur) <= abs(dt) * (1 + 1e-12) else t_cur + dt
         try:
-            ft = _member(f0, t_next)
+            ft = f0.scaled(1.0 + t_next)
             pts = [None] * (ell + 1)
-            pts[ell] = continue_cycle(f0, marked.cycle, ft).points[0]
+            pts[ell] = continue_cycle(lambda s: f0.scaled(1.0 + s * t_next),
+                                      marked.cycle).points[0]
             for j in range(ell - 1, -1, -1):
                 pts[j] = pullback_branch(ft, pts[j + 1], current[j], tol=1e-12)
         except (BranchAmbiguity, NoConvergence, ContinuationBreakdown) as exc:

@@ -266,6 +266,15 @@ def test_verify_lemma3_a5_period2_any_blas_threads(threads):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_known_defect_a5_fit_is_refused(capsys):
+    """Known defect: the SVD fit of a = 5, case 2 at gamma = 1/5 + 3/5 i misses
+    its held-out samples by 4.5e-3, so verify-lemma3 refuses it with a typed
+    error.  A closed-form Lattes map in place of the fit (ROADMAP item 3) is
+    expected to flip this test."""
+    assert main(["verify-lemma3", "--a", "5", "--case", "2", "--x0=1/5", "--y0=3/5"]) == 2
+    assert capsys.readouterr().err.startswith("error: held-out semiconjugacy residual")
+
+
 def test_render_construct_artifact(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["construct", "--k-min", "3", "--k-max", "3", "--out", str(out)]) == 0

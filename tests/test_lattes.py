@@ -157,19 +157,36 @@ def test_map_check_refuses(num, den, degree, message):
         RationalMapCoeffs(num=num, den=den, degree=degree)
 
 
-def test_rescaled_map_skips_the_check_only(base_a2, monkeypatch):
+def test_scaled_map_skips_the_check_only(base_a2, monkeypatch):
     scaled = 1.5j * np.asarray(base_a2.num)
     checked = RationalMapCoeffs(num=scaled, den=base_a2.den, degree=4)
     # the constructor checks and keeps the coefficients as given
     assert checked.num == tuple(scaled.tolist()) and checked.den == base_a2.den
 
     def refuse(*args):
-        raise AssertionError("root check ran on a rescaled map")
+        raise AssertionError("root check ran on a scaled map")
 
     monkeypatch.setattr(lattes, "_root_separation", refuse)
-    g = base_a2.rescaled(scaled, base_a2.den)
-    # rescaled normalizes, without the check
+    g = base_a2.scaled(1.5j)
+    # scaled normalizes, without the check
     assert (g.num, g.den) == lattes._normalized(checked.num, checked.den)
     assert max(map(abs, g.num + g.den)) == 1.0
-    with pytest.raises(ValueError, match="identically zero"):
-        base_a2.rescaled(0 * scaled, 0 * scaled)
+
+
+@pytest.mark.parametrize("factor", [0, 0j, float("nan"), complex(1.0, float("inf"))])
+def test_scaled_refuses_zero_and_non_finite_factors(base_a2, factor):
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        base_a2.scaled(factor)
+
+
+@pytest.mark.parametrize("a,case,gamma", [
+    (2, "EvenZero", GAMMA0), (3, "OddZero", 0.2 + 1j),
+    (4, "EvenZero", GAMMA0), (5, "OddZero", 0.2 + 1j),
+])
+def test_scaled_is_the_family_member_bit_for_bit(a, case, gamma):
+    # (1 + t) f: the numerator times 1 + t as one numpy product, then normalized
+    base = build_rational_map(LattesSpec(TorusParameter(gamma), a, case))
+    for t in (1e-3 + 2e-3j, -0.5, 0.2 - 0.3j, 3e-9j):
+        g = base.scaled(1.0 + t)
+        assert (g.num, g.den, g.degree) == (
+            *lattes._normalized((1.0 + t) * np.asarray(base.num), base.den), base.degree)

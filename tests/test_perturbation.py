@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import lattes_forge.dynamics as dynamics
 import lattes_forge.lattes as lattes
 import lattes_forge.perturbation as perturbation
 from lattes_forge.dynamics import SpherePoint, continue_cycle, eval_map, orbit, spherical_distance
@@ -125,7 +126,7 @@ def test_track_equivariance(spec_a2, pair_a2):
     base = base_map_for(spec_a2)
     fam = PerturbedFamily(spec_a2, base, t)
     moved = track_marked_point(fam, pair_a2, mx, t)
-    cont = continue_cycle(base, mx.cycle, fam.member)
+    cont = continue_cycle(lambda s: base.scaled(1.0 + s * t), mx.cycle)
     z = moved
     for _ in range(mx.exact_preperiod):
         z = eval_map(fam.member, z)
@@ -152,8 +153,8 @@ def test_perturbed_family_rejects_degenerate_t(spec_a2):
 
 
 def test_collision_solve_checks_no_derived_map(spec_a2, pair_a2, monkeypatch):
-    # the base map is checked once when it is fit; scaling-family members and
-    # continuation interpolants only rescale it, so the root check never runs
+    # the base map is checked once when it is fit; the scaling-family members
+    # along every continuation path come from `scaled`, so the root check never runs
     base_map_for(spec_a2)
     calls = []
     check = lattes._root_separation
@@ -162,6 +163,39 @@ def test_collision_solve_checks_no_derived_map(spec_a2, pair_a2, monkeypatch):
     cs, ct = _collision_pair(spec_a2, pair_a2, 3)
     assert abs(cs.rescaled) > 0 and abs(ct.rescaled) > 0
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("family", perturbation.FAMILIES)
+def test_continuation_along_the_family_is_path_independent(family):
+    # a = 3, case 3, gamma = 1/5 + i at t = 0.2 - 0.3i, where normalizing
+    # (1 + t) f rotates its coefficients far from f's: along (1 + s t) f one
+    # leg and two legs, 0 -> t/2 -> t, reach the same cycle of (1 + t) f
+    spec = spec_for(3, "OddHalf", GAMMA5)
+    marked = make_marked_point(spec, standard_parameters(Fraction(1, 5), Fraction(1), 3),
+                               2, family)
+    base = base_map_for(spec)
+    t = 0.2 - 0.3j
+    one = continue_cycle(lambda s: base.scaled(1.0 + s * t), marked.cycle)
+    half = continue_cycle(lambda s: base.scaled(1.0 + s * (0.5 * t)), marked.cycle)
+    two = continue_cycle(lambda s: base.scaled(1.0 + (0.5 + 0.5 * s) * t), half)
+    assert one.period == two.period == marked.cycle.period
+    assert spherical_distance(one.points[0], two.points[0]) < 1e-12
+    ft = base.scaled(1.0 + t)
+    for c in (one, two):
+        for p, q in zip(c.points, c.points[1:] + c.points[:1]):
+            assert spherical_distance(eval_map(ft, p), q) < 1e-12
+
+
+@pytest.mark.parametrize("t", [-2.0, -2.0 + 1e-14j])
+def test_shooting_refuses_a_path_through_the_zero_map(spec_a2, pair_a2, monkeypatch, t):
+    # (1 + s t) f is the zero map at s = 1/2; refused before any Newton step
+    mx = make_marked_point(spec_a2, pair_a2, 3, "X")
+    steps = []
+    monkeypatch.setattr(dynamics, "_newton_periodic",
+                        lambda *args, **kwargs: steps.append(1) or (args[1], 0.0))
+    with pytest.raises(ValueError, match="passes through zero"):
+        perturbation._shooting_misfit(mx, base_map_for(spec_a2), theta_data(GAMMA0).v, 0, t)
+    assert steps == []
 
 
 @pytest.mark.parametrize("a,case,gamma,expected", [

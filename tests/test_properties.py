@@ -16,7 +16,7 @@ from lattes_forge.dynamics import (
     spherical_distance,
 )
 from lattes_forge.elliptic import TorusParameter, TorusPoint
-from lattes_forge.errors import NoConvergence
+from lattes_forge.errors import IndeterminatePoint, NoConvergence
 from lattes_forge.lattes import (
     LattesSpec,
     RationalMapCoeffs,
@@ -36,6 +36,8 @@ SPECS = [LattesSpec(TorusParameter(GAMMA0), 2, "EvenZero"),
 LATTES_MAPS = [build_rational_map(spec) for spec in SPECS]
 
 coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+factors = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False,
+                             allow_infinity=False)
 coordinates = st.one_of(st.fractions(), st.floats(-1e6, 1e6, allow_nan=False))
 
 
@@ -51,7 +53,7 @@ def maps(draw):
         assume(False)
 
 
-@given(st.one_of(maps(), maps().map(lambda f: f.rescaled(f.num, f.den)),
+@given(st.one_of(maps(), maps().map(lambda f: f.scaled(1.0)),
                  st.sampled_from(LATTES_MAPS)))
 def test_json_text_round_trip_is_bit_exact(f):
     # 17 significant digits give back every coefficient bit, and loading keeps
@@ -61,6 +63,22 @@ def test_json_text_round_trip_is_bit_exact(f):
     assert again == doc
     g = map_from_dict(again)
     assert (g.num, g.den, g.degree) == (f.num, f.den, f.degree)
+
+
+@given(st.one_of(maps(), st.sampled_from(LATTES_MAPS)), factors, factors,
+       st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+def test_scaled_map_is_the_factor_times_the_map(f, c1, c2, x):
+    # f.scaled(c) takes z to (c P(z) : Q(z)), and scaling twice is scaling
+    # once by the product
+    z = SpherePoint.from_complex(x)
+    try:
+        image = eval_map(f, z)
+    except IndeterminatePoint:
+        assume(False)
+    want = SpherePoint.make(c1 * image.Z, image.W)
+    assert spherical_distance(eval_map(f.scaled(c1), z), want) < 1e-12
+    assert spherical_distance(eval_map(f.scaled(c1).scaled(c2), z),
+                              eval_map(f.scaled(c1 * c2), z)) < 1e-12
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64).filter(lambda x: abs(x) < 1e300),
