@@ -20,7 +20,6 @@ from fractions import Fraction
 from .dynamics import MIN_GRID, critical_points, eval_map, julia_render, ppm_bytes, spherical_distance
 from .elliptic import TorusParameter, theta_data
 from .errors import (
-    CoprimalityViolation,
     LattesForgeError,
     LemmaViolation,
     NotPCF,
@@ -162,11 +161,7 @@ def _write_report(args, name: str, doc: dict, csv_lines: list) -> None:
 
 def cmd_verify_lemma1(args) -> int:
     tol = args.tol
-    try:
-        grid = _parse_grid(args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    grid = _parse_grid(args.grid)
     rows = []
     worst = 0.0
     for gamma in grid:
@@ -269,16 +264,12 @@ def cmd_construct(args) -> int:
         raise ValueError(f"empty depth range: --k-min {args.k_min} > --k-max {args.k_max}")
     if args.render and args.size < MIN_GRID:
         raise ValueError(f"--render needs --size of at least {MIN_GRID}, got {args.size}")
-    try:
-        pair = standard_parameters(args.x0, args.y0, args.a)
-    except (CoprimalityViolation, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    base_point = standard_parameters(args.x0, args.y0, args.a)
     spec0 = _spec(args)
     gamma0 = spec0.gamma.gamma
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    table = convergence_table(spec0, pair, range(args.k_min, args.k_max + 1), tol=args.tol)
+    table = convergence_table(spec0, base_point, range(args.k_min, args.k_max + 1), tol=args.tol)
     csv_lines = ["# lattes-forge convergence-table schema 1", _CSV_HEADER]
     exhausted = False
     all_certified = True

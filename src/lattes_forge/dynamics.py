@@ -256,7 +256,7 @@ def eval_map(f, z: SpherePoint) -> SpherePoint:
     Raises IndeterminatePoint where max(|P|, |Q|) is at most 1e-12 of the
     coefficient sum at the point, sum (|p_k| + |q_k|) |xi|^k: a floor
     relative to the map's own scale.  |xi| <= 1 in its chart, so that sum is
-    computed only below 1e-12 of the plain coefficient sum.
+    computed only below 1e-12 of the plain coefficient sum f.abs_sum.
     """
     c = z.chart()
     p, q = _chart_polys(f, c)
@@ -264,7 +264,7 @@ def eval_map(f, z: SpherePoint) -> SpherePoint:
     pv = _horner(p, xi)
     qv = _horner(q, xi)
     size = max(abs(pv), abs(qv))
-    if size <= _INDETERMINATE_FLOOR * (sum(map(abs, f.num)) + sum(map(abs, f.den))):
+    if size <= _INDETERMINATE_FLOOR * f.abs_sum:
         p, q = _chart_polys(f, c)  # afresh: chart 0's reversed iterators are spent
         r = abs(xi)
         at_point = abs(_horner(map(abs, p), r)) + abs(_horner(map(abs, q), r))

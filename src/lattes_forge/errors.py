@@ -46,10 +46,6 @@ class BranchAmbiguity(LattesForgeError):
     """Two inverse branches are too close to select one reliably."""
 
 
-class CoprimalityViolation(LattesForgeError):
-    """A rational parameter denominator shares a factor with a or 2."""
-
-
 class PrecisionExhausted(LattesForgeError):
     """Requested depth k exceeds what double precision can resolve."""
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dynamics import SpherePoint, eval_map, roots, spherical_distance
 from .elliptic import HALF_LATTICE, TorusParameter, TorusPoint, theta_data, theta_map
-from .errors import IllConditioned, ValidationFailed
+from .errors import IllConditioned, NoConvergence, ValidationFailed
 
 CASE_TAGS = ("EvenZero", "OddZero", "OddHalf")
 _ROOT_GAP_FLOOR = 1e-6
@@ -70,10 +70,10 @@ class LattesSpec:
         return TorusPoint(Fraction(0), Fraction(0))
 
 
-def torus_endo(spec: LattesSpec, tau: TorusPoint) -> TorusPoint:
-    """L(tau) = a tau + b reduced mod the lattice; exact on rational addresses."""
-    b = spec.translation
-    return TorusPoint(spec.a * tau.s + b.s, spec.a * tau.t + b.t).reduced()
+def torus_endo(a: int, b: TorusPoint, tau: TorusPoint) -> TorusPoint:
+    """L(tau) = a tau + b reduced mod the lattice, for the multiplier a and the
+    translation b of a spec; exact on rational addresses."""
+    return TorusPoint(a * tau.s + b.s, a * tau.t + b.t).reduced()
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +92,7 @@ class RationalMapCoeffs:
     num: tuple
     den: tuple
     degree: int
+    abs_sum: float = field(init=False, repr=False)  # sum |num_k| + sum |den_k|, set on creation
 
     def __post_init__(self):
         D = self.degree
@@ -107,10 +108,14 @@ class RationalMapCoeffs:
             raise ValueError("coefficients are identically zero or non-finite")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "abs_sum", sum(map(abs, num)) + sum(map(abs, den)))
         eff = max(_effective_degree(num, scale), _effective_degree(den, scale))
         if eff != D:
             raise ValueError(f"effective degree {eff} does not match declared degree {D}")
-        gap = _root_separation(num, den, scale, D)
+        try:
+            gap = _root_separation(num, den, scale, D)
+        except NoConvergence as exc:
+            raise ValueError(f"the root check did not settle: {exc}") from None
         if gap < _ROOT_GAP_FLOOR:
             raise ValueError(f"numerator and denominator share a root (chordal gap {gap:.3e})")
 
@@ -130,6 +135,7 @@ class RationalMapCoeffs:
         object.__setattr__(out, "num", num)
         object.__setattr__(out, "den", den)
         object.__setattr__(out, "degree", self.degree)
+        object.__setattr__(out, "abs_sum", sum(map(abs, num)) + sum(map(abs, den)))
         return out
 
 

@@ -38,7 +38,6 @@ from .dynamics import (
 from .elliptic import TorusParameter, TorusPoint, theta_data, theta_map
 from .errors import (
     ContinuationBreakdown,
-    CoprimalityViolation,
     LemmaViolation,
     NoConvergence,
     NotPCF,
@@ -69,30 +68,30 @@ def _check_resolution(a: int, k: int) -> None:
 
 
 @dataclass(frozen=True)
-class RationalPair:
-    """Exact rational data (alpha, alpha', beta, beta') defining the offsets
-    sigma = alpha + alpha'*gamma and tau = beta + beta'*gamma."""
+class BasePoint:
+    """The base point gamma0 = x0 + i y0 as exact fractions, checked by
+    standard_parameters.  The marked points of the k-th pair sit at the torus
+    addresses 1/2 + sigma/a^k (X) and gamma/2 + tau/a^k (Y), with the
+    offsets sigma(gamma) = gamma - x0 and tau = y0."""
 
-    alpha: Fraction
-    alpha_prime: Fraction
-    beta: Fraction
-    beta_prime: Fraction
-
-    def __post_init__(self):
-        for name in ("alpha", "alpha_prime", "beta", "beta_prime"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    x0: Fraction
+    y0: Fraction
 
     def offset(self, family: str, gamma: complex) -> complex:
         if family == "X":
-            return complex(self.alpha) + complex(self.alpha_prime) * gamma
-        return complex(self.beta) + complex(self.beta_prime) * gamma
+            return gamma - float(self.x0)
+        return complex(self.y0)
+
+    def address(self, a: int, k: int, family: str) -> TorusPoint:
+        ak = a ** k
+        if family == "X":
+            return TorusPoint(Fraction(1, 2) - self.x0 / ak, Fraction(1) / ak)
+        return TorusPoint(self.y0 / ak, Fraction(1, 2))
 
 
-def standard_parameters(x0: Fraction, y0: Fraction, a: int) -> RationalPair:
-    """(alpha, alpha', beta, beta') = (-x0, 1, y0, 0); base point x0 + i y0.
-
-    The denominators of x0 and y0 must be odd and coprime with a.
-    """
+def standard_parameters(x0: Fraction, y0: Fraction, a: int) -> BasePoint:
+    """The base point x0 + i y0; raises ValueError unless y0 > 0 and the
+    denominators of x0 and y0 are odd and coprime with a."""
     x0 = Fraction(x0)
     y0 = Fraction(y0)
     if y0 <= 0:
@@ -100,9 +99,8 @@ def standard_parameters(x0: Fraction, y0: Fraction, a: int) -> RationalPair:
     for name, val in (("x0", x0), ("y0", y0)):
         q = val.denominator
         if math.gcd(q, abs(a)) != 1 or q % 2 == 0:
-            raise CoprimalityViolation(
-                f"denominator {q} of {name} is not coprime with a = {a} and 2")
-    return RationalPair(-x0, Fraction(1), y0, Fraction(0))
+            raise ValueError(f"denominator {q} of {name} is not coprime with a = {a} and 2")
+    return BasePoint(x0, y0)
 
 
 @dataclass(frozen=True)
@@ -128,39 +126,31 @@ def base_map_for(spec: LattesSpec) -> RationalMapCoeffs:
     return build_rational_map(spec)
 
 
-def _same_sphere_class(p: TorusPoint, q: TorusPoint) -> bool:
-    """Theta(p) == Theta(q): addresses agree mod lattice up to global sign."""
-    ps, pt, qs, qt = Fraction(p.s), Fraction(p.t), Fraction(q.s), Fraction(q.t)
-    return ((ps - qs) % 1 == 0 and (pt - qt) % 1 == 0) or (
-        (ps + qs) % 1 == 0 and (pt + qt) % 1 == 0)
-
-
-def _marked_address(pair: RationalPair, a: int, k: int, family: str) -> TorusPoint:
-    """Torus address of the k-th marked point: 1/2 + sigma/a^k (X), gamma/2 + tau/a^k (Y)."""
-    ak = a ** k
-    if family == "X":
-        return TorusPoint(Fraction(1, 2) + pair.alpha / ak, pair.alpha_prime / ak)
-    return TorusPoint(pair.beta / ak, Fraction(1, 2) + pair.beta_prime / ak)
-
-
-def _exact_itinerary(spec: LattesSpec, addr: TorusPoint, max_steps: int):
-    """Addresses of the forward orbit until the sphere orbit repeats.
+@lru_cache(maxsize=256)
+def _exact_itinerary(a: int, b: TorusPoint, addr: TorusPoint, max_steps: int):
+    """Addresses of the forward orbit under torus_endo(a, b, .) until the
+    sphere orbit repeats.
 
     Returns (preperiod, period, addresses) where addresses covers the
-    preperiodic tail plus one full cycle.
+    preperiodic tail plus one full cycle.  The result does not depend on
+    the lattice shape, so the gamma secant reuses it at every step.
     """
-    addrs = [addr.reduced()]
-    for _ in range(max_steps):
-        nxt = torus_endo(spec, addrs[-1])
-        for m, prev in enumerate(addrs):
-            if _same_sphere_class(nxt, prev):
-                period = len(addrs) - m
-                return m, period, addrs
-        addrs.append(nxt)
+    addrs = []
+    first = {}  # sphere class -> index of its address
+    p = addr.reduced()
+    for _ in range(max_steps + 1):
+        # Theta(p) = Theta(q) exactly when q = p or -p mod the lattice
+        s, t = Fraction(p.s), Fraction(p.t)
+        key = min((s % 1, t % 1), (-s % 1, -t % 1))
+        if key in first:
+            return first[key], len(addrs) - first[key], tuple(addrs)
+        first[key] = len(addrs)
+        addrs.append(p)
+        p = torus_endo(a, b, p)
     raise NoConvergence(f"no exact repeat within {max_steps} torus steps")
 
 
-def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int,
+def make_marked_point(spec: LattesSpec, base_point: BasePoint, k: int,
                       family: str) -> MarkedPreperiodicPoint:
     """Build the k-th marked point of the chosen family with its certificate.
 
@@ -184,8 +174,8 @@ def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int,
         raise ValueError(f"family must be one of {FAMILIES}")
     _check_resolution(spec.a, k)
     gamma = spec.gamma.gamma
-    pre, per, addrs = _exact_itinerary(spec, _marked_address(pair, spec.a, k, family),
-                                       max_steps=k + 64)
+    pre, per, addrs = _exact_itinerary(spec.a, spec.translation,
+                                       base_point.address(spec.a, k, family), k + 64)
     forward = tuple(theta_map(p, gamma) for p in addrs)
     f = base_map_for(spec)
     for j, p in enumerate(forward):
@@ -208,7 +198,7 @@ def make_marked_point(spec: LattesSpec, pair: RationalPair, k: int,
         forward_orbit=forward,
         cycle=cycle,
         exact_preperiod=pre,
-        offset_value=pair.offset(family, gamma),
+        offset_value=base_point.offset(family, gamma),
     )
 
 
@@ -334,7 +324,9 @@ def _shooting_misfit(marked: MarkedPreperiodicPoint, base: RationalMapCoeffs, cv
     if abs(1.0 + least * t) <= 1e-12 * max(1.0, abs(1.0 + t)):
         raise ValueError(f"the family path from f to (1 + t) f, t = {t}, passes through zero")
     ft = base.scaled(1.0 + t)
-    target = continue_cycle(lambda s: base.scaled(1.0 + s * t), marked.cycle).points[0]
+    # member(1.0) is ft itself: 1.0 * t == t
+    target = continue_cycle(lambda s: ft if s == 1.0 else base.scaled(1.0 + s * t),
+                            marked.cycle).points[0]
     z = SpherePoint.from_complex((1.0 + t) * cv)
     for _ in range(marked.exact_preperiod):
         z = eval_map(ft, z)
@@ -462,15 +454,15 @@ class ConstructionResult:
     distance_to_base: float
 
 
-def _collision_pair(spec: LattesSpec, pair: RationalPair, k: int, seeds=(None, None)):
-    mx = make_marked_point(spec, pair, k, "X")
-    my = make_marked_point(spec, pair, k, "Y")
+def _collision_pair(spec: LattesSpec, base_point: BasePoint, k: int, seeds=(None, None)):
+    mx = make_marked_point(spec, base_point, k, "X")
+    my = make_marked_point(spec, base_point, k, "Y")
     cs = solve_collision(spec, mx, u_seed=seeds[0])
     ct = solve_collision(spec, my, u_seed=seeds[1])
     return cs, ct
 
 
-def solve_gamma_k(spec0: LattesSpec, pair: RationalPair, k: int, tol: float = 1e-10,
+def solve_gamma_k(spec0: LattesSpec, base_point: BasePoint, k: int, tol: float = 1e-10,
                   base_pair: tuple | None = None) -> ConstructionResult:
     """Solve s_k(gamma) = t_k(gamma) near the base point and certify the result.
 
@@ -489,16 +481,16 @@ def solve_gamma_k(spec0: LattesSpec, pair: RationalPair, k: int, tol: float = 1e
     def misfit(gamma: complex, solved=None):
         spec = LattesSpec(TorusParameter(gamma), spec0.a, spec0.case_tag)
         if solved is None:
-            solved = _collision_pair(spec, pair, k, seeds=tuple(warm))
+            solved = _collision_pair(spec, base_point, k, seeds=tuple(warm))
         cs, ct = solved
         warm[0], warm[1] = cs.rescaled, ct.rescaled
         return cs.value / ct.value - 1.0, (spec, cs, ct)
 
-    # first-order model of the misfit: d/dgamma of -sigma^2/tau^2
-    sig = pair.offset("X", gamma0)
-    tau = pair.offset("Y", gamma0)
-    sig_p, tau_p = complex(pair.alpha_prime), complex(pair.beta_prime)
-    slope = -2.0 * sig * (sig_p * tau - sig * tau_p) / tau ** 3
+    # first-order model of the misfit: d/dgamma of -sigma^2/tau^2, where
+    # sigma' = 1 and tau' = 0
+    sig = base_point.offset("X", gamma0)
+    tau = base_point.offset("Y", gamma0)
+    slope = -2.0 * sig * tau / tau ** 3
     h0, aux = misfit(gamma0, base_pair)
     _, cs, ct = aux
     floor = _EPS * _degree_power(spec0, k) * (1.0 / abs(cs.rescaled) + 1.0 / abs(ct.rescaled))
@@ -569,7 +561,7 @@ class ConvergenceTable:
     rows: tuple
 
 
-def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
+def convergence_table(spec0: LattesSpec, base_point: BasePoint, k_range,
                       tol: float = 1e-10) -> ConvergenceTable:
     """Collision values, their ratio against -sigma^2/tau^2, and the
     constructed strictly postcritically finite maps, one row per k.
@@ -578,14 +570,14 @@ def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
     whose collisions were solved before the construction failed keeps them.
     """
     gamma0 = spec0.gamma.gamma
-    sig = pair.offset("X", gamma0)
-    tau = pair.offset("Y", gamma0)
+    sig = base_point.offset("X", gamma0)
+    tau = base_point.offset("Y", gamma0)
     target = -sig * sig / (tau * tau)
     rows = []
     for k in k_range:
         row = dict(k=k, asymptotic=k >= 3)
         try:
-            cs, ct = _collision_pair(spec0, pair, k)
+            cs, ct = _collision_pair(spec0, base_point, k)
             ratio = cs.value / ct.value
             row.update(
                 status="ok",
@@ -593,7 +585,7 @@ def convergence_table(spec0: LattesSpec, pair: RationalPair, k_range,
                 u_s=cs.rescaled, u_t=ct.rescaled,
                 ratio=ratio, target=target, deviation=abs(ratio - target),
             )
-            built = solve_gamma_k(spec0, pair, k, tol=tol, base_pair=(cs, ct))
+            built = solve_gamma_k(spec0, base_point, k, tol=tol, base_pair=(cs, ct))
             row.update(gamma_gap=abs(built.gamma_k - gamma0), construction=built)
         except PrecisionExhausted:
             # collisions solved before the construction was refused are kept

@@ -63,7 +63,7 @@ def spec_a2():
 
 
 @pytest.fixture(scope="session")
-def pair_a2():
+def point_a2():
     return standard_parameters(Fraction(1, 3), Fraction(1), 2)
 
 
@@ -73,16 +73,16 @@ def base_a2(spec_a2):
 
 
 @pytest.fixture(scope="session")
-def collision_rows(spec_a2, pair_a2):
+def collision_rows(spec_a2, point_a2):
     """(k, s_k result, t_k result) for k = 3..6 at the base lattice shape."""
     rows = []
     for k in range(3, 7):
-        mx = make_marked_point(spec_a2, pair_a2, k, "X")
-        my = make_marked_point(spec_a2, pair_a2, k, "Y")
+        mx = make_marked_point(spec_a2, point_a2, k, "X")
+        my = make_marked_point(spec_a2, point_a2, k, "Y")
         rows.append((k, solve_collision(spec_a2, mx), solve_collision(spec_a2, my)))
     return rows
 
 
 @pytest.fixture(scope="session")
-def construction_results(spec_a2, pair_a2):
-    return [solve_gamma_k(spec_a2, pair_a2, k) for k in range(3, 7)]
+def construction_results(spec_a2, point_a2):
+    return [solve_gamma_k(spec_a2, point_a2, k) for k in range(3, 7)]

@@ -3,8 +3,9 @@
 None of these runs in a command: the lattice sum checks the theta series
 of P (read through `weierstrass_p`, which no command needs), the
 brute-force fiber checks `pullback_branch`, the Moebius conjugate checks
-the chart invariance of multipliers, and the inverse-branch tracker checks
-the shooting solve of the collision equations.
+the chart invariance of multipliers, the inverse-branch tracker checks the
+shooting solve of the collision equations, and the scan of every earlier
+address checks the keyed exact itinerary.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from lattes_forge.errors import (
 from lattes_forge.lattes import LattesSpec, RationalMapCoeffs, torus_endo
 from lattes_forge.perturbation import (
     _MARKED_TOL,
+    BasePoint,
     MarkedPreperiodicPoint,
-    RationalPair,
     _degree_power,
-    _exact_itinerary,
-    _marked_address,
     base_map_for,
 )
 
@@ -132,31 +131,52 @@ def is_half_lattice(tp: TorusPoint) -> bool:
     return (2 * Fraction(tp.s)) % 1 == 0 and (2 * Fraction(tp.t)) % 1 == 0
 
 
-def marked_addresses(spec: LattesSpec, pair: RationalPair,
+def same_sphere_class(p: TorusPoint, q: TorusPoint) -> bool:
+    """Theta(p) == Theta(q): addresses agree mod lattice up to global sign."""
+    ps, pt, qs, qt = Fraction(p.s), Fraction(p.t), Fraction(q.s), Fraction(q.t)
+    return ((ps - qs) % 1 == 0 and (pt - qt) % 1 == 0) or (
+        (ps + qs) % 1 == 0 and (pt + qt) % 1 == 0)
+
+
+def exact_itinerary_by_scan(a: int, b: TorusPoint, addr: TorusPoint, max_steps: int):
+    """(preperiod, period, addresses) of the forward orbit of addr, each new
+    address compared with every earlier one."""
+    addrs = [addr.reduced()]
+    for _ in range(max_steps):
+        nxt = torus_endo(a, b, addrs[-1])
+        for m, prev in enumerate(addrs):
+            if same_sphere_class(nxt, prev):
+                return m, len(addrs) - m, addrs
+        addrs.append(nxt)
+    raise NoConvergence(f"no exact repeat within {max_steps} torus steps")
+
+
+def marked_addresses(spec: LattesSpec, base_point: BasePoint,
                      marked: MarkedPreperiodicPoint) -> list[TorusPoint]:
     """Exact torus addresses of the marked orbit: its preperiodic tail, then one cycle."""
-    addr = _marked_address(pair, spec.a, marked.k, marked.family)
-    return _exact_itinerary(spec, addr, marked.k + 64)[2]
+    addr = base_point.address(spec.a, marked.k, marked.family)
+    return exact_itinerary_by_scan(spec.a, spec.translation, addr, marked.k + 64)[2]
 
 
-def lands_on_postcritical_set(spec: LattesSpec, pair: RationalPair,
+def lands_on_postcritical_set(spec: LattesSpec, base_point: BasePoint,
                               marked: MarkedPreperiodicPoint) -> bool:
     """The landing cycle meets {0, oo, v, w}, which Theta takes from the half lattice."""
-    cycle = marked_addresses(spec, pair, marked)[marked.exact_preperiod:]
+    cycle = marked_addresses(spec, base_point, marked)[marked.exact_preperiod:]
     return any(is_half_lattice(p) for p in cycle)
 
 
-def pullback_trackable(spec: LattesSpec, pair: RationalPair,
+def pullback_trackable(spec: LattesSpec, base_point: BasePoint,
                        marked: MarkedPreperiodicPoint) -> bool:
     """False when the orbit lands on the postcritical set or runs through a
     critical point of f: Theta of an address off the half lattice that the
     torus endomorphism takes into it."""
-    critical = any(is_half_lattice(torus_endo(spec, p)) and not is_half_lattice(p)
-                   for p in marked_addresses(spec, pair, marked))
-    return not (critical or lands_on_postcritical_set(spec, pair, marked))
+    critical = any(is_half_lattice(torus_endo(spec.a, spec.translation, p))
+                   and not is_half_lattice(p)
+                   for p in marked_addresses(spec, base_point, marked))
+    return not (critical or lands_on_postcritical_set(spec, base_point, marked))
 
 
-def track_marked_point(family: PerturbedFamily, pair: RationalPair,
+def track_marked_point(family: PerturbedFamily, base_point: BasePoint,
                        marked: MarkedPreperiodicPoint, t: complex) -> SpherePoint:
     """Position of the marked point for the member map at parameter t.
 
@@ -167,7 +187,7 @@ def track_marked_point(family: PerturbedFamily, pair: RationalPair,
     """
     if t == 0:
         return marked.forward_orbit[0]
-    if not pullback_trackable(family.spec, pair, marked):
+    if not pullback_trackable(family.spec, base_point, marked):
         raise BranchAmbiguity(
             "orbit passes through a critical point or lands on the postcritical set; "
             "inverse branches are not single-valued along it")
@@ -202,7 +222,7 @@ def track_marked_point(family: PerturbedFamily, pair: RationalPair,
     return current[0]
 
 
-def rescaled_collision_fn(spec: LattesSpec, pair: RationalPair,
+def rescaled_collision_fn(spec: LattesSpec, base_point: BasePoint,
                           marked: MarkedPreperiodicPoint, u: complex) -> complex:
     """a^(2k) * (tracked marked point - perturbed critical value) at t = u/a^(2k).
 
@@ -213,5 +233,5 @@ def rescaled_collision_fn(spec: LattesSpec, pair: RationalPair,
     td = theta_data(spec.gamma.gamma)
     cv = td.v if marked.family == "X" else td.w
     fam = PerturbedFamily(spec, base_map_for(spec), t)
-    tracked = track_marked_point(fam, pair, marked, t)
+    tracked = track_marked_point(fam, base_point, marked, t)
     return a2k * (tracked.to_complex() - (1.0 + t) * cv)

@@ -120,7 +120,7 @@ def test_criterion_6ii_ratio_deviation_decreases(collision_rows):
     assert ok
 
 
-def test_criterion_6ii_ratio_bound_at_k6(spec_a2, pair_a2, collision_rows):
+def test_criterion_6ii_ratio_bound_at_k6(spec_a2, point_a2, collision_rows):
     # The Y orbit runs through the critical point Theta(1/4) onto the fixed
     # point 0, so the t_k equation has a fold pair split by ~2^-k and the
     # deviation follows |s_k/t_k + sigma^2/tau^2| ~ 2^(2-k): 5.96e-2 at k = 6.
@@ -128,7 +128,7 @@ def test_criterion_6ii_ratio_bound_at_k6(spec_a2, pair_a2, collision_rows):
     # limit eps * 4^k <= 1e-8, so that is the depth where it is asserted.
     _, cs6, ct6 = collision_rows[-1]
     dev6 = abs(cs6.value / ct6.value - 1.0)
-    cs12, ct12 = (solve_collision(spec_a2, make_marked_point(spec_a2, pair_a2, 12, fam))
+    cs12, ct12 = (solve_collision(spec_a2, make_marked_point(spec_a2, point_a2, 12, fam))
                   for fam in ("X", "Y"))
     dev12 = abs(cs12.value / ct12.value - 1.0)
     record_criterion("criterion 6ii-b (ratio deviation < 1e-3 at k = 12)", dev12 < 1e-3,
@@ -136,8 +136,8 @@ def test_criterion_6ii_ratio_bound_at_k6(spec_a2, pair_a2, collision_rows):
     assert dev12 < 1e-3
 
 
-def test_criterion_6iii_normalized_collision_limit(spec_a2, pair_a2, collision_rows):
-    sigma = pair_a2.offset("X", GAMMA0)
+def test_criterion_6iii_normalized_collision_limit(spec_a2, point_a2, collision_rows):
+    sigma = point_a2.offset("X", GAMMA0)
     td = theta_data(GAMMA0)
     tl = tracked_limits(spec_a2)
     response = tl.x_dot - td.v
@@ -169,7 +169,7 @@ def test_criterion_7_construction_pipeline(spec_a2, base_a2, construction_result
     assert base_count == 4
 
 
-def test_criterion_8_oracle_equivalence(spec_a2, pair_a2):
+def test_criterion_8_oracle_equivalence(spec_a2, point_a2):
     rng = np.random.default_rng(11)
     worst = 0.0
     for gamma in (1j, GAMMA0, -0.25 + 1.2j):
@@ -181,7 +181,7 @@ def test_criterion_8_oracle_equivalence(spec_a2, pair_a2):
             s400 = weierstrass_p_lattice_sum(tau, gamma, box=400)
             worst = max(worst, abs(series - (4.0 * s400 - s200) / 3.0) / (1 + abs(series)))
     series_ok = worst < 1e-8
-    mx = make_marked_point(spec_a2, pair_a2, 3, "X")
+    mx = make_marked_point(spec_a2, point_a2, 3, "X")
     gap = abs(solve_collision(spec_a2, mx, rescale=True).value
               - solve_collision(spec_a2, mx, rescale=False).value)
     solve_ok = gap < 1e-10

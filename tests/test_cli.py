@@ -138,6 +138,7 @@ def test_construct_rejects_bad_parameters(capsys):
     ["construct", "--y0=-1"],
     ["construct", "--a", "1"],
     ["construct", "--a", "2", "--case", "2"],  # case 2 needs odd a
+    ["verify-lemma1", "--grid", "1:2:3"],
 ])
 def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args):
     # refused before --out is created and before anything is solved
@@ -149,6 +150,26 @@ def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args):
     assert main(args + ["--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_construct_computes_each_itinerary_once(tmp_path):
+    # the marked addresses do not depend on gamma: the base pair and the six
+    # secant pairs at k = 3 share one itinerary per family
+    perturbation._exact_itinerary.cache_clear()
+    assert main(["construct", "--k-min", "3", "--k-max", "3", "--out", str(tmp_path)]) == 0
+    info = perturbation._exact_itinerary.cache_info()
+    assert (info.misses, info.hits) == (2, 12)
+
+
+def test_certify_refuses_a_map_whose_root_check_cannot_settle(tmp_path, capsys):
+    # the subnormal constant term of the denominator keeps the root check's
+    # Aberth sweeps from settling: a bad map file, not a failed certification
+    path = tmp_path / "map.json"
+    path.write_text('{"degree": 1, "num": [[0, 3.6643749114008475e-26], [0, 0]], '
+                    '"den": [[-1.1125369292536007e-308, 0], '
+                    '[1.7693759452741915, 6.032878723966615]]}')
+    assert main(["certify", str(path)]) == 1
+    assert "cannot load map" in capsys.readouterr().err
 
 
 def test_construct_precision_ceiling(tmp_path):

@@ -65,7 +65,7 @@ def test_eval_map_charts(z2):
 
 def test_eval_map_refuses_common_zero():
     # z (z - 1) / (z (z + 2)), built without the map check, is 0/0 at z = 0
-    f = SimpleNamespace(num=[0, -1, 1], den=[0, 2, 1], degree=2)
+    f = SimpleNamespace(num=[0, -1, 1], den=[0, 2, 1], degree=2, abs_sum=5.0)
     with pytest.raises(IndeterminatePoint):
         eval_map(f, SpherePoint.zero())
 
@@ -94,7 +94,7 @@ def test_critical_points_z2(z2):
 
 def test_critical_points_refuse_understated_degree():
     # z^3 declared as degree 1: its Wronskian 3 z^2 has degree 2 > 2D - 2 = 0
-    f = SimpleNamespace(num=[0, 0, 0, 1], den=[1, 0, 0, 0], degree=1)
+    f = SimpleNamespace(num=[0, 0, 0, 1], den=[1, 0, 0, 0], degree=1, abs_sum=2.0)
     with pytest.raises(RootCountMismatch):
         critical_points(f)
 

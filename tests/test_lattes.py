@@ -42,10 +42,10 @@ def test_translation_part():
 
 def test_torus_endo_exact_arithmetic():
     spec = LattesSpec(TorusParameter(1j), 2, "EvenZero")
-    out = torus_endo(spec, TorusPoint(Fraction(1, 3), Fraction(1, 5)))
+    out = torus_endo(spec.a, spec.translation, TorusPoint(Fraction(1, 3), Fraction(1, 5)))
     assert (out.s, out.t) == (Fraction(2, 3), Fraction(2, 5))
     spec3 = LattesSpec(TorusParameter(1j), 3, "OddHalf")
-    out3 = torus_endo(spec3, TorusPoint(Fraction(1, 5), Fraction(0)))
+    out3 = torus_endo(spec3.a, spec3.translation, TorusPoint(Fraction(1, 5), Fraction(0)))
     assert (out3.s % 1, out3.t % 1) == (Fraction(11, 10), Fraction(1, 2)) or (
         out3.s % 1, out3.t % 1) == (Fraction(1, 10), Fraction(1, 2))
 
@@ -155,6 +155,12 @@ def test_semiconjugacy_seed_independent(spec_a2, base_a2):
 def test_map_check_refuses(num, den, degree, message):
     with pytest.raises(ValueError, match=message):
         RationalMapCoeffs(num=num, den=den, degree=degree)
+
+
+def test_maps_store_their_coefficient_sum(base_a2):
+    # eval_map's indeterminate floor reads the sum from the map
+    for g in (base_a2, base_a2.scaled(1.5j), base_a2.scaled(-0.25)):
+        assert g.abs_sum == sum(map(abs, g.num)) + sum(map(abs, g.den))
 
 
 def test_scaled_map_skips_the_check_only(base_a2, monkeypatch):

@@ -12,7 +12,6 @@ from lattes_forge.dynamics import SpherePoint, continue_cycle, eval_map, orbit, 
 from lattes_forge.elliptic import TorusParameter, TorusPoint, theta_data, theta_map
 from lattes_forge.errors import (
     BranchAmbiguity,
-    CoprimalityViolation,
     NotPCF,
     PrecisionExhausted,
 )
@@ -48,84 +47,86 @@ def spec_for(a: int, case: str, gamma: complex) -> LattesSpec:
     return LattesSpec(TorusParameter(gamma), a, case)
 
 
-def test_standard_parameters_values(pair_a2):
-    assert (pair_a2.alpha, pair_a2.alpha_prime) == (Fraction(-1, 3), Fraction(1))
-    assert (pair_a2.beta, pair_a2.beta_prime) == (Fraction(1), Fraction(0))
-    assert abs(pair_a2.offset("X", GAMMA0) - 1j) < 1e-15  # sigma(gamma0) = i
-    assert pair_a2.offset("Y", GAMMA0) == 1.0
+def test_standard_parameters_values(point_a2):
+    assert (point_a2.x0, point_a2.y0) == (Fraction(1, 3), Fraction(1))
+    assert abs(point_a2.offset("X", GAMMA0) - 1j) < 1e-15  # sigma(gamma0) = i
+    assert point_a2.offset("Y", GAMMA0) == 1.0
+    # 1/2 + sigma/a^k and gamma/2 + tau/a^k as torus addresses
+    assert point_a2.address(2, 3, "X") == TorusPoint(Fraction(11, 24), Fraction(1, 8))
+    assert point_a2.address(2, 3, "Y") == TorusPoint(Fraction(1, 8), Fraction(1, 2))
 
 
 def test_standard_parameters_rejections():
-    with pytest.raises(CoprimalityViolation):
+    with pytest.raises(ValueError, match="coprime"):
         standard_parameters(Fraction(1, 3), Fraction(1), 3)
-    with pytest.raises(CoprimalityViolation):
+    with pytest.raises(ValueError, match="coprime"):
         standard_parameters(Fraction(1, 2), Fraction(1), 3)
-    with pytest.raises(CoprimalityViolation):
+    with pytest.raises(ValueError, match="coprime"):
         standard_parameters(Fraction(1, 5), Fraction(1, 3), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         standard_parameters(Fraction(1, 3), Fraction(-1), 2)
     standard_parameters(Fraction(1, 5), Fraction(1), 3)  # coprime: accepted
 
 
-def test_marked_point_exact_itinerary(spec_a2, pair_a2):
-    mx = make_marked_point(spec_a2, pair_a2, 3, "X")
+def test_marked_point_exact_itinerary(spec_a2, point_a2):
+    mx = make_marked_point(spec_a2, point_a2, 3, "X")
     assert (mx.exact_preperiod, mx.cycle.period) == (3, 1)
-    assert pullback_trackable(spec_a2, pair_a2, mx)
-    assert not lands_on_postcritical_set(spec_a2, pair_a2, mx)
+    assert pullback_trackable(spec_a2, point_a2, mx)
+    assert not lands_on_postcritical_set(spec_a2, point_a2, mx)
     assert abs(mx.cycle.multiplier - (-2.0)) < 1e-6
-    my = make_marked_point(spec_a2, pair_a2, 3, "Y")
+    my = make_marked_point(spec_a2, point_a2, 3, "Y")
     assert (my.exact_preperiod, my.cycle.period) == (3, 1)
-    assert lands_on_postcritical_set(spec_a2, pair_a2, my)
-    assert not pullback_trackable(spec_a2, pair_a2, my)
+    assert lands_on_postcritical_set(spec_a2, point_a2, my)
+    assert not pullback_trackable(spec_a2, point_a2, my)
     assert abs(my.cycle.multiplier - 4.0) < 1e-6
     landing = my.forward_orbit[my.exact_preperiod]
     assert spherical_distance(landing, SpherePoint.zero()) < 1e-12
 
 
-def test_marked_point_argument_checks(spec_a2, pair_a2):
+def test_marked_point_argument_checks(spec_a2, point_a2):
     with pytest.raises(ValueError):
-        make_marked_point(spec_a2, pair_a2, 0, "X")
+        make_marked_point(spec_a2, point_a2, 0, "X")
     with pytest.raises(ValueError):
-        make_marked_point(spec_a2, pair_a2, 3, "Q")
+        make_marked_point(spec_a2, point_a2, 3, "Q")
 
 
-def test_even_case_orbit_reaches_theta_of_sigma(spec_a2, pair_a2):
-    mx = make_marked_point(spec_a2, pair_a2, 4, "X")
-    sigma_addr = TorusPoint(pair_a2.alpha, pair_a2.alpha_prime).reduced()
+def test_even_case_orbit_reaches_theta_of_sigma(spec_a2, point_a2):
+    mx = make_marked_point(spec_a2, point_a2, 4, "X")
+    sigma_addr = TorusPoint(-point_a2.x0, 1).reduced()  # sigma = -x0 + 1 gamma
     target = theta_map(sigma_addr, GAMMA0)
     assert spherical_distance(mx.forward_orbit[4], target) < 1e-10
 
 
 def test_half_translated_even_k_orbit_endpoint():
     spec = spec_for(3, "OddHalf", GAMMA5)
-    pair = standard_parameters(Fraction(1, 5), Fraction(1), 3)
-    mx = make_marked_point(spec, pair, 4, "X")
-    shifted = TorusPoint(Fraction(1, 2) + pair.alpha, pair.alpha_prime).reduced()
+    point = standard_parameters(Fraction(1, 5), Fraction(1), 3)
+    mx = make_marked_point(spec, point, 4, "X")
+    shifted = TorusPoint(Fraction(1, 2) - point.x0, 1).reduced()
     target = theta_map(shifted, GAMMA5)
     assert spherical_distance(mx.forward_orbit[4], target) < 1e-10
 
 
-def test_marked_points_tend_to_first_branch_value(spec_a2, pair_a2):
+def test_marked_points_tend_to_first_branch_value(spec_a2, point_a2):
     v = SpherePoint.from_complex(theta_data(GAMMA0).v)
-    gaps = [spherical_distance(make_marked_point(spec_a2, pair_a2, k, "X").forward_orbit[0], v)
+    gaps = [spherical_distance(make_marked_point(spec_a2, point_a2, k, "X").forward_orbit[0], v)
             for k in range(3, 7)]
     for near, far in zip(gaps[1:], gaps):
         assert 0.15 < near / far < 0.4  # quadratic address offset: factor ~ 1/4
 
 
-def test_track_identity_at_zero(spec_a2, pair_a2):
-    mx = make_marked_point(spec_a2, pair_a2, 3, "X")
+def test_track_identity_at_zero(spec_a2, point_a2):
+    mx = make_marked_point(spec_a2, point_a2, 3, "X")
     fam = PerturbedFamily(spec_a2, base_map_for(spec_a2), 0.0)
-    assert track_marked_point(fam, pair_a2, mx, 0.0) is mx.forward_orbit[0]
+    assert track_marked_point(fam, point_a2, mx, 0.0) is mx.forward_orbit[0]
 
 
-def test_track_equivariance(spec_a2, pair_a2):
+def test_track_equivariance(spec_a2, point_a2):
     # after the preperiod, the tracked point must sit on the continued cycle
     t = 1e-4 + 5e-5j
-    mx = make_marked_point(spec_a2, pair_a2, 3, "X")
+    mx = make_marked_point(spec_a2, point_a2, 3, "X")
     base = base_map_for(spec_a2)
     fam = PerturbedFamily(spec_a2, base, t)
-    moved = track_marked_point(fam, pair_a2, mx, t)
+    moved = track_marked_point(fam, point_a2, mx, t)
     cont = continue_cycle(lambda s: base.scaled(1.0 + s * t), mx.cycle)
     z = moved
     for _ in range(mx.exact_preperiod):
@@ -134,11 +135,11 @@ def test_track_equivariance(spec_a2, pair_a2):
     assert gap < 1e-8
 
 
-def test_track_refuses_untrackable_orbit(spec_a2, pair_a2):
-    my = make_marked_point(spec_a2, pair_a2, 3, "Y")
+def test_track_refuses_untrackable_orbit(spec_a2, point_a2):
+    my = make_marked_point(spec_a2, point_a2, 3, "Y")
     fam = PerturbedFamily(spec_a2, base_map_for(spec_a2), 1e-4)
     with pytest.raises(BranchAmbiguity):
-        track_marked_point(fam, pair_a2, my, 1e-4)
+        track_marked_point(fam, point_a2, my, 1e-4)
 
 
 def test_scaled_family_keeps_zero_fixed(spec_a2):
@@ -152,7 +153,7 @@ def test_perturbed_family_rejects_degenerate_t(spec_a2):
         PerturbedFamily(spec_a2, base_map_for(spec_a2), -1.0)
 
 
-def test_collision_solve_checks_no_derived_map(spec_a2, pair_a2, monkeypatch):
+def test_collision_solve_checks_no_derived_map(spec_a2, point_a2, monkeypatch):
     # the base map is checked once when it is fit; the scaling-family members
     # along every continuation path come from `scaled`, so the root check never runs
     base_map_for(spec_a2)
@@ -160,7 +161,7 @@ def test_collision_solve_checks_no_derived_map(spec_a2, pair_a2, monkeypatch):
     check = lattes._root_separation
     monkeypatch.setattr(lattes, "_root_separation",
                         lambda *args: calls.append(1) or check(*args))
-    cs, ct = _collision_pair(spec_a2, pair_a2, 3)
+    cs, ct = _collision_pair(spec_a2, point_a2, 3)
     assert abs(cs.rescaled) > 0 and abs(ct.rescaled) > 0
     assert len(calls) == 0
 
@@ -187,9 +188,9 @@ def test_continuation_along_the_family_is_path_independent(family):
 
 
 @pytest.mark.parametrize("t", [-2.0, -2.0 + 1e-14j])
-def test_shooting_refuses_a_path_through_the_zero_map(spec_a2, pair_a2, monkeypatch, t):
+def test_shooting_refuses_a_path_through_the_zero_map(spec_a2, point_a2, monkeypatch, t):
     # (1 + s t) f is the zero map at s = 1/2; refused before any Newton step
-    mx = make_marked_point(spec_a2, pair_a2, 3, "X")
+    mx = make_marked_point(spec_a2, point_a2, 3, "X")
     steps = []
     monkeypatch.setattr(dynamics, "_newton_periodic",
                         lambda *args, **kwargs: steps.append(1) or (args[1], 0.0))
@@ -228,41 +229,41 @@ def test_cross_lemma_consistency(spec_a2):
     assert abs(left - right) < 1e-6
 
 
-def test_rescaled_fn_limit_at_zero(spec_a2, pair_a2):
+def test_rescaled_fn_limit_at_zero(spec_a2, point_a2):
     td = theta_data(GAMMA0)
-    sigma = pair_a2.offset("X", GAMMA0)
+    sigma = point_a2.offset("X", GAMMA0)
     limit = td.lam * sigma * sigma
     devs = []
     for k in (6, 8):
-        mx = make_marked_point(spec_a2, pair_a2, k, "X")
-        devs.append(abs(rescaled_collision_fn(spec_a2, pair_a2, mx, 0.0) - limit))
+        mx = make_marked_point(spec_a2, point_a2, k, "X")
+        devs.append(abs(rescaled_collision_fn(spec_a2, point_a2, mx, 0.0) - limit))
     assert devs[0] < 2e-2 and devs[1] < 2e-3
     assert devs[1] < devs[0] / 4
 
 
-def test_rescaled_fn_affine_slope(spec_a2, pair_a2):
-    mx = make_marked_point(spec_a2, pair_a2, 10, "X")
+def test_rescaled_fn_affine_slope(spec_a2, point_a2):
+    mx = make_marked_point(spec_a2, point_a2, 10, "X")
     tl = tracked_limits(spec_a2)
     v = theta_data(GAMMA0).v
     u = 0.5
-    slope = (rescaled_collision_fn(spec_a2, pair_a2, mx, u)
-             - rescaled_collision_fn(spec_a2, pair_a2, mx, 0.0)) / u
+    slope = (rescaled_collision_fn(spec_a2, point_a2, mx, u)
+             - rescaled_collision_fn(spec_a2, point_a2, mx, 0.0)) / u
     assert abs(slope - (tl.x_dot - v)) < 1e-4
 
 
-def test_collision_frozen_root(spec_a2, pair_a2):
-    mx = make_marked_point(spec_a2, pair_a2, 4, "X")
+def test_collision_frozen_root(spec_a2, point_a2):
+    mx = make_marked_point(spec_a2, point_a2, 4, "X")
     res = solve_collision(spec_a2, mx)
     assert abs(res.rescaled - (10.879465552461262 + 2.340911504788023j)) < 1e-6
     assert res.residual < 1e-11
     assert abs(res.value - res.rescaled / 256.0) < 1e-18
 
 
-def test_collision_point_meets_critical_value(spec_a2, pair_a2):
-    mx = make_marked_point(spec_a2, pair_a2, 4, "X")
+def test_collision_point_meets_critical_value(spec_a2, point_a2):
+    mx = make_marked_point(spec_a2, point_a2, 4, "X")
     s4 = solve_collision(spec_a2, mx).value
     fam = PerturbedFamily(spec_a2, base_map_for(spec_a2), s4)
-    moved = track_marked_point(fam, pair_a2, mx, s4)
+    moved = track_marked_point(fam, point_a2, mx, s4)
     cv = SpherePoint.from_complex((1.0 + s4) * theta_data(GAMMA0).v)
     assert spherical_distance(moved, cv) < 1e-9
 
@@ -275,73 +276,73 @@ def test_collision_values_shrink(collision_rows):
     assert s_sizes[-1] < s_sizes[0] / 30  # ~ a^(-2k) decay
 
 
-def test_rescaled_and_naive_solves_agree(spec_a2, pair_a2):
-    mx = make_marked_point(spec_a2, pair_a2, 3, "X")
+def test_rescaled_and_naive_solves_agree(spec_a2, point_a2):
+    mx = make_marked_point(spec_a2, point_a2, 3, "X")
     fast = solve_collision(spec_a2, mx, rescale=True)
     slow = solve_collision(spec_a2, mx, rescale=False)
     assert abs(fast.value - slow.value) < 1e-10
 
 
-def test_collision_seed_matches_closed_form(spec_a2, pair_a2, collision_rows):
-    mx = make_marked_point(spec_a2, pair_a2, 6, "X")
+def test_collision_seed_matches_closed_form(spec_a2, point_a2, collision_rows):
+    mx = make_marked_point(spec_a2, point_a2, 6, "X")
     u_limit = closed_form_rescaled_root(spec_a2, mx)
     _, cs6, _ = collision_rows[-1]
     assert abs(cs6.rescaled - u_limit) < 0.2 * abs(u_limit)
 
 
-def test_precision_ceiling_raises(spec_a2, pair_a2):
-    mx = make_marked_point(spec_a2, pair_a2, 4, "X")
+def test_precision_ceiling_raises(spec_a2, point_a2):
+    mx = make_marked_point(spec_a2, point_a2, 4, "X")
     deep = dataclasses.replace(mx, k=14)  # eps * 4^14 = 6e-8 over the 1e-8 limit
     with pytest.raises(PrecisionExhausted):
         solve_collision(spec_a2, deep)
 
 
 @pytest.mark.parametrize("k", [10, 11])
-def test_collision_solves_at_the_resolution_of_t(spec_a2, pair_a2, k):
+def test_collision_solves_at_the_resolution_of_t(spec_a2, point_a2, k):
     # the 1e-12 residual target lies under the misfit's rounding noise here
     for family in ("X", "Y"):
-        marked = make_marked_point(spec_a2, pair_a2, k, family)
+        marked = make_marked_point(spec_a2, point_a2, k, family)
         res = solve_collision(spec_a2, marked)
         u_limit = closed_form_rescaled_root(spec_a2, marked)
         assert abs(res.rescaled - u_limit) < 0.02 * abs(u_limit)
         assert res.residual < 1e-9
 
 
-def test_marked_points_certified_at_k12(spec_a2, pair_a2):
-    mx = make_marked_point(spec_a2, pair_a2, 12, "X")
-    my = make_marked_point(spec_a2, pair_a2, 12, "Y")
+def test_marked_points_certified_at_k12(spec_a2, point_a2):
+    mx = make_marked_point(spec_a2, point_a2, 12, "X")
+    my = make_marked_point(spec_a2, point_a2, 12, "Y")
     for marked, mult in ((mx, -2.0), (my, 4.0)):
         assert (marked.exact_preperiod, marked.cycle.period) == (12, 1)
         assert marked.cycle.repelling
         assert abs(marked.cycle.multiplier - mult) < 1e-6
 
 
-def test_marked_point_refuses_k13(spec_a2, pair_a2):
+def test_marked_point_refuses_k13(spec_a2, point_a2):
     with pytest.raises(PrecisionExhausted):
-        make_marked_point(spec_a2, pair_a2, 13, "X")
+        make_marked_point(spec_a2, point_a2, 13, "X")
 
 
-def test_gamma_solve_refuses_tolerance_below_resolution(spec_a2, pair_a2):
+def test_gamma_solve_refuses_tolerance_below_resolution(spec_a2, point_a2):
     with pytest.raises(PrecisionExhausted):
-        solve_gamma_k(spec_a2, pair_a2, 12)
+        solve_gamma_k(spec_a2, point_a2, 12)
 
 
-def test_convergence_table_marks_exhausted_rows(spec_a2, pair_a2):
-    table = convergence_table(spec_a2, pair_a2, range(13, 15))
+def test_convergence_table_marks_exhausted_rows(spec_a2, point_a2):
+    table = convergence_table(spec_a2, point_a2, range(13, 15))
     assert [row.status for row in table.rows] == ["precision_exhausted"] * 2
     assert [row.k for row in table.rows] == [13, 14]
 
 
-def test_convergence_table_small_k_transient(spec_a2, pair_a2):
-    table = convergence_table(spec_a2, pair_a2, range(1, 4))
+def test_convergence_table_small_k_transient(spec_a2, point_a2):
+    table = convergence_table(spec_a2, point_a2, range(1, 4))
     assert [row.asymptotic for row in table.rows] == [False, False, True]
     # every collision pair is solved; only the k = 1 construction is refused
     assert all(row.deviation is not None for row in table.rows)
     assert [row.status for row in table.rows] == ["precision_exhausted", "ok", "ok"]
 
 
-def test_convergence_table_monotonic_deviation(spec_a2, pair_a2):
-    rows = convergence_table(spec_a2, pair_a2, range(3, 6)).rows
+def test_convergence_table_monotonic_deviation(spec_a2, point_a2):
+    rows = convergence_table(spec_a2, point_a2, range(3, 6)).rows
     assert all(row.status == "ok" and row.asymptotic for row in rows)
     devs = [row.deviation for row in rows]
     assert len(devs) == 3 and all(b < a for a, b in zip(devs, devs[1:]))
@@ -355,13 +356,13 @@ def test_gamma_solve_frozen_k3(construction_results):
     assert all(c.cycle.repelling for c in built.certificates)
 
 
-def test_gamma_solve_deterministic(spec_a2, pair_a2, construction_results):
-    again = solve_gamma_k(spec_a2, pair_a2, 3)
+def test_gamma_solve_deterministic(spec_a2, point_a2, construction_results):
+    again = solve_gamma_k(spec_a2, point_a2, 3)
     assert again.gamma_k == construction_results[0].gamma_k
     assert again.r_k == construction_results[0].r_k
 
 
-def test_convergence_row_solves_the_base_pair_once(spec_a2, pair_a2, construction_results,
+def test_convergence_row_solves_the_base_pair_once(spec_a2, point_a2, construction_results,
                                                    monkeypatch):
     # the row solves the collision pair at gamma0 once and the gamma secant
     # starts from it; the secant then makes six seeded solves at k = 3
@@ -369,7 +370,7 @@ def test_convergence_row_solves_the_base_pair_once(spec_a2, pair_a2, constructio
     inner = perturbation._collision_pair
     monkeypatch.setattr(perturbation, "_collision_pair",
                         lambda *args, **kwargs: seeds.append(kwargs.get("seeds")) or inner(*args, **kwargs))
-    row = convergence_table(spec_a2, pair_a2, [3]).rows[0]
+    row = convergence_table(spec_a2, point_a2, [3]).rows[0]
     assert len(seeds) == 7
     assert seeds[0] is None and all(None not in s for s in seeds[1:])
     assert row.construction.gamma_k == construction_results[0].gamma_k

@@ -25,8 +25,10 @@ from lattes_forge.lattes import (
     map_from_dict,
     map_to_dict,
 )
+from lattes_forge.perturbation import _exact_itinerary
 
 from conftest import GAMMA0
+from oracles import exact_itinerary_by_scan
 
 EPS = np.finfo(float).eps
 SPECS = [LattesSpec(TorusParameter(GAMMA0), 2, "EvenZero"),
@@ -63,6 +65,25 @@ def test_json_text_round_trip_is_bit_exact(f):
     assert again == doc
     g = map_from_dict(again)
     assert (g.num, g.den, g.degree) == (f.num, f.den, f.degree)
+
+
+@given(st.sampled_from([(2, "EvenZero"), (3, "OddZero"), (3, "OddHalf"),
+                        (4, "EvenZero"), (5, "OddZero"), (5, "OddHalf")]),
+       st.fractions(-2, 2, max_denominator=24), st.fractions(-2, 2, max_denominator=24))
+def test_keyed_itinerary_matches_the_scan(a_case, s, t):
+    # the sphere-class keys find the first repeat that comparing each address
+    # with every earlier one finds, or both give up after 16 steps (periods
+    # reach 22 at these denominators)
+    a, case = a_case
+    b = LattesSpec(TorusParameter(1j), a, case).translation
+    outcomes = []
+    for itinerary in (_exact_itinerary, exact_itinerary_by_scan):
+        try:
+            pre, per, addrs = itinerary(a, b, TorusPoint(s, t), 16)
+            outcomes.append((pre, per, tuple(addrs)))
+        except NoConvergence:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
 
 
 @given(st.one_of(maps(), st.sampled_from(LATTES_MAPS)), factors, factors,
