@@ -18,7 +18,7 @@ import tempfile
 from fractions import Fraction
 
 from .dynamics import MIN_GRID, critical_points, eval_map, julia_render, ppm_bytes, spherical_distance
-from .elliptic import TorusParameter, theta_data
+from .elliptic import TorusParameter, measured_theta_data
 from .errors import (
     LattesForgeError,
     LemmaViolation,
@@ -165,10 +165,11 @@ def cmd_verify_lemma1(args) -> int:
     rows = []
     worst = 0.0
     for gamma in grid:
-        td = theta_data(gamma)
+        td = measured_theta_data(gamma)
         res_ratio = abs(td.lam / td.v + td.mu / td.w)
+        kappa = 4.0 * td.lam / (td.v * (td.v - td.w))
         kappa_other = 4.0 * td.mu / (td.w * (td.w - td.v))
-        res_kappa = abs(kappa_other - td.kappa)
+        res_kappa = abs(kappa_other - kappa)
         worst = max(worst, res_ratio, res_kappa)
         rows.append((gamma, res_ratio, res_kappa))
         print(f"gamma={gamma:.6f}  |lam/v+mu/w|={res_ratio:.3e}  kappa-residual={res_kappa:.3e}")
@@ -260,6 +261,8 @@ def _certificate_doc(cert) -> dict:
 
 def cmd_construct(args) -> int:
     # usage errors are refused before --out is created or anything is solved
+    if args.k_min < 1:
+        raise ValueError(f"--k-min must be at least 1, got {args.k_min}")
     if args.k_min > args.k_max:
         raise ValueError(f"empty depth range: --k-min {args.k_min} > --k-max {args.k_max}")
     if args.render and args.size < MIN_GRID:
@@ -363,8 +366,18 @@ def _add_spec(p: argparse.ArgumentParser) -> None:
                    help="rational p/q, imaginary part of gamma0 (> 0)")
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < float("inf"):  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _add_tol(p: argparse.ArgumentParser, default: float) -> None:
-    p.add_argument("--tol", type=float, default=default,
+    p.add_argument("--tol", type=_positive_float, default=default,
                    help="headline tolerance of the command (default %(default)g)")
 
 

@@ -99,7 +99,6 @@ class CycleData:
     points: tuple
     period: int
     multiplier: complex
-    residual: float
 
     @property
     def repelling(self) -> bool:
@@ -351,14 +350,14 @@ def critical_points(f) -> list[tuple[SpherePoint, int]]:
     return out
 
 
-def _newton_periodic(f, seed: SpherePoint, period: int, tol: float, max_iter: int = 60) -> tuple[SpherePoint, float]:
-    """Newton iteration for f^period(z) = z, tracked in a moving chart."""
+def _newton_periodic(f, seed: SpherePoint, period: int, tol: float, max_iter: int = 60) -> list[SpherePoint]:
+    """Newton iteration for f^period(z) = z, tracked in a moving chart; returns
+    the orbit z, f(z), ..., f^period(z) of the point it converged on."""
     z = seed
     for _ in range(max_iter):
         pts = orbit(f, z, period)
-        res = spherical_distance(pts[-1], pts[0])
-        if res < tol:
-            return z, res
+        if spherical_distance(pts[-1], pts[0]) < tol:
+            return pts
         c0 = pts[0].chart()
         chain = 1.0 + 0j
         for i in range(period):
@@ -388,20 +387,20 @@ def find_cycle(f, seed: SpherePoint, period: int, tol: float = 1e-12) -> CycleDa
     """Locate a cycle near seed; reports the minimal period dividing `period`."""
     if period < 1:
         raise ValueError("period must be >= 1")
-    z, _ = _newton_periodic(f, seed, period, tol)
-    pts = orbit(f, z, period)
+    return _cycle_data(f, _newton_periodic(f, seed, period, tol), tol)
+
+
+def _cycle_data(f, pts: list[SpherePoint], tol: float) -> CycleData:
+    """The cycle of a point of period dividing len(pts) - 1, given its orbit
+    pts from _newton_periodic, at its minimal period."""
+    period = len(pts) - 1
     minimal = period
     for d in range(1, period):
         if period % d == 0 and spherical_distance(pts[d], pts[0]) < 1e3 * tol:
             minimal = d
             break
     cycle_pts = tuple(pts[:minimal])
-    mult = multiplier(f, list(cycle_pts))
-    residual = max(
-        spherical_distance(eval_map(f, cycle_pts[i]), cycle_pts[(i + 1) % minimal])
-        for i in range(minimal)
-    )
-    return CycleData(points=cycle_pts, period=minimal, multiplier=mult, residual=residual)
+    return CycleData(points=cycle_pts, period=minimal, multiplier=multiplier(f, list(cycle_pts)))
 
 
 def continue_cycle(member, cycle: CycleData) -> CycleData:
@@ -409,7 +408,7 @@ def continue_cycle(member, cycle: CycleData) -> CycleData:
     member(s), s from 0 to 1.
 
     Newton correction at each substep and adaptive halving on failure; the
-    result is the cycle of member(1.0), polished with the same period.
+    result is the cycle of member(1.0) that the last substep converged on.
     """
     if not cycle.repelling:
         raise ValueError("continue_cycle requires a repelling cycle")
@@ -421,17 +420,19 @@ def continue_cycle(member, cycle: CycleData) -> CycleData:
     while s < 1.0 - 1e-15:
         sv = min(1.0, s + ds)
         try:
-            z_new, _ = _newton_periodic(member(sv), z, period, _CONTINUE_TOL, max_iter=20)
+            g = member(sv)
+            pts = _newton_periodic(g, z, period, _CONTINUE_TOL, max_iter=20)
         except (NoConvergence, ValueError):
             ds *= 0.5
             if ds < min_ds:
                 raise ContinuationBreakdown(
                     f"continuation step underflow at s = {s:.6g}") from None
             continue
-        z, s = z_new, sv
+        z, s = pts[0], sv
         if ds < _CONTINUE_STEP:
             ds *= 2.0
-    continued = find_cycle(member(1.0), z, period, _CONTINUE_TOL)
+    # the loop ends on a substep that converged at sv = 1.0, on g = member(1.0)
+    continued = _cycle_data(g, pts, _CONTINUE_TOL)
     if continued.period != period:
         raise ContinuationBreakdown(
             f"period changed from {period} to {continued.period} during continuation")

@@ -27,6 +27,7 @@ from functools import lru_cache
 from .dynamics import (
     CycleData,
     SpherePoint,
+    chart_derivative,
     classify_orbit,
     continue_cycle,
     eval_map,
@@ -54,7 +55,6 @@ _COLLISION_TOL = 1e-12  # residual target of the collision solves behind s_k/t_k
 _COLLISION_MAX_ITER = 80  # secant evaluations per collision solve
 _GAMMA_MAX_ITER = 30  # misfit evaluations per gamma_k solve
 _MARKED_TOL = 1e-9  # spherical tolerance of marked orbits, certified and tracked
-_FD_STEP = 1e-4  # central-difference step in t of tracked_limits
 
 
 def _check_resolution(a: int, k: int) -> None:
@@ -202,43 +202,37 @@ def make_marked_point(spec: LattesSpec, base_point: BasePoint, k: int,
     )
 
 
-@dataclass(frozen=True)
-class TrackedLimits:
-    """First-order response of the limit points to t."""
-
-    x_dot: complex
-    y_dot: complex
-    fd_error: float
-
-
-def _limit_point(spec: LattesSpec, base: RationalMapCoeffs, t: complex, near: complex) -> complex:
-    """Continuation of the marked limit point (near v or w) to parameter t."""
-    ft = base.scaled(1.0 + t)
+def _limit_response(spec: LattesSpec, f: RationalMapCoeffs, near: complex) -> complex:
+    """d/dt at t = 0 of the limit point near v or w of (1 + t) f, by implicit
+    differentiation.  EvenZero: (1 + t) f(x) = 0 at the pullback x of 0, so
+    x' = -f(x)/f'(x).  Otherwise the cycle z_(j+1) = (1 + t) f(z_j) gives
+    z'_(j+1) = z_(j+1) + f'(z_j) z'_j, which closes to z'_0 = sum / (1 -
+    multiplier).  The points are finite, so f' is taken in the affine chart."""
     seed = SpherePoint.from_complex(near)
     if spec.case_tag == "EvenZero":
-        return pullback_branch(ft, SpherePoint.zero(), seed, tol=1e-13).to_complex()
+        x = pullback_branch(f, SpherePoint.zero(), seed, tol=1e-13)
+        return -eval_map(f, x).to_complex() / chart_derivative(f, x, 0, 0)
     period = 1 if spec.case_tag == "OddZero" else 2
     # the cycle's multiplier is a^(2 period), which amplifies the rounding
     # of each map evaluation in the cycle residual: ask for no less
     tol = max(1e-13, 16.0 * _EPS * float(abs(spec.a)) ** (2 * period))
-    return find_cycle(ft, seed, period, tol=tol).points[0].to_complex()
+    pts = find_cycle(f, seed, period, tol=tol).points
+    # the multiplier from the same affine derivatives as the sum: mixing in
+    # find_cycle's chart-wise multiplier costs a digit (4e-14 in c at a = 5)
+    total, mult = 0j, 1.0 + 0j
+    for j, z in enumerate(pts):
+        d = chart_derivative(f, z, 0, 0)
+        total = pts[(j + 1) % len(pts)].to_complex() + d * total
+        mult *= d
+    return total / (1.0 - mult)
 
 
-def tracked_limits(spec: LattesSpec) -> TrackedLimits:
-    """dx_infty/dt and dy_infty/dt at t = 0 by Richardson-extrapolated
-    central differences of the continued limit points (step 1e-4 and half
-    of it); dv/dt = v and dw/dt = w hold exactly for the scaling family."""
-    h = _FD_STEP
+def tracked_limits(spec: LattesSpec) -> tuple[complex, complex]:
+    """dx_infty/dt and dy_infty/dt at t = 0, the responses of the limit points
+    near v and w; dv/dt = v and dw/dt = w hold exactly for the scaling family."""
     td = theta_data(spec.gamma.gamma)
     base = base_map_for(spec)
-    out = []
-    err = 0.0
-    for near in (td.v, td.w):
-        d1 = (_limit_point(spec, base, h, near) - _limit_point(spec, base, -h, near)) / (2 * h)
-        d2 = (_limit_point(spec, base, h / 2, near) - _limit_point(spec, base, -h / 2, near)) / h
-        out.append((4.0 * d2 - d1) / 3.0)
-        err = max(err, abs(d2 - d1) / 3.0)
-    return TrackedLimits(x_dot=out[0], y_dot=out[1], fd_error=err)
+    return _limit_response(spec, base, td.v), _limit_response(spec, base, td.w)
 
 
 def case_response_constant(spec: LattesSpec) -> complex:
@@ -261,13 +255,12 @@ class ResponseReport:
 def verify_lemma3(spec: LattesSpec) -> ResponseReport:
     """Measure the shared response constant c = (x_dot - v_dot)/v = (y_dot - w_dot)/w
     and compare with its exact per-case value."""
-    tl = tracked_limits(spec)
+    x_dot, y_dot = tracked_limits(spec)
     td = theta_data(spec.gamma.gamma)
-    cx = (tl.x_dot - td.v) / td.v
-    cy = (tl.y_dot - td.w) / td.w
+    cx = (x_dot - td.v) / td.v
+    cy = (y_dot - td.w) / td.w
     residual = abs(cx - cy)
-    budget = max(tl.fd_error, 1e-10)
-    if residual > 100.0 * budget:
+    if residual > 1e-8:  # both sides are exact up to the rounding of the map
         raise LemmaViolation(
             f"response constants from the two critical values disagree: {residual:.3e}")
     return ResponseReport(

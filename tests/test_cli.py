@@ -58,10 +58,21 @@ def test_verify_lemma1_default_grid(tmp_path, capsys):
 
 
 def test_verify_lemma1_corrupt_detector(monkeypatch):
-    exact = cli.theta_data
-    monkeypatch.setattr(cli, "theta_data", lambda gamma: dataclasses.replace(
+    exact = cli.measured_theta_data
+    monkeypatch.setattr(cli, "measured_theta_data", lambda gamma: dataclasses.replace(
         exact(gamma), lam=exact(gamma).lam + 1e-3))
     assert main(["verify-lemma1"]) == 2
+
+
+def test_verify_lemma1_reports_a_failed_identity(tmp_path, capsys):
+    # below Im gamma = 0.4 the second differences miss the identity by more
+    # than 1e-8: the report is still written, and the exit code says why
+    assert main(["verify-lemma1", "--grid=0.1:0.2:0.3:0.4:2", "--out", str(tmp_path)]) == 2
+    assert ">= tolerance" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "lemma1_report.json").read_text())
+    assert doc["passed"] is False
+    assert len(doc["rows"]) == 4
+    assert doc["worst_residual"] > 1e-8
 
 
 def test_verify_lemma1_grid_validation(capsys):
@@ -133,6 +144,12 @@ def test_construct_rejects_bad_parameters(capsys):
 
 @pytest.mark.parametrize("args", [
     ["construct", "--k-min", "5", "--k-max", "3"],
+    ["construct", "--k-min", "0", "--k-max", "0"],
+    ["construct", "--tol=-1", "--k-min", "3", "--k-max", "3"],
+    ["construct", "--tol=inf"],
+    ["verify-lemma3", "--tol=-1"],
+    ["verify-lemma1", "--tol=nan"],
+    ["certify", "--tol=0", "map.json"],
     ["construct", "--k-min", "3", "--k-max", "3", "--render", "--size", "8"],
     ["construct", "--x0=1/2"],  # denominator not coprime with 2a
     ["construct", "--y0=-1"],
@@ -150,6 +167,20 @@ def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args):
     assert main(args + ["--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_construct_at_low_imaginary_part(tmp_path):
+    # gamma0 = 1/5 + i/3: the quadratic coefficients come from their closed
+    # form, so no finite-difference identity check can abort the table
+    assert main(["construct", "--x0=1/5", "--y0=1/3", "--k-min", "2", "--k-max", "3",
+                 "--out", str(tmp_path)]) == 0
+    for k in (2, 3):
+        path = tmp_path / f"construction_k{k}.json"
+        count = json.loads(path.read_text())["postcritical_count"]
+        assert count > 4
+        assert main(["certify", str(path), "--out", str(tmp_path / f"cert{k}")]) == 0
+        cert = json.loads((tmp_path / f"cert{k}" / "certificate.json").read_text())
+        assert cert["postcritical_count"] == count
 
 
 def test_construct_computes_each_itinerary_once(tmp_path):

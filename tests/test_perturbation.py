@@ -193,7 +193,7 @@ def test_shooting_refuses_a_path_through_the_zero_map(spec_a2, point_a2, monkeyp
     mx = make_marked_point(spec_a2, point_a2, 3, "X")
     steps = []
     monkeypatch.setattr(dynamics, "_newton_periodic",
-                        lambda *args, **kwargs: steps.append(1) or (args[1], 0.0))
+                        lambda *args, **kwargs: steps.append(1) or [args[1]] * (args[2] + 1))
     with pytest.raises(ValueError, match="passes through zero"):
         perturbation._shooting_misfit(mx, base_map_for(spec_a2), theta_data(GAMMA0).v, 0, t)
     assert steps == []
@@ -206,8 +206,8 @@ def test_shooting_refuses_a_path_through_the_zero_map(spec_a2, point_a2, monkeyp
 ])
 def test_tracked_limits_match_closed_forms(a, case, gamma, expected):
     spec = spec_for(a, case, gamma)
-    tl = tracked_limits(spec)
-    assert abs(tl.x_dot - expected) < 1e-6
+    x_dot, _ = tracked_limits(spec)
+    assert abs(x_dot - expected) < 1e-6
 
 
 @pytest.mark.parametrize("a,case", [(2, "EvenZero"), (3, "OddZero"), (3, "OddHalf")])
@@ -220,12 +220,24 @@ def test_response_constant_all_cases_and_lattices(a, case, gamma):
     assert report.c_expected == case_response_constant(spec)
 
 
+@pytest.mark.parametrize("a,case,gamma", [
+    (2, "EvenZero", GAMMA0), (3, "OddZero", GAMMA5), (3, "OddHalf", GAMMA5),
+    (4, "EvenZero", GAMMA0), (5, "OddZero", GAMMA5), (5, "OddHalf", complex(1 / 7, 1.0)),
+])
+def test_response_constant_is_accurate(a, case, gamma):
+    # implicit differentiation of the limit points' equations leaves only
+    # the rounding of the map: every case, a = 2..5, to 1e-12
+    report = verify_lemma3(spec_for(a, case, gamma))
+    assert abs(report.c_measured - report.c_expected) < 1e-12
+    assert report.residual < 1e-12
+
+
 def test_cross_lemma_consistency(spec_a2):
     # -(x_dot - v_dot)/lam = (y_dot - w_dot)/mu ties both branch responses
-    tl = tracked_limits(spec_a2)
+    x_dot, y_dot = tracked_limits(spec_a2)
     td = theta_data(GAMMA0)
-    left = -(tl.x_dot - td.v) / td.lam
-    right = (tl.y_dot - td.w) / td.mu
+    left = -(x_dot - td.v) / td.lam
+    right = (y_dot - td.w) / td.mu
     assert abs(left - right) < 1e-6
 
 
@@ -243,12 +255,12 @@ def test_rescaled_fn_limit_at_zero(spec_a2, point_a2):
 
 def test_rescaled_fn_affine_slope(spec_a2, point_a2):
     mx = make_marked_point(spec_a2, point_a2, 10, "X")
-    tl = tracked_limits(spec_a2)
+    x_dot, _ = tracked_limits(spec_a2)
     v = theta_data(GAMMA0).v
     u = 0.5
     slope = (rescaled_collision_fn(spec_a2, point_a2, mx, u)
              - rescaled_collision_fn(spec_a2, point_a2, mx, 0.0)) / u
-    assert abs(slope - (tl.x_dot - v)) < 1e-4
+    assert abs(slope - (x_dot - v)) < 1e-4
 
 
 def test_collision_frozen_root(spec_a2, point_a2):

@@ -34,6 +34,9 @@ import workloads  # noqa: E402  (the pools of the benchmark, read not copied)
 
 USAGE_ERRORS = [
     ("construct", "--k-min", "5", "--k-max", "3"),
+    ("construct", "--k-min", "0", "--k-max", "0"),
+    ("construct", "--tol=-1", "--k-min", "3", "--k-max", "3"),
+    ("verify-lemma3", "--tol=-1"),
     ("construct", "--k-min", "3", "--k-max", "3", "--render", "--size", "8"),
     ("construct", "--x0=1/2"),
     ("construct", "--y0=-1"),
