@@ -17,7 +17,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from .dynamics import MIN_GRID, critical_points, eval_map, julia_render, ppm_bytes, spherical_distance
+from .dynamics import critical_points, eval_map, julia_render, ppm_bytes, spherical_distance
 from .elliptic import TorusParameter, measured_theta_data
 from .errors import (
     LattesForgeError,
@@ -26,7 +26,7 @@ from .errors import (
     NotRepelling,
     PrecisionExhausted,
 )
-from .lattes import LattesSpec, build_rational_map, map_from_dict, map_to_dict
+from .lattes import LattesSpec, map_from_dict, map_to_dict
 from .perturbation import (
     base_map_for,
     certify_strictly_pcf,
@@ -265,8 +265,6 @@ def cmd_construct(args) -> int:
         raise ValueError(f"--k-min must be at least 1, got {args.k_min}")
     if args.k_min > args.k_max:
         raise ValueError(f"empty depth range: --k-min {args.k_min} > --k-max {args.k_max}")
-    if args.render and args.size < MIN_GRID:
-        raise ValueError(f"--render needs --size of at least {MIN_GRID}, got {args.size}")
     base_point = standard_parameters(args.x0, args.y0, args.a)
     spec0 = _spec(args)
     gamma0 = spec0.gamma.gamma
@@ -304,14 +302,6 @@ def cmd_construct(args) -> int:
         _atomic_write(os.path.join(out, f"construction_k{built.k}.json"),
                       _json_text(doc) + "\n")
     _atomic_write(os.path.join(out, "convergence.csv"), "\n".join(csv_lines) + "\n")
-    if args.render:
-        size = args.size
-        _atomic_write(os.path.join(out, "base.ppm"),
-                      ppm_bytes(julia_render(base_map_for(spec0), size, size)))
-        done = [r.construction for r in table.rows if r.construction is not None]
-        if done:
-            _atomic_write(os.path.join(out, f"g_k{done[-1].k}.ppm"),
-                          ppm_bytes(julia_render(done[-1].g_k, size, size)))
     if exhausted:
         return EXIT_PRECISION
     return EXIT_OK if all_certified else EXIT_VIOLATION
@@ -346,7 +336,7 @@ def cmd_render(args) -> int:
     if args.map_file is not None:
         g = _load_map(args.map_file)
     else:
-        g = build_rational_map(_spec(args))
+        g = base_map_for(_spec(args))
     buffer = julia_render(g, args.size, args.size, max_iter=args.max_iter, span=args.span)
     path = args.out if args.out else "render.ppm"
     if os.path.isdir(path):
@@ -373,6 +363,16 @@ def _positive_float(text: str) -> float:
         value = 0.0
     if not 0.0 < value < float("inf"):  # also refuses nan
         raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
@@ -411,15 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", type=str, default=None, help="output directory")
     pc.add_argument("--k-min", dest="k_min", type=int, default=3)
     pc.add_argument("--k-max", dest="k_max", type=int, default=6)
-    pc.add_argument("--render", action="store_true", help="also write PPM renders")
-    pc.add_argument("--size", type=int, default=256, help="render size in pixels")
     pc.set_defaults(fn=cmd_construct)
 
     pf = sub.add_parser("certify", help="certify an arbitrary map from its JSON coefficients")
     _add_tol(pf, 1e-8)
     pf.add_argument("--out", type=str, default=None, help="output directory")
     pf.add_argument("map_file", type=str)
-    pf.add_argument("--max-iter", dest="max_iter", type=int, default=300)
+    pf.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=300)
     pf.set_defaults(fn=cmd_certify)
 
     pr = sub.add_parser("render", help="render a Julia set to PPM")
@@ -428,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--map-file", dest="map_file", type=str, default=None)
     pr.add_argument("--size", type=int, default=512)
     pr.add_argument("--span", type=float, default=2.0)
-    pr.add_argument("--max-iter", dest="max_iter", type=int, default=40)
+    pr.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=40)
     pr.set_defaults(fn=cmd_render)
     return parser
 

@@ -279,31 +279,6 @@ def critical_values(spec: LattesSpec, r: complex) -> list[SpherePoint]:
     return vals
 
 
-def verify_semiconjugacy(f: RationalMapCoeffs, spec: LattesSpec, n: int,
-                         seed: int = 0) -> float:
-    """Max spherical distance between f(theta(tau)) and theta(L(tau)) at n random points."""
-    import numpy as np
-
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    gamma = spec.gamma.gamma
-    endo = _float_endo(spec)
-    worst = 0.0
-    count = 0
-    while count < n:
-        s, t = rng.random(2)
-        if _half_lattice_gap(s, t) < 5e-3:
-            continue
-        lt = endo(s, t)
-        if _half_lattice_gap(lt.s, lt.t) < 5e-3:
-            continue
-        worst = max(worst, spherical_distance(
-            eval_map(f, theta_map(TorusPoint(s, t), gamma)), theta_map(lt, gamma)))
-        count += 1
-    return worst
-
-
 def map_to_dict(f: RationalMapCoeffs) -> dict:
     """JSON-ready document: {"degree": D, "num": [[re, im], ...], "den": ...}."""
     return {

@@ -38,7 +38,7 @@ from .dynamics import (
 )
 from .elliptic import TorusParameter, TorusPoint, theta_data, theta_map
 from .errors import (
-    ContinuationBreakdown,
+    LattesForgeError,
     LemmaViolation,
     NoConvergence,
     NotPCF,
@@ -291,7 +291,6 @@ def closed_form_rescaled_root(spec: LattesSpec, marked: MarkedPreperiodicPoint) 
 class CollisionResult:
     """Solved collision parameter for one marked point."""
 
-    k: int
     value: complex
     rescaled: complex
     residual: float
@@ -326,7 +325,7 @@ def _shooting_misfit(marked: MarkedPreperiodicPoint, base: RationalMapCoeffs, cv
     return _chart_coord(z, chart) - _chart_coord(target, chart)
 
 
-def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint, rescale: bool = True,
+def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint,
                     u_seed: complex | None = None) -> CollisionResult:
     """Parameter t at which the perturbed critical value collides with the
     marked point: the orbit of (1+t)v (or (1+t)w) hits the continued landing
@@ -334,8 +333,7 @@ def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint, rescale: b
 
     Secant iteration in the rescaled variable u = a^(2k) t seeded at the
     closed-form limit (or at u_seed, for root-following across nearby
-    parameters); with rescale=False the same equation is solved in raw t
-    (useful only at small k where that is still conditioned).
+    parameters).
 
     t enters the map as 1 + t, so u is representable only to the spacing
     eps * |a^(2k) + u|.  When the secant step falls below that spacing
@@ -350,13 +348,10 @@ def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint, rescale: b
     td = theta_data(spec.gamma.gamma)
     cv = td.v if marked.family == "X" else td.w
     chart = marked.cycle.points[0].chart()
-    scale = a2k if rescale else 1.0
-    if u_seed is None:
-        u_seed = closed_form_rescaled_root(spec, marked)
-    u0 = u_seed / (a2k / scale)
+    u0 = closed_form_rescaled_root(spec, marked) if u_seed is None else u_seed
 
     def fn(u):
-        return _shooting_misfit(marked, base, cv, chart, u / scale)
+        return _shooting_misfit(marked, base, cv, chart, u / a2k)
 
     u1 = u0 * (1.0 + 1e-3)
     f0, f1 = fn(u0), fn(u1)
@@ -369,7 +364,7 @@ def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint, rescale: b
             raise NoConvergence(f"collision secant did not reach |residual| < {_COLLISION_TOL} "
                                 f"in {_COLLISION_MAX_ITER} iterations")
         # t enters the map as 1 + t, so u is resolved only to this spacing
-        resolution = _EPS * abs(scale + u1)
+        resolution = _EPS * abs(a2k + u1)
         denom = f1 - f0
         if abs(u1 - u0) > resolution:
             if abs(denom) < 1e-300:
@@ -397,9 +392,8 @@ def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint, rescale: b
         iters += 1
         if abs(f1) < abs(best_f):
             best_u, best_f = u1, f1
-    t_val = best_u / scale
+    t_val = best_u / a2k
     return CollisionResult(
-        k=marked.k,
         value=t_val,
         rescaled=t_val * a2k,
         residual=abs(best_f),
@@ -455,78 +449,64 @@ def _collision_pair(spec: LattesSpec, base_point: BasePoint, k: int, seeds=(None
     return cs, ct
 
 
-def solve_gamma_k(spec0: LattesSpec, base_point: BasePoint, k: int, tol: float = 1e-10,
-                  base_pair: tuple | None = None) -> ConstructionResult:
+def solve_gamma_k(spec0: LattesSpec, base_point: BasePoint, k: int, pair: tuple,
+                  tol: float = 1e-10) -> ConstructionResult:
     """Solve s_k(gamma) = t_k(gamma) near the base point and certify the result.
 
-    Secant iteration on s_k/t_k - 1 (each evaluation rebuilds the map and
-    both collisions); at the root, g = (1 + r) f_gamma has both perturbed
-    critical values preperiodic, hence is strictly postcritically finite.
-    base_pair is the collision pair at spec0 already solved by
-    _collision_pair, unseeded; the secant starts from it
-    instead of solving it again.  Raises PrecisionExhausted when tol is
+    pair is the collision pair (s_k, t_k) that _collision_pair solved at
+    spec0.  The first step is Newton's on the first-order model of the
+    misfit s_k/t_k - 1, then secant steps follow; each step rebuilds the map
+    and solves both collisions, seeded at the previous pair.  At the root,
+    g = (1 + r) f_gamma has both perturbed critical values preperiodic, hence
+    is strictly postcritically finite.  Raises PrecisionExhausted when tol is
     finer than the ratio can be resolved: each collision is known only to
     eps * a^(2k) / |u| relative.
     """
-    gamma0 = spec0.gamma.gamma
-    warm = [None, None]  # follow one collision branch as gamma moves
-
-    def misfit(gamma: complex, solved=None):
-        spec = LattesSpec(TorusParameter(gamma), spec0.a, spec0.case_tag)
-        if solved is None:
-            solved = _collision_pair(spec, base_point, k, seeds=tuple(warm))
-        cs, ct = solved
-        warm[0], warm[1] = cs.rescaled, ct.rescaled
-        return cs.value / ct.value - 1.0, (spec, cs, ct)
-
-    # first-order model of the misfit: d/dgamma of -sigma^2/tau^2, where
-    # sigma' = 1 and tau' = 0
-    sig = base_point.offset("X", gamma0)
-    tau = base_point.offset("Y", gamma0)
-    slope = -2.0 * sig * tau / tau ** 3
-    h0, aux = misfit(gamma0, base_pair)
-    _, cs, ct = aux
+    cs, ct = pair
     floor = _EPS * _degree_power(spec0, k) * (1.0 / abs(cs.rescaled) + 1.0 / abs(ct.rescaled))
     if floor > tol:
         raise PrecisionExhausted(
             f"s/t is resolved only to {floor:.3g} at k={k}, above the tolerance {tol:.2g}")
-    g_prev, f_prev = gamma0, h0
-    g_cur = gamma0
-    h_cur = h0
+    gamma0 = spec0.gamma.gamma
+    # d/dgamma of the model -sigma^2/tau^2, where sigma' = 1 and tau' = 0;
+    # at sigma = i y0 and tau = y0 > 0 it is -2i / y0, never zero
+    sig = base_point.offset("X", gamma0)
+    tau = base_point.offset("Y", gamma0)
+    slope = -2.0 * sig * tau / tau ** 3
     step_cap = 0.25
-    if abs(h0) > tol:
-        dg = -h0 / slope if abs(slope) > 1e-12 else 1e-3
-        if abs(dg) > step_cap:
-            dg *= step_cap / abs(dg)
-        g_cur = gamma0 + dg
-        h_cur, aux = misfit(g_cur)
-    iters = 2
-    while abs(h_cur) > tol:
-        if iters >= _GAMMA_MAX_ITER:
+    spec, gamma, h = spec0, gamma0, cs.value / ct.value - 1.0
+    evals = 1
+    while abs(h) > tol:
+        if evals >= _GAMMA_MAX_ITER:
             raise NoConvergence(f"gamma secant did not converge in {_GAMMA_MAX_ITER} iterations")
-        denom = h_cur - f_prev
-        if abs(denom) < 1e-300:
-            raise NoConvergence("gamma secant degenerated")
-        dg = -h_cur * (g_cur - g_prev) / denom
+        if evals == 1:
+            dg = -h / slope
+        else:
+            denom = h - h_prev
+            if abs(denom) < 1e-300:
+                raise NoConvergence("gamma secant degenerated")
+            dg = -h * (gamma - g_prev) / denom
         if abs(dg) > step_cap:
             dg *= step_cap / abs(dg)
-        g_prev, f_prev = g_cur, h_cur
-        g_cur = g_cur + dg
-        h_cur, aux = misfit(g_cur)
-        iters += 1
-    spec_k, cs, ct = aux
+        g_prev, h_prev = gamma, h
+        gamma = gamma + dg
+        spec = LattesSpec(TorusParameter(gamma), spec0.a, spec0.case_tag)
+        # follow one collision branch as gamma moves
+        cs, ct = _collision_pair(spec, base_point, k, seeds=(cs.rescaled, ct.rescaled))
+        h = cs.value / ct.value - 1.0
+        evals += 1
     r_k = cs.value
-    g_k = base_map_for(spec_k).scaled(1.0 + r_k)
-    crit = critical_values(spec_k, r_k)
+    g_k = base_map_for(spec).scaled(1.0 + r_k)
+    crit = critical_values(spec, r_k)
     certs, count = certify_strictly_pcf(g_k, crit, max_iter=2 * (k + 8) + 80, tol=_PCF_TOL)
     return ConstructionResult(
         k=k,
-        gamma_k=g_cur,
+        gamma_k=gamma,
         r_k=r_k,
         g_k=g_k,
         certificates=tuple(certs),
         postcritical_count=count,
-        distance_to_base=abs(g_cur - gamma0) + abs(r_k),
+        distance_to_base=abs(gamma - gamma0) + abs(r_k),
     )
 
 
@@ -559,8 +539,9 @@ def convergence_table(spec0: LattesSpec, base_point: BasePoint, k_range,
     """Collision values, their ratio against -sigma^2/tau^2, and the
     constructed strictly postcritically finite maps, one row per k.
 
-    Failing rows carry an error status instead of aborting the table; a row
-    whose collisions were solved before the construction failed keeps them.
+    A row that raises a typed error (any LattesForgeError) carries its name
+    as an error status instead of aborting the table; a row whose collisions
+    were solved before the construction failed keeps them.
     """
     gamma0 = spec0.gamma.gamma
     sig = base_point.offset("X", gamma0)
@@ -578,13 +559,12 @@ def convergence_table(spec0: LattesSpec, base_point: BasePoint, k_range,
                 u_s=cs.rescaled, u_t=ct.rescaled,
                 ratio=ratio, target=target, deviation=abs(ratio - target),
             )
-            built = solve_gamma_k(spec0, base_point, k, tol=tol, base_pair=(cs, ct))
+            built = solve_gamma_k(spec0, base_point, k, (cs, ct), tol=tol)
             row.update(gamma_gap=abs(built.gamma_k - gamma0), construction=built)
         except PrecisionExhausted:
             # collisions solved before the construction was refused are kept
             row["status"] = "precision_exhausted"
-        except (NoConvergence, ContinuationBreakdown, ValidationFailed,
-                NotPCF, NotRepelling) as exc:
+        except LattesForgeError as exc:
             row["status"] = f"error:{type(exc).__name__}"
         rows.append(ConvergenceRow(**row))
     return ConvergenceTable(rows=tuple(rows))

@@ -12,6 +12,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from lattes_forge.elliptic import TorusParameter
 from lattes_forge.lattes import LattesSpec, build_rational_map
 from lattes_forge.perturbation import (
+    _collision_pair,
     make_marked_point,
     solve_collision,
     solve_gamma_k,
@@ -85,4 +86,5 @@ def collision_rows(spec_a2, point_a2):
 
 @pytest.fixture(scope="session")
 def construction_results(spec_a2, point_a2):
-    return [solve_gamma_k(spec_a2, point_a2, k) for k in range(3, 7)]
+    return [solve_gamma_k(spec_a2, point_a2, k, _collision_pair(spec_a2, point_a2, k))
+            for k in range(3, 7)]

@@ -3,14 +3,16 @@
 None of these runs in a command: the lattice sum checks the theta series
 of P (read through `weierstrass_p`, which no command needs), the
 brute-force fiber checks `pullback_branch`, the Moebius conjugate checks
-the chart invariance of multipliers, the inverse-branch tracker checks the
-shooting solve of the collision equations, and the scan of every earlier
-address checks the keyed exact itinerary.
+the chart invariance of multipliers, the inverse-branch tracker and the
+Newton solve in raw t check the shooting solve of the collision equations,
+the scan of every earlier address checks the keyed exact itinerary, and
+random torus points check the semiconjugacy of a fitted map.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +27,7 @@ from lattes_forge.dynamics import (
     pullback_branch,
     spherical_distance,
 )
-from lattes_forge.elliptic import TorusPoint, _context, theta_data
+from lattes_forge.elliptic import TorusPoint, _context, theta_data, theta_map
 from lattes_forge.errors import (
     BranchAmbiguity,
     ContinuationBreakdown,
@@ -39,7 +41,9 @@ from lattes_forge.perturbation import (
     BasePoint,
     MarkedPreperiodicPoint,
     _degree_power,
+    _shooting_misfit,
     base_map_for,
+    closed_form_rescaled_root,
 )
 
 _TRACK_STEPS = 4  # initial parameter substeps of track_marked_point
@@ -235,3 +239,59 @@ def rescaled_collision_fn(spec: LattesSpec, base_point: BasePoint,
     fam = PerturbedFamily(spec, base_map_for(spec), t)
     tracked = track_marked_point(fam, base_point, marked, t)
     return a2k * (tracked.to_complex() - (1.0 + t) * cv)
+
+
+def naive_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint,
+                    tol: float = 1e-12, max_iter: int = 40) -> complex:
+    """Collision parameter t by Newton in raw t on the shooting misfit, with a
+    central-difference slope, from the closed-form seed u / a^(2k).
+
+    Independent of solve_collision's rescaled secant, its seed perturbation,
+    step clamp and stopping rule.  Only the misfit is shared.  At a = 2, k = 3
+    the Y family's Newton path jumps to the other fold root; use it for X.
+    """
+    td = theta_data(spec.gamma.gamma)
+    cv = td.v if marked.family == "X" else td.w
+    chart = marked.cycle.points[0].chart()
+    base = base_map_for(spec)
+
+    def misfit(t):
+        return _shooting_misfit(marked, base, cv, chart, t)
+
+    t = closed_form_rescaled_root(spec, marked) / _degree_power(spec, marked.k)
+    for _ in range(max_iter):
+        f = misfit(t)
+        if abs(f) < tol:
+            return t
+        h = 1e-6 * abs(t)
+        t -= f / ((misfit(t + h) - misfit(t - h)) / (2.0 * h))
+    raise NoConvergence(f"raw-t Newton did not reach |misfit| < {tol} in {max_iter} steps")
+
+
+def _half_lattice_distance(s: float, t: float) -> float:
+    """Torus distance from (s, t) to the nearest point of the half lattice
+    {0, 1/2}^2, which is the nearest half-integer in each coordinate."""
+    return math.hypot(s - round(2.0 * s) / 2.0, t - round(2.0 * t) / 2.0)
+
+
+def verify_semiconjugacy(f: RationalMapCoeffs, spec: LattesSpec, n: int,
+                         seed: int = 0) -> float:
+    """Max spherical distance between f(theta(tau)) and theta(L(tau)) at n
+    random torus points, each with its image kept 5e-3 from the half lattice."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rng = np.random.default_rng(seed)
+    gamma = spec.gamma.gamma
+    worst = 0.0
+    count = 0
+    while count < n:
+        tau = TorusPoint(*(float(x) for x in rng.random(2)))
+        if _half_lattice_distance(tau.s, tau.t) < 5e-3:
+            continue
+        lt = torus_endo(spec.a, spec.translation, tau)
+        if _half_lattice_distance(lt.s, lt.t) < 5e-3:
+            continue
+        worst = max(worst, spherical_distance(eval_map(f, theta_map(tau, gamma)),
+                                              theta_map(lt, gamma)))
+        count += 1
+    return worst

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import lattes_forge.cli as cli
+import lattes_forge.lattes as lattes
 import lattes_forge.perturbation as perturbation
 from lattes_forge.cli import _atomic_write, main
 from lattes_forge.lattes import map_to_dict
@@ -120,21 +121,37 @@ def test_construct_artifacts_and_determinism(tmp_path):
     assert lines[2].startswith("3,ok,true,")
 
 
-def test_construct_render(tmp_path, monkeypatch):
-    # the base map is fit once, for the table, and its render reads that fit
-    fits = []
-    for module in (cli, perturbation):
-        monkeypatch.setattr(module, "build_rational_map",
-                            lambda spec, fit=module.build_rational_map: fits.append(spec) or fit(spec))
-    perturbation.base_map_for.cache_clear()
+def test_construct_refuses_render(tmp_path, monkeypatch, capsys):
+    # only `render` draws: the flags are refused before anything is solved
+    def solve(*_args, **_kwargs):
+        raise AssertionError("solved before the usage error was refused")
+
+    monkeypatch.setattr(perturbation, "_collision_pair", solve)
     out = tmp_path / "run"
     assert main(["construct", "--k-min", "3", "--k-max", "3", "--render", "--size", "16",
-                 "--out", str(out)]) == 0
+                 "--out", str(out)]) == 1
+    assert "unrecognized arguments: --render --size 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_draws_the_construct_run(tmp_path, monkeypatch):
+    # `render` draws the base map and g_k of a construct run; in one process
+    # the base map is fit once, for the table, and its render reads that fit
+    fits = []  # every fit draws its samples from one stream
+    monkeypatch.setattr(lattes, "_sample_stream",
+                        lambda spec, draw=lattes._sample_stream: fits.append(spec) or draw(spec))
+    perturbation.base_map_for.cache_clear()
+    out = tmp_path / "run"
+    assert main(["construct", "--k-min", "3", "--k-max", "3", "--out", str(out)]) == 0
     assert len(fits) == 7
-    assert (out / "g_k3.ppm").read_bytes().startswith(b"P6\n16 16\n255\n")
-    alone = tmp_path / "base.ppm"
-    assert main(["render", "--size", "16", "--out", str(alone)]) == 0
-    assert (out / "base.ppm").read_bytes() == alone.read_bytes()
+    base, g3 = tmp_path / "base.ppm", tmp_path / "g_k3.ppm"
+    assert main(["render", "--size", "16", "--out", str(base)]) == 0
+    assert main(["render", "--map-file", str(out / "construction_k3.json"), "--size", "16",
+                 "--out", str(g3)]) == 0
+    assert len(fits) == 7
+    header = b"P6\n16 16\n255\n"
+    assert base.read_bytes().startswith(header) and g3.read_bytes().startswith(header)
+    assert base.read_bytes() != g3.read_bytes()
 
 
 def test_construct_rejects_bad_parameters(capsys):
@@ -156,6 +173,8 @@ def test_construct_rejects_bad_parameters(capsys):
     ["construct", "--a", "1"],
     ["construct", "--a", "2", "--case", "2"],  # case 2 needs odd a
     ["verify-lemma1", "--grid", "1:2:3"],
+    ["certify", "--max-iter", "0", "map.json"],
+    ["render", "--max-iter", "0"],
 ])
 def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args):
     # refused before --out is created and before anything is solved
@@ -166,6 +185,33 @@ def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args):
     out = tmp_path / "out"
     assert main(args + ["--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_typed_failures_become_rows(tmp_path):
+    # at gamma0 = i/7 theta_data refuses the half-period values as not
+    # distinct; each row records the refusal and the table is still written
+    assert main(["construct", "--x0=0", "--y0=1/7", "--k-min", "3", "--k-max", "4",
+                 "--out", str(tmp_path)]) == 2
+    rows = list(csv.DictReader((tmp_path / "convergence.csv").read_text().splitlines()[1:]))
+    assert [(row["k"], row["status"]) for row in rows] == [("3", "error:LemmaViolation"),
+                                                           ("4", "error:LemmaViolation")]
+    assert sorted(os.listdir(tmp_path)) == ["convergence.csv"]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_iter_is_refused_before_anything_is_loaded(tmp_path, monkeypatch, capsys, value):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("loaded or built before the usage error was refused")
+
+    monkeypatch.setattr(cli, "_load_map", refuse)
+    monkeypatch.setattr(cli, "base_map_for", refuse)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(Z2_PLUS_1))
+    out = tmp_path / "out"
+    for args in (["certify", str(path)], ["render"]):
+        assert main(args + ["--max-iter", value, "--out", str(out)]) == 1
+        assert "must be a positive integer" in capsys.readouterr().err
     assert not out.exists()
 
 

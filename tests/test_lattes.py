@@ -16,10 +16,10 @@ from lattes_forge.lattes import (
     map_from_dict,
     map_to_dict,
     torus_endo,
-    verify_semiconjugacy,
 )
 
 from conftest import GAMMA0
+from oracles import verify_semiconjugacy
 
 
 def test_spec_validation():

@@ -35,6 +35,7 @@ from conftest import GAMMA0
 from oracles import (
     PerturbedFamily,
     lands_on_postcritical_set,
+    naive_collision,
     pullback_trackable,
     rescaled_collision_fn,
     track_marked_point,
@@ -290,9 +291,7 @@ def test_collision_values_shrink(collision_rows):
 
 def test_rescaled_and_naive_solves_agree(spec_a2, point_a2):
     mx = make_marked_point(spec_a2, point_a2, 3, "X")
-    fast = solve_collision(spec_a2, mx, rescale=True)
-    slow = solve_collision(spec_a2, mx, rescale=False)
-    assert abs(fast.value - slow.value) < 1e-10
+    assert abs(solve_collision(spec_a2, mx).value - naive_collision(spec_a2, mx)) < 1e-10
 
 
 def test_collision_seed_matches_closed_form(spec_a2, point_a2, collision_rows):
@@ -335,8 +334,10 @@ def test_marked_point_refuses_k13(spec_a2, point_a2):
 
 
 def test_gamma_solve_refuses_tolerance_below_resolution(spec_a2, point_a2):
+    # the collisions solve at k = 12; their ratio is resolved only to ~1e-9
+    pair = _collision_pair(spec_a2, point_a2, 12)
     with pytest.raises(PrecisionExhausted):
-        solve_gamma_k(spec_a2, point_a2, 12)
+        solve_gamma_k(spec_a2, point_a2, 12, pair)
 
 
 def test_convergence_table_marks_exhausted_rows(spec_a2, point_a2):
@@ -369,7 +370,7 @@ def test_gamma_solve_frozen_k3(construction_results):
 
 
 def test_gamma_solve_deterministic(spec_a2, point_a2, construction_results):
-    again = solve_gamma_k(spec_a2, point_a2, 3)
+    again = solve_gamma_k(spec_a2, point_a2, 3, _collision_pair(spec_a2, point_a2, 3))
     assert again.gamma_k == construction_results[0].gamma_k
     assert again.r_k == construction_results[0].r_k
 

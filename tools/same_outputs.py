@@ -13,7 +13,7 @@ NAME.stderr and NAME.exit.  Commands:
 - every verify-lemma3 spec, known defects included;
 - verify-lemma1 on its default grid;
 - every render spec at the benchmark's size;
-- the usage errors that construct and verify-lemma1 refuse.
+- the usage errors that construct, verify-lemma1, certify and render refuse.
 
 `diff -r` of two OUTDIRs, made from two commits, is their byte-identity
 check.  Two commands run at a time.
@@ -37,7 +37,8 @@ USAGE_ERRORS = [
     ("construct", "--k-min", "0", "--k-max", "0"),
     ("construct", "--tol=-1", "--k-min", "3", "--k-max", "3"),
     ("verify-lemma3", "--tol=-1"),
-    ("construct", "--k-min", "3", "--k-max", "3", "--render", "--size", "8"),
+    ("certify", "--max-iter", "0", "map.json"),
+    ("render", "--max-iter", "0"),
     ("construct", "--x0=1/2"),
     ("construct", "--y0=-1"),
     ("construct", "--a", "3", "--case", "2", "--x0", "1/3"),
