@@ -19,7 +19,7 @@ import math
 import mmap
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BranchAmbiguity,
@@ -39,8 +39,7 @@ _CONTINUE_TOL = 1e-12  # cycle residual at each continuation substep
 _ROOT_SWEEPS = 200  # Aberth sweeps over all unconverged zeros before roots gives up
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(NamedTuple):
     """Projective point (Z : W) with max(|Z|, |W|) = 1."""
 
     Z: complex
@@ -92,8 +91,7 @@ def spherical_distance(p: SpherePoint, q: SpherePoint) -> float:
     return num / math.sqrt((abs(p.Z) ** 2 + abs(p.W) ** 2) * (abs(q.Z) ** 2 + abs(q.W) ** 2))
 
 
-@dataclass(frozen=True)
-class CycleData:
+class CycleData(NamedTuple):
     """A periodic cycle with its multiplier."""
 
     points: tuple
@@ -105,8 +103,7 @@ class CycleData:
         return abs(self.multiplier) > 1.0
 
 
-@dataclass(frozen=True)
-class OrbitCertificate:
+class OrbitCertificate(NamedTuple):
     """An orbit that lands, after preperiod steps, within landing_residual
     of cycle."""
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .dynamics import SpherePoint
 from .errors import LemmaViolation, NoConvergence, PoleAtLatticePoint
@@ -33,19 +33,22 @@ _TOL = 1e-10  # accuracy the half-period identity e1 + e2 + e3 = 0 is checked to
 _LATTICE_EPS = 1e-13  # centered coordinates below this count as a lattice point
 
 
-@dataclass(frozen=True)
-class TorusParameter:
-    """Lattice shape gamma with Im(gamma) > 0."""
-
+class _TorusParameterFields(NamedTuple):
     gamma: complex
 
-    def __post_init__(self):
-        if not (self.gamma.imag > 0):
-            raise ValueError(f"gamma must have positive imaginary part, got {self.gamma}")
+
+class TorusParameter(_TorusParameterFields):
+    """Lattice shape gamma with Im(gamma) > 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, gamma: complex):
+        if not (gamma.imag > 0):
+            raise ValueError(f"gamma must have positive imaginary part, got {gamma}")
+        return super().__new__(cls, gamma)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(NamedTuple):
     """Point s + t*gamma on the torus, coordinates taken mod 1.
 
     Coordinates may be `Fraction` (exact addresses survive arithmetic) or
@@ -71,8 +74,12 @@ class TorusPoint:
         return s, t
 
     def is_lattice_point(self) -> bool:
-        s, t = self.centered()
-        return abs(s) < _LATTICE_EPS and abs(t) < _LATTICE_EPS
+        return _on_lattice(*self.centered())
+
+
+def _on_lattice(s: float, t: float) -> bool:
+    """Whether centered coordinates (s, t) count as the lattice point 0."""
+    return abs(s) < _LATTICE_EPS and abs(t) < _LATTICE_EPS
 
 
 HALF_LATTICE = (
@@ -83,8 +90,14 @@ HALF_LATTICE = (
 )
 
 
-def _theta(kind: int, v: complex, lq: complex) -> complex:
-    """Jacobi theta_kind(v, q) with log-nome lq = log q, |q| < 1."""
+def _theta(kind: int, v: complex, lq: complex, powers: list) -> complex:
+    """Jacobi theta_kind(v, q) with log-nome lq = log q, |q| < 1.
+
+    powers holds the nome powers of the lattice by term index n:
+    exp((n + 1/2)^2 lq) for kinds 1 and 2, exp(n^2 lq) for kinds 3 and 4
+    (whose entry 0 is 1).  They depend on lq alone, so a lattice keeps one
+    list of each kind; the series appends the terms it is the first to reach.
+    """
     decay = -lq.real
     iv = abs(v.imag)
     if kind in (1, 2):
@@ -97,13 +110,14 @@ def _theta(kind: int, v: complex, lq: complex) -> complex:
             if n > hump + 2 and logmag < _LOG_CUT:
                 break
             arg = (2 * n + 1) * v
-            base = cmath.exp(e * lq)
+            if n == len(powers):
+                powers.append(cmath.exp(e * lq))
             if kind == 1:
-                term = base * cmath.sin(arg)
+                term = powers[n] * cmath.sin(arg)
                 if n % 2:
                     term = -term
             else:
-                term = base * cmath.cos(arg)
+                term = powers[n] * cmath.cos(arg)
             acc += term
             n += 1
             if n > _MAX_TERMS:
@@ -117,7 +131,9 @@ def _theta(kind: int, v: complex, lq: complex) -> complex:
             logmag = n * n * lq.real + 2 * n * iv
             if n > hump + 2 and logmag < _LOG_CUT:
                 break
-            term = cmath.exp(n * n * lq) * cmath.cos(2 * n * v)
+            if n == len(powers):
+                powers.append(cmath.exp(n * n * lq))
+            term = powers[n] * cmath.cos(2 * n * v)
             if kind == 4 and n % 2:
                 term = -term
             acc += 2.0 * term
@@ -128,8 +144,7 @@ def _theta(kind: int, v: complex, lq: complex) -> complex:
     raise ValueError(f"theta kind must be 1..4, got {kind}")
 
 
-@dataclass(frozen=True)
-class HalfPeriodValues:
+class HalfPeriodValues(NamedTuple):
     """P at the three half periods: e1 = P(1/2), e2 = P((1+gamma)/2), e3 = P(gamma/2)."""
 
     gamma: complex
@@ -154,8 +169,10 @@ class _TorusContext:
             raise ValueError("gamma must lie in the upper half plane")
         self.gamma = gamma
         self.lq = 1j * math.pi * gamma  # log of the nome
-        self.c2 = _theta(2, 0j, self.lq)
-        self.c3 = _theta(3, 0j, self.lq)
+        self.half_powers = []  # the nome powers _theta reads, kinds 1 and 2
+        self.whole_powers = [1.0 + 0j]  # and kinds 3 and 4
+        self.c2 = _theta(2, 0j, self.lq, self.half_powers)
+        self.c3 = _theta(3, 0j, self.lq, self.whole_powers)
         self.e3_formula = -(math.pi ** 2 / 3.0) * (self.c2 ** 4 + self.c3 ** 4)
         e1 = self.p_value(HALF_LATTICE[1])
         e2 = self.p_value(HALF_LATTICE[3])
@@ -173,13 +190,17 @@ class _TorusContext:
         self.theta_data = ThetaData(1.0 + 0j, w, e3 - e1, w * (e1 - e3))
 
     def p_value(self, tau: TorusPoint) -> complex:
-        if tau.is_lattice_point():
-            raise PoleAtLatticePoint(f"P has a double pole at {tau}")
         s, t = tau.centered()
+        if _on_lattice(s, t):
+            raise PoleAtLatticePoint(f"P has a double pole at {tau}")
+        return self.p_centered(s, t)
+
+    def p_centered(self, s: float, t: float) -> complex:
+        """P at s + t gamma, for centered coordinates off the lattice."""
         z = s + t * self.gamma
         v = math.pi * z
-        th1 = _theta(1, v, self.lq)
-        th4 = _theta(4, v, self.lq)
+        th1 = _theta(1, v, self.lq, self.half_powers)
+        th4 = _theta(4, v, self.lq, self.whole_powers)
         ratio = math.pi * self.c2 * self.c3 * th4 / th1
         return self.e3_formula + ratio * ratio
 
@@ -201,15 +222,15 @@ def half_periods(gamma: complex) -> HalfPeriodValues:
 
 def theta_map(tau: TorusPoint, gamma: complex) -> SpherePoint:
     """Quotient map to the sphere: Moebius-normalized P with branch values 0, oo, 1, w."""
-    if tau.is_lattice_point():
+    s, t = tau.centered()
+    if _on_lattice(s, t):
         return SpherePoint.zero()
     ctx = _context(gamma)
     hp = ctx.half_periods
-    return SpherePoint.make(hp.e1 - hp.e2, ctx.p_value(tau) - hp.e2)
+    return SpherePoint.make(hp.e1 - hp.e2, ctx.p_centered(s, t) - hp.e2)
 
 
-@dataclass(frozen=True)
-class ThetaData:
+class ThetaData(NamedTuple):
     """Finite branch values of the quotient map and its quadratic coefficients.
 
     v and w are the images of 1/2 and gamma/2; lam and mu are the tau^2

@@ -17,9 +17,11 @@ and validated on held-out samples.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from .dynamics import SpherePoint, eval_map, roots, spherical_distance
 from .elliptic import HALF_LATTICE, TorusParameter, TorusPoint, theta_data, theta_map
@@ -34,29 +36,33 @@ _MAX_DEGREE = 25
 _R2_A = 0.7548776662466927
 _R2_B = 0.5698402909980532
 _SAMPLE_GAP = 0.05  # fit samples keep this torus distance from the half lattice
-_CHART_BOUND = 10.0  # and both their images within |Z| <= 10 |W|
+_CHART_BOUND = 10.0  # and fit rows keep both their images within |Z| <= 10 |W|
 _OVERSAMPLE = 4  # fit rows per unknown pair: 4 (2D + 2) samples
 _HELD_OUT_TOL = 1e-9  # spherical residual every held-out sample must stay below
 
 
-@dataclass(frozen=True)
-class LattesSpec:
-    """Which flexible Lattes map: lattice shape, integer a, case tag."""
-
+class _LattesSpecFields(NamedTuple):
     gamma: TorusParameter
     a: int
     case_tag: str
 
-    def __post_init__(self):
-        if abs(self.a) < 2:
-            raise ValueError(f"|a| must be at least 2, got {self.a}")
-        if self.case_tag not in CASE_TAGS:
-            raise ValueError(f"case_tag must be one of {CASE_TAGS}, got {self.case_tag!r}")
-        even = self.a % 2 == 0
-        if self.case_tag == "EvenZero" and not even:
+
+class LattesSpec(_LattesSpecFields):
+    """Which flexible Lattes map: lattice shape, integer a, case tag."""
+
+    __slots__ = ()
+
+    def __new__(cls, gamma: TorusParameter, a: int, case_tag: str):
+        if abs(a) < 2:
+            raise ValueError(f"|a| must be at least 2, got {a}")
+        if case_tag not in CASE_TAGS:
+            raise ValueError(f"case_tag must be one of {CASE_TAGS}, got {case_tag!r}")
+        even = a % 2 == 0
+        if case_tag == "EvenZero" and not even:
             raise ValueError("case EvenZero requires even a")
-        if self.case_tag in ("OddZero", "OddHalf") and even:
-            raise ValueError(f"case {self.case_tag} requires odd a")
+        if case_tag in ("OddZero", "OddHalf") and even:
+            raise ValueError(f"case {case_tag} requires odd a")
+        return super().__new__(cls, gamma, a, case_tag)
 
     @property
     def degree(self) -> int:
@@ -76,7 +82,6 @@ def torus_endo(a: int, b: TorusPoint, tau: TorusPoint) -> TorusPoint:
     return TorusPoint(a * tau.s + b.s, a * tau.t + b.t).reduced()
 
 
-@dataclass(frozen=True, eq=False)
 class RationalMapCoeffs:
     """Degree-D rational map as ascending numerator/denominator coefficients,
     held as tuples of Python complex.
@@ -86,13 +91,26 @@ class RationalMapCoeffs:
     numerator and denominator roots must stay apart (no common roots).  It
     keeps the coefficients as given, scale included.  The scaling-family
     members (1 + t) f of a checked map come from `scaled`, which normalizes
-    and does not check.
+    and does not check.  A map is immutable and equal only to itself; it
+    stores abs_sum = sum |num_k| + sum |den_k| when it is made.
     """
 
-    num: tuple
-    den: tuple
-    degree: int
-    abs_sum: float = field(init=False, repr=False)  # sum |num_k| + sum |den_k|, set on creation
+    __slots__ = ("num", "den", "degree", "abs_sum")
+
+    def __init__(self, num, den, degree: int):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "degree", degree)
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable map")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable map")
+
+    def __repr__(self) -> str:
+        return f"RationalMapCoeffs(num={self.num!r}, den={self.den!r}, degree={self.degree!r})"
 
     def __post_init__(self):
         D = self.degree
@@ -198,20 +216,21 @@ def _half_lattice_gap(s: float, t: float) -> float:
     return best
 
 
-def _float_endo(spec: LattesSpec):
-    """torus_endo for float coordinates (s, t), with the translation added as
-    floats: the same bits, since float + Fraction is float + float(Fraction),
-    without a trip through Fraction's reverse operators per point."""
-    a, b = spec.a, spec.translation
+@lru_cache(maxsize=None)
+def _torus_samples(a: int, b: TorusPoint) -> tuple:
+    """The fit's torus samples for multiplier a and translation b: a list of
+    the pairs (tau, L tau) drawn so far, and the generator that extends it.
+    Neither depends on the lattice shape, so every fit of (a, b) reads the
+    same list at every gamma."""
+    return [], _address_pairs(a, b)
+
+
+def _address_pairs(a: int, b: TorusPoint):
+    """Pairs (tau, L tau) of quasi-random torus samples tau, both kept
+    _SAMPLE_GAP from the half lattice.  L tau = a tau + b with the translation
+    added as floats: the same bits as torus_endo, since float + Fraction is
+    float + float(Fraction)."""
     bs, bt = float(b.s), float(b.t)
-    return lambda s, t: TorusPoint(a * s + bs, a * t + bt).reduced()
-
-
-def _sample_stream(spec: LattesSpec):
-    """Sphere images (theta(tau), theta(L tau)) of quasi-random torus samples
-    tau, guard-filtered."""
-    gamma = spec.gamma.gamma
-    endo = _float_endo(spec)
     j = 0
     while True:
         j += 1
@@ -219,23 +238,32 @@ def _sample_stream(spec: LattesSpec):
         t = (0.5 + j * _R2_B) % 1.0
         if _half_lattice_gap(s, t) < _SAMPLE_GAP:
             continue
-        lt = endo(s, t)
+        lt = TorusPoint(a * s + bs, a * t + bt).reduced()
         if _half_lattice_gap(lt.s, lt.t) < _SAMPLE_GAP:
             continue
-        z = theta_map(TorusPoint(s, t), gamma)
-        w = theta_map(lt, gamma)
-        if abs(z.Z) > _CHART_BOUND * abs(z.W) or abs(w.Z) > _CHART_BOUND * abs(w.W):
-            continue
-        yield z, w
+        yield TorusPoint(s, t), lt
+
+
+def _sample_stream(spec: LattesSpec):
+    """Sphere images (theta(tau), theta(L tau)) of the torus samples of
+    _torus_samples, in order; one stream per fit."""
+    gamma = spec.gamma.gamma
+    drawn, fresh = _torus_samples(spec.a, spec.translation)
+    for i in itertools.count():
+        if i == len(drawn):
+            drawn.append(next(fresh))
+        tau, lt = drawn[i]
+        yield theta_map(tau, gamma), theta_map(lt, gamma)
 
 
 def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
     """Recover the degree-D coefficients from the semiconjugacy.
 
     Homogeneous system rows V_j P(Z_j, W_j) - U_j Q(Z_j, W_j) = 0 over
-    quasi-random samples; the coefficient vector is the smallest-singular-
-    value direction.  The next 100 samples of the same stream are held out
-    and must validate below 1e-9 in the spherical metric.
+    quasi-random samples whose images both satisfy |Z| <= 10 |W|; the
+    coefficient vector is the smallest-singular-value direction.  The next
+    100 samples of the same stream, whatever their chart, are held out and
+    must validate below 1e-9 in the spherical metric.
     """
     import numpy as np
 
@@ -245,8 +273,10 @@ def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
     n_fit = _OVERSAMPLE * (2 * D + 2)
     stream = _sample_stream(spec)
     rows = []
-    for _ in range(n_fit):
+    while len(rows) < n_fit:
         z, w = next(stream)
+        if abs(z.Z) > _CHART_BOUND * abs(z.W) or abs(w.Z) > _CHART_BOUND * abs(w.W):
+            continue
         zp = np.array([z.Z ** k * z.W ** (D - k) for k in range(D + 1)])
         rows.append(np.concatenate([w.W * zp, -w.Z * zp]))
     A = np.array(rows)

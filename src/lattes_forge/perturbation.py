@@ -20,9 +20,9 @@ break down there, and solve_collision does not need it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .dynamics import (
     CycleData,
@@ -67,8 +67,7 @@ def _check_resolution(a: int, k: int) -> None:
             "collision parameters fall below double-precision resolution")
 
 
-@dataclass(frozen=True)
-class BasePoint:
+class BasePoint(NamedTuple):
     """The base point gamma0 = x0 + i y0 as exact fractions, checked by
     standard_parameters.  The marked points of the k-th pair sit at the torus
     addresses 1/2 + sigma/a^k (X) and gamma/2 + tau/a^k (Y), with the
@@ -103,8 +102,7 @@ def standard_parameters(x0: Fraction, y0: Fraction, a: int) -> BasePoint:
     return BasePoint(x0, y0)
 
 
-@dataclass(frozen=True)
-class MarkedPreperiodicPoint:
+class MarkedPreperiodicPoint(NamedTuple):
     """A marked point near v or w, with its orbit data.
 
     exact_preperiod is computed from the torus address (sign classes mod the
@@ -121,9 +119,22 @@ class MarkedPreperiodicPoint:
     offset_value: complex
 
 
-@lru_cache(maxsize=32)
 def base_map_for(spec: LattesSpec) -> RationalMapCoeffs:
-    return build_rational_map(spec)
+    """The fitted map of spec, fitted once per process: a fit that a typed
+    error refused raises that error again without fitting."""
+    fit = _fit(spec)
+    if isinstance(fit, LattesForgeError):
+        raise fit.with_traceback(None)
+    return fit
+
+
+@lru_cache(maxsize=32)
+def _fit(spec: LattesSpec):
+    """build_rational_map(spec), or the LattesForgeError that refused it."""
+    try:
+        return build_rational_map(spec)
+    except LattesForgeError as exc:
+        return exc
 
 
 @lru_cache(maxsize=256)
@@ -245,8 +256,7 @@ def case_response_constant(spec: LattesSpec) -> complex:
     return -a2 / (1.0 + a2) + 0j
 
 
-@dataclass(frozen=True)
-class ResponseReport:
+class ResponseReport(NamedTuple):
     c_measured: complex
     c_expected: complex
     residual: float
@@ -287,8 +297,7 @@ def closed_form_rescaled_root(spec: LattesSpec, marked: MarkedPreperiodicPoint) 
     return -quad * off * off / (c * cv)
 
 
-@dataclass(frozen=True)
-class CollisionResult:
+class CollisionResult(NamedTuple):
     """Solved collision parameter for one marked point."""
 
     value: complex
@@ -428,8 +437,7 @@ def certify_strictly_pcf(g: RationalMapCoeffs, crit_values: list, max_iter: int 
     return certs, len(clusters)
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     """A strictly postcritically finite perturbation of a Lattes map."""
 
     k: int
@@ -510,8 +518,7 @@ def solve_gamma_k(spec0: LattesSpec, base_point: BasePoint, k: int, pair: tuple,
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One k of the collision/construction experiment; construction is set
     exactly when g_k was built and certified."""
 
@@ -529,8 +536,7 @@ class ConvergenceRow:
     construction: ConstructionResult | None = None
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(NamedTuple):
     rows: tuple
 
 

@@ -5,13 +5,16 @@ of P (read through `weierstrass_p`, which no command needs), the
 brute-force fiber checks `pullback_branch`, the Moebius conjugate checks
 the chart invariance of multipliers, the inverse-branch tracker and the
 Newton solve in raw t check the shooting solve of the collision equations,
-the scan of every earlier address checks the keyed exact itinerary, and
-random torus points check the semiconjugacy of a fitted map.
+the scan of every earlier address checks the keyed exact itinerary,
+random torus points check the semiconjugacy of a fitted map, and the theta
+series and fit sample stream that recompute every nome power and every
+torus sample per call check the ones that keep them per lattice and per
+(a, translation).
 """
 
 from __future__ import annotations
 
-import dataclasses
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +30,7 @@ from lattes_forge.dynamics import (
     pullback_branch,
     spherical_distance,
 )
-from lattes_forge.elliptic import TorusPoint, _context, theta_data, theta_map
+from lattes_forge.elliptic import _LOG_CUT, _MAX_TERMS, TorusPoint, _context, theta_data, theta_map
 from lattes_forge.errors import (
     BranchAmbiguity,
     ContinuationBreakdown,
@@ -35,7 +38,16 @@ from lattes_forge.errors import (
     PoleAtLatticePoint,
     ValidationFailed,
 )
-from lattes_forge.lattes import LattesSpec, RationalMapCoeffs, torus_endo
+from lattes_forge.lattes import (
+    _CHART_BOUND,
+    _R2_A,
+    _R2_B,
+    _SAMPLE_GAP,
+    LattesSpec,
+    RationalMapCoeffs,
+    _half_lattice_gap,
+    torus_endo,
+)
 from lattes_forge.perturbation import (
     _MARKED_TOL,
     BasePoint,
@@ -115,7 +127,7 @@ def mobius_conjugate(f, mobius: tuple[complex, complex, complex, complex]):
     new_num = a * n1 + b * d1
     new_den = c * n1 + d * d1
     scale = max(np.max(np.abs(new_num)), np.max(np.abs(new_den)))
-    return dataclasses.replace(f, num=new_num / scale, den=new_den / scale)
+    return RationalMapCoeffs(num=new_num / scale, den=new_den / scale, degree=f.degree)
 
 
 @dataclass(frozen=True)
@@ -295,3 +307,70 @@ def verify_semiconjugacy(f: RationalMapCoeffs, spec: LattesSpec, n: int,
                                               theta_map(lt, gamma)))
         count += 1
     return worst
+
+
+def theta_series_per_call(kind: int, v: complex, lq: complex) -> complex:
+    """Jacobi theta_kind(v, q), log-nome lq, with every nome power computed
+    afresh: the same terms, order and stopping rule as the package's series."""
+    decay = -lq.real
+    iv = abs(v.imag)
+    if kind in (1, 2):
+        hump = iv / decay - 0.5
+        acc = 0j
+        n = 0
+        while True:
+            e = (n + 0.5) ** 2
+            logmag = e * lq.real + (2 * n + 1) * iv
+            if n > hump + 2 and logmag < _LOG_CUT:
+                break
+            arg = (2 * n + 1) * v
+            base = cmath.exp(e * lq)
+            if kind == 1:
+                term = base * cmath.sin(arg)
+                if n % 2:
+                    term = -term
+            else:
+                term = base * cmath.cos(arg)
+            acc += term
+            n += 1
+            if n > _MAX_TERMS:
+                raise NoConvergence(f"theta_{kind} series needed more than {_MAX_TERMS} terms")
+        return 2.0 * acc
+    hump = iv / decay
+    acc = 1.0 + 0j
+    n = 1
+    while True:
+        logmag = n * n * lq.real + 2 * n * iv
+        if n > hump + 2 and logmag < _LOG_CUT:
+            break
+        term = cmath.exp(n * n * lq) * cmath.cos(2 * n * v)
+        if kind == 4 and n % 2:
+            term = -term
+        acc += 2.0 * term
+        n += 1
+        if n > _MAX_TERMS:
+            raise NoConvergence(f"theta_{kind} series needed more than {_MAX_TERMS} terms")
+    return acc
+
+
+def sample_stream_per_fit(spec: LattesSpec):
+    """The fit's chart-filtered sample pairs (theta(tau), theta(L tau)), with
+    every torus sample drawn and filtered afresh."""
+    gamma = spec.gamma.gamma
+    a, b = spec.a, spec.translation
+    bs, bt = float(b.s), float(b.t)
+    j = 0
+    while True:
+        j += 1
+        s = (0.5 + j * _R2_A) % 1.0
+        t = (0.5 + j * _R2_B) % 1.0
+        if _half_lattice_gap(s, t) < _SAMPLE_GAP:
+            continue
+        lt = TorusPoint(a * s + bs, a * t + bt).reduced()
+        if _half_lattice_gap(lt.s, lt.t) < _SAMPLE_GAP:
+            continue
+        z = theta_map(TorusPoint(s, t), gamma)
+        w = theta_map(lt, gamma)
+        if abs(z.Z) > _CHART_BOUND * abs(z.W) or abs(w.Z) > _CHART_BOUND * abs(w.W):
+            continue
+        yield z, w

@@ -1,7 +1,6 @@
 """Exit codes, artifacts, and determinism of the command line tool."""
 
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -60,8 +59,8 @@ def test_verify_lemma1_default_grid(tmp_path, capsys):
 
 def test_verify_lemma1_corrupt_detector(monkeypatch):
     exact = cli.measured_theta_data
-    monkeypatch.setattr(cli, "measured_theta_data", lambda gamma: dataclasses.replace(
-        exact(gamma), lam=exact(gamma).lam + 1e-3))
+    monkeypatch.setattr(cli, "measured_theta_data", lambda gamma: exact(gamma)._replace(
+        lam=exact(gamma).lam + 1e-3))
     assert main(["verify-lemma1"]) == 2
 
 
@@ -140,7 +139,7 @@ def test_render_draws_the_construct_run(tmp_path, monkeypatch):
     fits = []  # every fit draws its samples from one stream
     monkeypatch.setattr(lattes, "_sample_stream",
                         lambda spec, draw=lattes._sample_stream: fits.append(spec) or draw(spec))
-    perturbation.base_map_for.cache_clear()
+    perturbation._fit.cache_clear()
     out = tmp_path / "run"
     assert main(["construct", "--k-min", "3", "--k-max", "3", "--out", str(out)]) == 0
     assert len(fits) == 7
@@ -317,6 +316,49 @@ def test_certify_and_verify_lemma1_never_load_numpy(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[False, 0, False, 0, False]"
+
+
+_BARE_IMPORTS = """
+import sys
+bare = set(sys.modules)
+import lattes_forge.cli
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - bare)))
+"""
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command pays its imports at start-up: the records are NamedTuples
+    # and a slotted map class, so no command imports dataclasses (and inspect)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", _BARE_IMPORTS], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_a_refused_fit_is_not_fitted_again(tmp_path, monkeypatch):
+    # the fit of a = 3, case 2 at gamma0 = i/5 is ill-conditioned: every row
+    # reports it, from one fit
+    fits = []
+    monkeypatch.setattr(perturbation, "build_rational_map",
+                        lambda spec, fit=lattes.build_rational_map: fits.append(spec) or fit(spec))
+    perturbation._fit.cache_clear()
+    out = tmp_path / "run"
+    assert main(["construct", "--a", "3", "--case", "2", "--x0=0", "--y0=1/5",
+                 "--out", str(out)]) == 2
+    assert len(fits) == 1
+    rows = list(csv.reader((out / "convergence.csv").read_text().splitlines()[2:]))
+    assert [row[:2] for row in rows] == [[str(k), "error:IllConditioned"] for k in range(3, 7)]
+
+
+def test_render_refuses_a_fit_its_held_out_samples_miss(tmp_path, capsys):
+    # the fit at gamma = 1/3 + 3i misses the semiconjugacy by 4.5e-4 off the
+    # fit rows' chart, where held-out samples now also fall
+    target = tmp_path / "render.ppm"
+    assert main(["render", "--y0=3", "--size", "16", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: held-out semiconjugacy residual")
+    assert not target.exists()
 
 
 def test_certify_base_map_is_lattes_witness(tmp_path, base_a2, capsys):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lattes_forge import elliptic
 from lattes_forge.elliptic import (
@@ -18,7 +20,9 @@ from lattes_forge.elliptic import (
 from lattes_forge.errors import LemmaViolation, PoleAtLatticePoint
 
 from conftest import GAMMA0
-from oracles import is_half_lattice, weierstrass_p, weierstrass_p_lattice_sum
+from oracles import is_half_lattice, theta_series_per_call, weierstrass_p, weierstrass_p_lattice_sum
+
+centered = st.floats(min_value=-0.5, max_value=0.5, allow_nan=False)
 
 
 def test_gamma_must_be_upper_half_plane():
@@ -83,17 +87,34 @@ def test_theta_map_evaluates_p_once(monkeypatch):
     gamma = 0.15 + 1.05j
     theta_map(TorusPoint(0.1, 0.2), gamma)
     calls = []
-    p_value = elliptic._TorusContext.p_value
+    p_centered = elliptic._TorusContext.p_centered
 
-    def counted(self, tau):
-        calls.append(tau)
-        return p_value(self, tau)
+    def counted(self, s, t):
+        calls.append((s, t))
+        return p_centered(self, s, t)
 
-    monkeypatch.setattr(elliptic._TorusContext, "p_value", counted)
+    monkeypatch.setattr(elliptic._TorusContext, "p_centered", counted)
     points = [TorusPoint(0.05 * j, 0.3 + 0.02 * j) for j in range(1, 8)]
     for tau in points:
         theta_map(tau, gamma)
-    assert calls == points
+    assert calls == [tau.centered() for tau in points]
+
+
+@given(re=st.floats(min_value=-0.5, max_value=0.5), im=st.floats(min_value=0.3, max_value=3.0),
+       s=centered, t=centered)
+def test_theta_series_reads_kept_nome_powers_bit_for_bit(re, im, s, t):
+    # the lattice keeps its nome powers and extends them as a series first
+    # reaches a term; every value equals the series that recomputes each power
+    gamma = complex(re, im)
+    ctx = elliptic._context(gamma)
+    v = math.pi * (s + t * gamma)
+    for kind, kept in ((1, ctx.half_powers), (2, ctx.half_powers),
+                       (3, ctx.whole_powers), (4, ctx.whole_powers)):
+        fresh = [] if kind < 3 else [1.0 + 0j]
+        expect = theta_series_per_call(kind, v, ctx.lq)
+        assert elliptic._theta(kind, v, ctx.lq, kept) == expect
+        assert elliptic._theta(kind, v, ctx.lq, fresh) == expect
+        assert fresh == kept[:len(fresh)]
 
 
 def test_theta_data_refusal_is_not_cached():

@@ -8,6 +8,7 @@ import pytest
 import lattes_forge.lattes as lattes
 from lattes_forge.dynamics import SpherePoint, critical_points, eval_map, spherical_distance
 from lattes_forge.elliptic import TorusParameter, TorusPoint, theta_data
+from lattes_forge.errors import ValidationFailed
 from lattes_forge.lattes import (
     LattesSpec,
     RationalMapCoeffs,
@@ -19,7 +20,10 @@ from lattes_forge.lattes import (
 )
 
 from conftest import GAMMA0
-from oracles import verify_semiconjugacy
+from oracles import sample_stream_per_fit, verify_semiconjugacy
+
+EVERY_CASE = [(2, "EvenZero"), (3, "OddZero"), (3, "OddHalf"), (4, "EvenZero"),
+              (5, "OddZero"), (5, "OddHalf")]
 
 
 def test_spec_validation():
@@ -196,3 +200,70 @@ def test_scaled_is_the_family_member_bit_for_bit(a, case, gamma):
         g = base.scaled(1.0 + t)
         assert (g.num, g.den, g.degree) == (
             *lattes._normalized((1.0 + t) * np.asarray(base.num), base.den), base.degree)
+
+
+@pytest.mark.parametrize("a,case", EVERY_CASE)
+def test_fit_samples_match_the_per_fit_stream(a, case):
+    # the torus samples are drawn once per (a, translation) and read at every
+    # gamma: the chart-filtered pairs are the per-fit stream's, bit for bit
+    for gamma in (0.2 + 1j, 0.4 + 0.8j, 0.2 + 1j):
+        spec = LattesSpec(TorusParameter(gamma), a, case)
+        n = 4 * (2 * spec.degree + 2) + 100
+        kept = ((z, w) for z, w in lattes._sample_stream(spec)
+                if abs(z.Z) <= 10.0 * abs(z.W) and abs(w.Z) <= 10.0 * abs(w.W))
+        fresh = sample_stream_per_fit(spec)
+        assert [next(kept) for _ in range(n)] == [next(fresh) for _ in range(n)]
+
+
+@pytest.mark.parametrize("a,case", EVERY_CASE)
+def test_fitted_maps_match_the_per_fit_stream(a, case, monkeypatch):
+    spec = LattesSpec(TorusParameter(0.2 + 1j), a, case)
+    f = build_rational_map(spec)
+    monkeypatch.setattr(lattes, "_sample_stream", sample_stream_per_fit)
+    g = build_rational_map(spec)
+    assert (f.num, f.den) == (g.num, g.den)
+
+
+def test_held_out_samples_leave_the_chart_filter(monkeypatch):
+    # at gamma = 1/3 + 3i the fit misses the semiconjugacy by 4.5e-4; held-out
+    # samples that shared the fit rows' filter |Z| <= 10 |W| passed it
+    spec = LattesSpec(TorusParameter(1 / 3 + 3j), 2, "EvenZero")
+    with pytest.raises(ValidationFailed, match="held-out semiconjugacy residual"):
+        build_rational_map(spec)
+    monkeypatch.setattr(lattes, "_sample_stream", sample_stream_per_fit)
+    assert verify_semiconjugacy(build_rational_map(spec), spec, 200) > 1e-4
+
+
+def test_records_refuse_assignment(base_a2):
+    spec = LattesSpec(TorusParameter(GAMMA0), 2, "EvenZero")
+    records = [(SpherePoint.zero(), "Z"), (TorusPoint(0.1, 0.2), "s"), (spec, "a"),
+               (spec.gamma, "gamma"), (theta_data(GAMMA0), "w")]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        assert hash(record) == hash(type(record)(*record))
+    for name in ("num", "abs_sum", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(base_a2, name, ())
+    with pytest.raises(AttributeError):
+        del base_a2.num
+
+
+def test_maps_equal_only_themselves(base_a2):
+    loaded = map_from_dict(map_to_dict(base_a2))
+    assert (loaded.num, loaded.den, loaded.degree) == (base_a2.num, base_a2.den, base_a2.degree)
+    assert loaded != base_a2 and loaded == loaded
+    assert len({base_a2, loaded, base_a2}) == 2
+
+
+def test_map_from_dict_runs_the_check_on_the_class(base_a2, monkeypatch):
+    # the check is looked up on the class, so a wrapper installed there sees
+    # every checked map; scaled family members skip it
+    checked = []
+    check = RationalMapCoeffs.__post_init__
+    monkeypatch.setattr(RationalMapCoeffs, "__post_init__",
+                        lambda self: checked.append(self) or check(self))
+    g = map_from_dict(map_to_dict(base_a2))
+    assert checked == [g]
+    base_a2.scaled(1.5)
+    assert checked == [g]

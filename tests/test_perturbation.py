@@ -1,6 +1,5 @@
 """Marked points, tracked limits, collision solving, and the construction."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -303,7 +302,7 @@ def test_collision_seed_matches_closed_form(spec_a2, point_a2, collision_rows):
 
 def test_precision_ceiling_raises(spec_a2, point_a2):
     mx = make_marked_point(spec_a2, point_a2, 4, "X")
-    deep = dataclasses.replace(mx, k=14)  # eps * 4^14 = 6e-8 over the 1e-8 limit
+    deep = mx._replace(k=14)  # eps * 4^14 = 6e-8 over the 1e-8 limit
     with pytest.raises(PrecisionExhausted):
         solve_collision(spec_a2, deep)
 
