@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from fractions import Fraction
 
-from .dynamics import critical_points, eval_map, julia_render, ppm_bytes, spherical_distance
+from .dynamics import (MIN_GRID, critical_points, eval_map, julia_render, ppm_bytes,
+                       spherical_distance)
 from .elliptic import TorusParameter, measured_theta_data
 from .errors import (
     LattesForgeError,
@@ -26,7 +28,7 @@ from .errors import (
     NotRepelling,
     PrecisionExhausted,
 )
-from .lattes import LattesSpec, map_from_dict, map_to_dict
+from .lattes import CASE_TAGS, LattesSpec, map_from_dict, map_to_dict
 from .perturbation import (
     base_map_for,
     certify_strictly_pcf,
@@ -34,8 +36,6 @@ from .perturbation import (
     standard_parameters,
     verify_lemma3,
 )
-
-CASE_BY_NUMBER = {1: "EvenZero", 2: "OddZero", 3: "OddHalf"}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,6 +120,8 @@ def _parse_grid(text: str):
         raise ValueError(f"grid must be re0:re1:im0:im1:n, got {text!r}")
     re0, re1, im0, im1 = (float(p) for p in parts[:4])
     n = int(parts[4])
+    if not all(map(math.isfinite, (re0, re1, im0, im1))):
+        raise ValueError(f"grid bounds must be finite, got {text!r}")
     if n < 1:
         raise ValueError("grid needs at least one point per axis")
     if im0 <= 0 or im1 <= 0:
@@ -146,7 +148,7 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
 
 def _spec(args) -> LattesSpec:
     gamma0 = complex(float(args.x0), float(args.y0))
-    return LattesSpec(TorusParameter(gamma0), args.a, CASE_BY_NUMBER[args.case])
+    return LattesSpec(TorusParameter(gamma0), args.a, CASE_TAGS[args.case - 1])
 
 
 def _write_report(args, name: str, doc: dict, csv_lines: list) -> None:
@@ -237,8 +239,9 @@ def _row_csv(row) -> str:
         return (_fmt(z.real), _fmt(z.imag)) if z is not None else ("", "")
 
     cells = [str(row.k), row.status, str(row.asymptotic).lower()]
-    for z in (row.s_value, row.t_value, row.u_s, row.u_t, row.ratio, row.target):
+    for z in (row.s_value, row.t_value, row.u_s, row.u_t, row.ratio):
         cells += c(z)
+    cells += ("1", "0") if row.ratio is not None else ("", "")  # the ratio's limit
     cells.append(_fmt(row.deviation) if row.deviation is not None else "")
     built = row.construction
     if built is None:
@@ -376,6 +379,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _grid_size(text: str) -> int:
+    value = _positive_int(text)
+    if value < MIN_GRID:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_GRID}, got {text!r}")
+    return value
+
+
 def _add_tol(p: argparse.ArgumentParser, default: float) -> None:
     p.add_argument("--tol", type=_positive_float, default=default,
                    help="headline tolerance of the command (default %(default)g)")
@@ -424,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec(pr)
     pr.add_argument("--out", type=str, default=None, help="output file or directory")
     pr.add_argument("--map-file", dest="map_file", type=str, default=None)
-    pr.add_argument("--size", type=int, default=512)
-    pr.add_argument("--span", type=float, default=2.0)
+    pr.add_argument("--size", type=_grid_size, default=512)
+    pr.add_argument("--span", type=_positive_float, default=2.0)
     pr.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=40)
     pr.set_defaults(fn=cmd_render)
     return parser

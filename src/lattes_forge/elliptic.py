@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .dynamics import SpherePoint
-from .errors import LemmaViolation, NoConvergence, PoleAtLatticePoint
+from .errors import LemmaViolation, NoConvergence
 
 _MAX_TERMS = 220
 _LOG_CUT = -41.0  # stop theta terms below ~1.5e-18 in magnitude
@@ -72,9 +72,6 @@ class TorusPoint(NamedTuple):
         if t >= 0.5:
             t -= 1.0
         return s, t
-
-    def is_lattice_point(self) -> bool:
-        return _on_lattice(*self.centered())
 
 
 def _on_lattice(s: float, t: float) -> bool:
@@ -147,7 +144,6 @@ def _theta(kind: int, v: complex, lq: complex, powers: list) -> complex:
 class HalfPeriodValues(NamedTuple):
     """P at the three half periods: e1 = P(1/2), e2 = P((1+gamma)/2), e3 = P(gamma/2)."""
 
-    gamma: complex
     e1: complex
     e2: complex
     e3: complex
@@ -174,26 +170,20 @@ class _TorusContext:
         self.c2 = _theta(2, 0j, self.lq, self.half_powers)
         self.c3 = _theta(3, 0j, self.lq, self.whole_powers)
         self.e3_formula = -(math.pi ** 2 / 3.0) * (self.c2 ** 4 + self.c3 ** 4)
-        e1 = self.p_value(HALF_LATTICE[1])
-        e2 = self.p_value(HALF_LATTICE[3])
-        e3 = self.p_value(HALF_LATTICE[2])
+        e1 = self.p_centered(*HALF_LATTICE[1].centered())
+        e2 = self.p_centered(*HALF_LATTICE[3].centered())
+        e3 = self.p_centered(*HALF_LATTICE[2].centered())
         scale = max(abs(e1), abs(e2), abs(e3), 1.0)
         if abs(e1 + e2 + e3) > 10.0 * _TOL * scale:
             raise LemmaViolation(f"half-period values do not sum to zero at gamma={gamma}")
         if min(abs(e1 - e2), abs(e1 - e3), abs(e2 - e3)) < 1e-8 * scale:
             raise LemmaViolation(f"half-period values are not distinct at gamma={gamma}")
-        self.half_periods = HalfPeriodValues(gamma, e1, e2, e3)
+        self.half_periods = HalfPeriodValues(e1, e2, e3)
         # P''(omega_i) = 2 (e_i - e_j)(e_i - e_k) gives the tau^2 coefficients
         # of (e1 - e2)/(P - e2): 1 - (e1 - e3) tau^2 about 1/2 and
         # w (1 - (e3 - e1) tau^2) about gamma/2
         w = (e1 - e2) / (e3 - e2)
         self.theta_data = ThetaData(1.0 + 0j, w, e3 - e1, w * (e1 - e3))
-
-    def p_value(self, tau: TorusPoint) -> complex:
-        s, t = tau.centered()
-        if _on_lattice(s, t):
-            raise PoleAtLatticePoint(f"P has a double pole at {tau}")
-        return self.p_centered(s, t)
 
     def p_centered(self, s: float, t: float) -> complex:
         """P at s + t gamma, for centered coordinates off the lattice."""
@@ -207,7 +197,7 @@ class _TorusContext:
     def affine(self, tau: TorusPoint) -> complex:
         """(e1 - e2)/(P - e2): the quotient map away from the lattice and (1+gamma)/2."""
         hp = self.half_periods
-        return (hp.e1 - hp.e2) / (self.p_value(tau) - hp.e2)
+        return (hp.e1 - hp.e2) / (self.p_centered(*tau.centered()) - hp.e2)
 
 
 @lru_cache(maxsize=64)

@@ -10,10 +10,6 @@ class LattesForgeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PoleAtLatticePoint(LattesForgeError):
-    """Weierstrass P was requested exactly at a lattice point."""
-
-
 class LemmaViolation(LattesForgeError):
     """A structural identity failed beyond the verification tolerance."""
 

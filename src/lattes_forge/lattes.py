@@ -82,51 +82,44 @@ def torus_endo(a: int, b: TorusPoint, tau: TorusPoint) -> TorusPoint:
     return TorusPoint(a * tau.s + b.s, a * tau.t + b.t).reduced()
 
 
-class RationalMapCoeffs:
+class _MapFields(NamedTuple):
+    num: tuple
+    den: tuple
+    degree: int
+    abs_sum: float
+
+
+class RationalMapCoeffs(_MapFields):
     """Degree-D rational map as ascending numerator/denominator coefficients,
     held as tuples of Python complex.
 
-    Construction pads both to D + 1 coefficients and checks the map: finite
-    and not identically zero, the effective degree must match and the
-    numerator and denominator roots must stay apart (no common roots).  It
-    keeps the coefficients as given, scale included.  The scaling-family
-    members (1 + t) f of a checked map come from `scaled`, which normalizes
-    and does not check.  A map is immutable and equal only to itself; it
-    stores abs_sum = sum |num_k| + sum |den_k| when it is made.
+    Construction pads both to D + 1 coefficients, stores abs_sum = sum |num_k|
+    + sum |den_k| and checks the map: finite and not identically zero, the
+    effective degree must match and the numerator and denominator roots must
+    stay apart (no common roots).  It keeps the coefficients as given, scale
+    included.  The scaling-family members (1 + t) f of a checked map come
+    from `scaled`, which normalizes and does not check.
     """
 
-    __slots__ = ("num", "den", "degree", "abs_sum")
+    __slots__ = ()
 
-    def __init__(self, num, den, degree: int):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "degree", degree)
-        self.__post_init__()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable map")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable map")
-
-    def __repr__(self) -> str:
-        return f"RationalMapCoeffs(num={self.num!r}, den={self.den!r}, degree={self.degree!r})"
-
-    def __post_init__(self):
-        D = self.degree
-        if D < 1 or D > _MAX_DEGREE:
-            raise ValueError(f"degree must be between 1 and {_MAX_DEGREE}, got {D}")
-        if len(self.num) > D + 1 or len(self.den) > D + 1:
+    def __new__(cls, num, den, degree: int):
+        if degree < 1 or degree > _MAX_DEGREE:
+            raise ValueError(f"degree must be between 1 and {_MAX_DEGREE}, got {degree}")
+        if len(num) > degree + 1 or len(den) > degree + 1:
             raise ValueError("coefficient vectors longer than degree + 1")
         pad = (0j,)
-        num = tuple(complex(c) for c in self.num) + pad * (D + 1 - len(self.num))
-        den = tuple(complex(c) for c in self.den) + pad * (D + 1 - len(self.den))
+        num = tuple(complex(c) for c in num) + pad * (degree + 1 - len(num))
+        den = tuple(complex(c) for c in den) + pad * (degree + 1 - len(den))
+        self = super().__new__(cls, num, den, degree, sum(map(abs, num)) + sum(map(abs, den)))
+        self.__post_init__()
+        return self
+
+    def __post_init__(self):
+        num, den, D = self.num, self.den, self.degree
         scale = max(map(abs, num + den))
         if not (scale > 0.0 and all(map(cmath.isfinite, num + den))):
             raise ValueError("coefficients are identically zero or non-finite")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "abs_sum", sum(map(abs, num)) + sum(map(abs, den)))
         eff = max(_effective_degree(num, scale), _effective_degree(den, scale))
         if eff != D:
             raise ValueError(f"effective degree {eff} does not match declared degree {D}")
@@ -148,13 +141,8 @@ class RationalMapCoeffs:
 
         if factor == 0 or not cmath.isfinite(factor):
             raise ValueError(f"scaling factor {factor} is zero or non-finite")
-        out = object.__new__(RationalMapCoeffs)
         num, den = _normalized(factor * np.asarray(self.num), self.den)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
-        object.__setattr__(out, "degree", self.degree)
-        object.__setattr__(out, "abs_sum", sum(map(abs, num)) + sum(map(abs, den)))
-        return out
+        return self._replace(num=num, den=den, abs_sum=sum(map(abs, num)) + sum(map(abs, den)))
 
 
 def _normalized(num, den) -> tuple[tuple, tuple]:

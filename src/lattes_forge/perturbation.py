@@ -530,7 +530,6 @@ class ConvergenceRow(NamedTuple):
     u_s: complex | None = None
     u_t: complex | None = None
     ratio: complex | None = None
-    target: complex | None = None
     deviation: float | None = None
     gamma_gap: float | None = None
     construction: ConstructionResult | None = None
@@ -542,17 +541,15 @@ class ConvergenceTable(NamedTuple):
 
 def convergence_table(spec0: LattesSpec, base_point: BasePoint, k_range,
                       tol: float = 1e-10) -> ConvergenceTable:
-    """Collision values, their ratio against -sigma^2/tau^2, and the
-    constructed strictly postcritically finite maps, one row per k.
+    """Collision values, their ratio against its limit 1, and the
+    constructed strictly postcritically finite maps, one row per k.  The
+    limit -sigma^2/tau^2 is exactly 1: sigma(gamma0) = i y0 and tau = y0.
 
     A row that raises a typed error (any LattesForgeError) carries its name
     as an error status instead of aborting the table; a row whose collisions
     were solved before the construction failed keeps them.
     """
     gamma0 = spec0.gamma.gamma
-    sig = base_point.offset("X", gamma0)
-    tau = base_point.offset("Y", gamma0)
-    target = -sig * sig / (tau * tau)
     rows = []
     for k in k_range:
         row = dict(k=k, asymptotic=k >= 3)
@@ -563,7 +560,7 @@ def convergence_table(spec0: LattesSpec, base_point: BasePoint, k_range,
                 status="ok",
                 s_value=cs.value, t_value=ct.value,
                 u_s=cs.rescaled, u_t=ct.rescaled,
-                ratio=ratio, target=target, deviation=abs(ratio - target),
+                ratio=ratio, deviation=abs(ratio - 1.0),
             )
             built = solve_gamma_k(spec0, base_point, k, (cs, ct), tol=tol)
             row.update(gamma_gap=abs(built.gamma_k - gamma0), construction=built)

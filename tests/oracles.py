@@ -30,12 +30,19 @@ from lattes_forge.dynamics import (
     pullback_branch,
     spherical_distance,
 )
-from lattes_forge.elliptic import _LOG_CUT, _MAX_TERMS, TorusPoint, _context, theta_data, theta_map
+from lattes_forge.elliptic import (
+    _LOG_CUT,
+    _MAX_TERMS,
+    TorusPoint,
+    _context,
+    _on_lattice,
+    theta_data,
+    theta_map,
+)
 from lattes_forge.errors import (
     BranchAmbiguity,
     ContinuationBreakdown,
     NoConvergence,
-    PoleAtLatticePoint,
     ValidationFailed,
 )
 from lattes_forge.lattes import (
@@ -61,9 +68,21 @@ from lattes_forge.perturbation import (
 _TRACK_STEPS = 4  # initial parameter substeps of track_marked_point
 
 
+class PoleAtLatticePoint(ValueError):
+    """P was requested at a lattice point, where it has a double pole."""
+
+
+def _off_lattice(tau: TorusPoint) -> tuple[float, float]:
+    """The centered coordinates of tau; raises PoleAtLatticePoint on the lattice."""
+    s, t = tau.centered()
+    if _on_lattice(s, t):
+        raise PoleAtLatticePoint(f"P has a double pole at {tau}")
+    return s, t
+
+
 def weierstrass_p(tau: TorusPoint, gamma: complex) -> complex:
     """P(s + t*gamma) for the lattice Z + gamma Z, via the package's theta q-series."""
-    return _context(gamma).p_value(tau)
+    return _context(gamma).p_centered(*_off_lattice(tau))
 
 
 @lru_cache(maxsize=2)
@@ -77,9 +96,7 @@ def _lattice(gamma: complex, box: int) -> tuple[np.ndarray, np.ndarray]:
 
 def weierstrass_p_lattice_sum(tau: TorusPoint, gamma: complex, box: int = 200) -> complex:
     """Brute-force P by the symmetric truncated sum over |m|, |n| <= box."""
-    if tau.is_lattice_point():
-        raise PoleAtLatticePoint(f"P has a double pole at {tau}")
-    s, t = tau.centered()
+    s, t = _off_lattice(tau)
     z = s + t * gamma
     w, inv_w2 = _lattice(gamma, box)
     terms = 1.0 / (z - w) ** 2 - inv_w2

@@ -79,6 +79,10 @@ def test_verify_lemma1_grid_validation(capsys):
     assert main(["verify-lemma1", "--grid", "0:1:0:-1:5"]) == 1
     assert "upper half plane" in capsys.readouterr().err
     assert main(["verify-lemma1", "--grid", "1:2:3"]) == 1
+    # not a series that runs out of terms, nor the half-plane message
+    for grid in ("nan:1:1:2:2", "0:1:1:inf:2"):
+        assert main(["verify-lemma1", "--grid", grid]) == 1
+        assert "grid bounds must be finite" in capsys.readouterr().err
 
 
 def test_verify_lemma1_csv_report(tmp_path):
@@ -118,6 +122,8 @@ def test_construct_artifacts_and_determinism(tmp_path):
     assert lines[0] == "# lattes-forge convergence-table schema 1"
     assert lines[1].startswith("k,status,asymptotic,")
     assert lines[2].startswith("3,ok,true,")
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert (row["target_re"], row["target_im"]) == ("1", "0")  # the ratio's limit
 
 
 def test_construct_refuses_render(tmp_path, monkeypatch, capsys):
@@ -264,8 +270,9 @@ def test_precision_exhausted_row_keeps_its_collisions(tmp_path):
     (row,) = csv.DictReader(lines[1:])
     assert row["status"] == "precision_exhausted"
     assert abs(float(row["deviation"]) - 1.951e-3) < 1e-6
-    for name in ("s_re", "t_re", "u_s_re", "u_t_re", "ratio_re", "target_re"):
+    for name in ("s_re", "t_re", "u_s_re", "u_t_re", "ratio_re"):
         assert row[name] != ""
+    assert (row["target_re"], row["target_im"]) == ("1", "0")
     assert row["gamma_k_re"] == "" and row["certified"] == ""
 
 
@@ -451,8 +458,14 @@ def test_render_failed_write_keeps_the_old_ppm(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("args", [["--max-iter", "0"], ["--span", "0"], ["--span=-1"],
-                                  ["--span", "inf"], ["--span", "nan"]])
-def test_render_refuses_degenerate_arguments(tmp_path, capsys, args):
+                                  ["--span", "inf"], ["--span", "nan"], ["--size", "8"],
+                                  ["--size", "8", "--y0=3"], ["--span", "0", "--y0=3"]])
+def test_render_refuses_degenerate_arguments(tmp_path, monkeypatch, capsys, args):
+    # refused before the map is fitted: at y0 = 3 the fit itself fails (exit 2)
+    def fit(_spec):
+        raise AssertionError("fitted before the usage error was refused")
+
+    monkeypatch.setattr(cli, "base_map_for", fit)
     target = tmp_path / "img.ppm"
     assert main(["render", "--size", "16", "--out", str(target)] + args) == 1
     assert "error:" in capsys.readouterr().err

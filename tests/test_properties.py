@@ -1,6 +1,7 @@
 """Property tests over generated maps, torus points and perturbations."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume, given
@@ -25,7 +26,7 @@ from lattes_forge.lattes import (
     map_from_dict,
     map_to_dict,
 )
-from lattes_forge.perturbation import _exact_itinerary
+from lattes_forge.perturbation import _exact_itinerary, standard_parameters
 
 from conftest import GAMMA0
 from oracles import exact_itinerary_by_scan
@@ -41,6 +42,7 @@ coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_inf
 factors = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False,
                              allow_infinity=False)
 coordinates = st.one_of(st.fractions(), st.floats(-1e6, 1e6, allow_nan=False))
+odd_denominators = st.integers(0, 10 ** 6).map(lambda j: 2 * j + 1)
 
 
 @st.composite
@@ -172,3 +174,15 @@ def test_closed_form_quadratic_coefficients_match_the_measured(re, im):
     assert exact.w == measured.w
     assert abs(exact.lam - measured.lam) < 1e-8 * abs(exact.lam)
     assert abs(exact.mu - measured.mu) < 1e-8 * abs(exact.mu)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6), odd_denominators,
+       odd_denominators)
+def test_ratio_limit_is_exactly_one(p, q, dx, dy):
+    # -sigma^2/tau^2 at gamma0: sigma = gamma0 - x0 = i y0 and tau = y0, so
+    # convergence_table compares the ratio s_k/t_k with the constant 1
+    point = standard_parameters(Fraction(p, dx), Fraction(q, dy), 2)
+    gamma0 = complex(float(point.x0), float(point.y0))
+    sig, tau = point.offset("X", gamma0), point.offset("Y", gamma0)
+    limit = -sig * sig / (tau * tau)
+    assert limit.real == 1.0 and limit.imag == 0.0

@@ -46,6 +46,8 @@ USAGE_ERRORS = [
     ("construct", "--a", "2", "--case", "2"),
     ("verify-lemma1", "--grid", "0:1:0:-1:5"),
     ("verify-lemma1", "--grid", "1:2:3"),
+    ("verify-lemma1", "--grid", "nan:1:1:2:2"),
+    ("render", "--size", "8", "--y0=3"),
 ]
 
 
