@@ -401,33 +401,29 @@ def _cycle_data(f, pts: list[SpherePoint], tol: float) -> CycleData:
 
 
 def continue_cycle(member, cycle: CycleData) -> CycleData:
-    """Continuation of a repelling cycle of member(0) along the path of maps
-    member(s), s from 0 to 1.
+    """Continuation of a cycle of member(0), with multiplier other than 1,
+    along the path of maps member(s), s from 0 to 1.
 
     Newton correction at each substep and adaptive halving on failure; the
     result is the cycle of member(1.0) that the last substep converged on.
     """
-    if not cycle.repelling:
-        raise ValueError("continue_cycle requires a repelling cycle")
     z = cycle.points[0]
     period = cycle.period
     s = 0.0
     ds = _CONTINUE_STEP
-    min_ds = ds / 2 ** 24
-    while s < 1.0 - 1e-15:
+    while s < 1.0:  # every step is _CONTINUE_STEP / 2^m: s lands exactly on 1.0
         sv = min(1.0, s + ds)
         try:
             g = member(sv)
             pts = _newton_periodic(g, z, period, _CONTINUE_TOL, max_iter=20)
         except (NoConvergence, ValueError):
             ds *= 0.5
-            if ds < min_ds:
+            if ds < _CONTINUE_STEP / 2 ** 24:
                 raise ContinuationBreakdown(
                     f"continuation step underflow at s = {s:.6g}") from None
             continue
         z, s = pts[0], sv
-        if ds < _CONTINUE_STEP:
-            ds *= 2.0
+        ds = min(2.0 * ds, _CONTINUE_STEP)
     # the loop ends on a substep that converged at sv = 1.0, on g = member(1.0)
     continued = _cycle_data(g, pts, _CONTINUE_TOL)
     if continued.period != period:

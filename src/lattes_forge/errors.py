@@ -15,7 +15,7 @@ class LemmaViolation(LattesForgeError):
 
 
 class IllConditioned(LattesForgeError):
-    """Linear solve has no well-separated null direction."""
+    """A linear solve has no well-separated null direction, or its fit fails the map check."""
 
 
 class ValidationFailed(LattesForgeError):

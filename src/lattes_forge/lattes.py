@@ -251,7 +251,8 @@ def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
     quasi-random samples whose images both satisfy |Z| <= 10 |W|; the
     coefficient vector is the smallest-singular-value direction.  The next
     100 samples of the same stream, whatever their chart, are held out and
-    must validate below 1e-9 in the spherical metric.
+    must validate below 1e-9 in the spherical metric.  Coefficients that fail
+    the map check of RationalMapCoeffs are refused as IllConditioned.
     """
     import numpy as np
 
@@ -274,7 +275,10 @@ def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
             f"degree ambiguity: smallest singular values {sing[-1]:.3e}, {sing[-2]:.3e}")
     vec = np.conj(vh[-1])  # A = U S V^H, null direction is the conjugated row
     num, den = _normalized(vec[: D + 1], vec[D + 1:])
-    f = RationalMapCoeffs(num=num, den=den, degree=D)
+    try:
+        f = RationalMapCoeffs(num=num, den=den, degree=D)
+    except ValueError as exc:  # the fitted coefficients fail the map check
+        raise IllConditioned(str(exc)) from None
     worst = 0.0
     for _ in range(100):
         z, w = next(stream)

@@ -48,7 +48,6 @@ from .errors import (
 )
 from .lattes import LattesSpec, RationalMapCoeffs, build_rational_map, critical_values, torus_endo
 
-FAMILIES = ("X", "Y")
 _EPS = 2.0 ** -52
 _PCF_TOL = 1e-8  # tolerance to which postcritical orbits are certified
 _COLLISION_TOL = 1e-12  # residual target of the collision solves behind s_k/t_k
@@ -119,22 +118,10 @@ class MarkedPreperiodicPoint(NamedTuple):
     offset_value: complex
 
 
-def base_map_for(spec: LattesSpec) -> RationalMapCoeffs:
-    """The fitted map of spec, fitted once per process: a fit that a typed
-    error refused raises that error again without fitting."""
-    fit = _fit(spec)
-    if isinstance(fit, LattesForgeError):
-        raise fit.with_traceback(None)
-    return fit
-
-
 @lru_cache(maxsize=32)
-def _fit(spec: LattesSpec):
-    """build_rational_map(spec), or the LattesForgeError that refused it."""
-    try:
-        return build_rational_map(spec)
-    except LattesForgeError as exc:
-        return exc
+def base_map_for(spec: LattesSpec) -> RationalMapCoeffs:
+    """The fitted map of spec, fitted once per process; a refusal is not kept."""
+    return build_rational_map(spec)
 
 
 @lru_cache(maxsize=256)
@@ -179,10 +166,6 @@ def make_marked_point(spec: LattesSpec, base_point: BasePoint, k: int,
     default parameters (tau = y0 integral) land on the fixed point 0, and
     the shooting solve handles that case.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}")
     _check_resolution(spec.a, k)
     gamma = spec.gamma.gamma
     pre, per, addrs = _exact_itinerary(spec.a, spec.translation,
@@ -351,7 +334,6 @@ def solve_collision(spec: LattesSpec, marked: MarkedPreperiodicPoint,
     times the misfit slope) and raises PrecisionExhausted otherwise.  The
     returned residual may then exceed 1e-12.
     """
-    _check_resolution(spec.a, marked.k)
     a2k = _degree_power(spec, marked.k)
     base = base_map_for(spec)
     td = theta_data(spec.gamma.gamma)
@@ -498,7 +480,7 @@ def solve_gamma_k(spec0: LattesSpec, base_point: BasePoint, k: int, pair: tuple,
             dg *= step_cap / abs(dg)
         g_prev, h_prev = gamma, h
         gamma = gamma + dg
-        spec = LattesSpec(TorusParameter(gamma), spec0.a, spec0.case_tag)
+        spec = spec0._replace(gamma=TorusParameter(gamma))
         # follow one collision branch as gamma moves
         cs, ct = _collision_pair(spec, base_point, k, seeds=(cs.rescaled, ct.rescaled))
         h = cs.value / ct.value - 1.0

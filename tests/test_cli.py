@@ -145,7 +145,7 @@ def test_render_draws_the_construct_run(tmp_path, monkeypatch):
     fits = []  # every fit draws its samples from one stream
     monkeypatch.setattr(lattes, "_sample_stream",
                         lambda spec, draw=lattes._sample_stream: fits.append(spec) or draw(spec))
-    perturbation._fit.cache_clear()
+    perturbation.base_map_for.cache_clear()
     out = tmp_path / "run"
     assert main(["construct", "--k-min", "3", "--k-max", "3", "--out", str(out)]) == 0
     assert len(fits) == 7
@@ -344,19 +344,43 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_a_refused_fit_is_not_fitted_again(tmp_path, monkeypatch):
-    # the fit of a = 3, case 2 at gamma0 = i/5 is ill-conditioned: every row
-    # reports it, from one fit
+@pytest.mark.parametrize("a, case, x0, y0", [("3", "2", "0", "1/5"), ("4", "1", "1/3", "5/3")])
+def test_a_refused_fit_fills_every_row(tmp_path, monkeypatch, a, case, x0, y0):
+    # the fit of a = 3, case 2 at gamma0 = i/5 has no separated null direction,
+    # and the fit of a = 4 at 1/3 + 5i/3 has effective degree 15, not 16: both
+    # are IllConditioned, refused again by one fit in every row
     fits = []
     monkeypatch.setattr(perturbation, "build_rational_map",
                         lambda spec, fit=lattes.build_rational_map: fits.append(spec) or fit(spec))
-    perturbation._fit.cache_clear()
     out = tmp_path / "run"
-    assert main(["construct", "--a", "3", "--case", "2", "--x0=0", "--y0=1/5",
+    assert main(["construct", "--a", a, "--case", case, f"--x0={x0}", f"--y0={y0}",
                  "--out", str(out)]) == 2
-    assert len(fits) == 1
+    assert len(fits) == 4
     rows = list(csv.reader((out / "convergence.csv").read_text().splitlines()[2:]))
     assert [row[:2] for row in rows] == [[str(k), "error:IllConditioned"] for k in range(3, 7)]
+
+
+def test_continuation_halving_certifies_a_row(tmp_path, monkeypatch):
+    # at 2/5 + 5i/7, k = 2 certifies only because two continuations halve
+    # their step: one at s = 0, one at s = 1/2; the others take 1/2 and 1
+    halved = []
+    inner = perturbation.continue_cycle
+
+    def spy(member, cycle):
+        steps = []
+        try:
+            return inner(lambda s: steps.append(s) or member(s), cycle)
+        finally:
+            if steps != [0.5, 1.0]:
+                halved.append(steps)
+
+    monkeypatch.setattr(perturbation, "continue_cycle", spy)
+    out = tmp_path / "run"
+    assert main(["construct", "--x0=2/5", "--y0=5/7", "--k-min", "2", "--k-max", "2",
+                 "--out", str(out)]) == 0
+    assert halved == [[0.5, 0.25, 0.75, 1.0], [0.5, 1.0, 0.75, 1.0]]
+    row = next(csv.DictReader((out / "convergence.csv").read_text().splitlines()[1:]))
+    assert (row["status"], row["postcritical_count"], row["certified"]) == ("ok", "11", "true")
 
 
 def test_render_refuses_a_fit_its_held_out_samples_miss(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Run every benchmark spec through the command line and keep all it leaves.
 
-    python tools/same_outputs.py OUTDIR
+    python tools/same_outputs.py [--sweep] OUTDIR
 
 Each command runs in a fresh interpreter on the package in this checkout's
 src/, with OPENBLAS_NUM_THREADS=1 and its own directory under OUTDIR as the
@@ -13,7 +13,14 @@ NAME.stderr and NAME.exit.  Commands:
 - every verify-lemma3 spec, known defects included;
 - verify-lemma1 on its default grid;
 - every render spec at the benchmark's size;
+- construct, verify-lemma3 and render at a = 4, 1/3 + 5i/3, whose fitted
+  map fails the map check;
 - the usage errors that construct, verify-lemma1, certify and render refuse.
+
+--sweep adds construct, then certify of each artifact, over a grid of base
+points beyond the benchmark pools (SWEEP_X0 x SWEEP_Y0 at every a and case
+of SWEEP_CASES, keeping the denominators that standard_parameters accepts:
+160 specs).
 
 `diff -r` of two OUTDIRs, made from two commits, is their byte-identity
 check.  Two commands run at a time.
@@ -21,11 +28,13 @@ check.  Two commands run at a time.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -49,6 +58,14 @@ USAGE_ERRORS = [
     ("verify-lemma1", "--grid", "nan:1:1:2:2"),
     ("render", "--size", "8", "--y0=3"),
 ]
+
+# the fitted map at a = 4, gamma0 = 1/3 + 5i/3 has effective degree 15, not 16
+REFUSED_FIT = ("--a", "4", "--case", "1", "--x0=1/3", "--y0=5/3")
+
+# (a, case, k_min, k_max) of the sweep, and its base point coordinates
+SWEEP_CASES = [(2, 1, 2, 7), (3, 2, 2, 5), (3, 3, 2, 5), (4, 1, 2, 5)]
+SWEEP_X0 = ["0", "1/3", "-1/3", "1/5", "-1/5", "1/7", "2/5", "3/7"]
+SWEEP_Y0 = ["1/3", "3/5", "5/7", "1", "5/3", "7/3", "1/5"]
 
 
 def _env() -> dict:
@@ -90,17 +107,32 @@ def jobs() -> list[tuple]:
             for s in workloads.LEMMA3_POOL + workloads.LEMMA3_KNOWN_DEFECTS]
     out.append((("verify-lemma1",), ("--out", ".")))
     out += [(workloads.render_op(*s).args, ("--out", "render.ppm")) for s in workloads.RENDER_POOL]
+    out += [(("construct",) + REFUSED_FIT + ("--k-min", "2", "--k-max", "2"), ("--out", ".")),
+            (("verify-lemma3",) + REFUSED_FIT, ("--out", ".")),
+            (("render",) + REFUSED_FIT + ("--size", str(workloads.RENDER_SIZE)),
+             ("--out", "render.ppm"))]
     out += [(args, ("--out", "out")) for args in USAGE_ERRORS]
     return out
 
 
+def sweep_jobs() -> list[tuple]:
+    """construct over the sweep grid; a denominator must be odd and coprime with a."""
+    return [(("construct", "--a", str(a), "--case", str(case), f"--x0={x0}", f"--y0={y0}",
+              "--k-min", str(k_min), "--k-max", str(k_max)), ("--out", "."))
+            for a, case, k_min, k_max in SWEEP_CASES for x0 in SWEEP_X0 for y0 in SWEEP_Y0
+            if all(math.gcd(Fraction(v).denominator, 2 * a) == 1 for v in (x0, y0))]
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    sweep = argv[:1] == ["--sweep"]
+    if len(argv) != 1 + sweep:
         print(__doc__, file=sys.stderr)
         return 2
-    os.makedirs(argv[0])
+    outdir = argv[-1]
+    os.makedirs(outdir)
+    todo = jobs() + (sweep_jobs() if sweep else [])
     with ThreadPoolExecutor(max_workers=2) as pool:
-        for done in [pool.submit(_job, argv[0], *job) for job in jobs()]:
+        for done in [pool.submit(_job, outdir, *job) for job in todo]:
             done.result()
     return 0
 
