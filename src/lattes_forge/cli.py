@@ -1,11 +1,11 @@
 """Command-line harness: lemma verification, the strictly-PCF construction
 pipeline, certification of arbitrary maps, and Julia set rendering.
 
-Exit codes: 0 success, 1 usage or parse errors, 2 violated invariants
-(LemmaViolation, NotPCF, NotRepelling, failed certification), 3 precision
-ceiling reached.  All artifacts are written atomically (write then rename)
-with numbers at 17 significant digits, so identical configurations produce
-byte-identical files.
+Exit codes: 0 success, 1 usage or parse errors, 2 every typed refusal
+(LattesForgeError: LemmaViolation, NotPCF, IllConditioned and the rest) but
+the precision ceiling, 3 precision ceiling reached (PrecisionExhausted).
+All artifacts are written atomically (write then rename) with numbers at 17
+significant digits, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def cmd_construct(args) -> int:
 def cmd_certify(args) -> int:
     g = _load_map(args.map_file)
     unique = []
-    for point, _ in critical_points(g):
+    for point in critical_points(g):
         img = eval_map(g, point)
         if all(spherical_distance(img, q) > 1e-9 for q in unique):
             unique.append(img)

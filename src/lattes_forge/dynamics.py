@@ -33,7 +33,6 @@ _EPS = sys.float_info.epsilon
 _GUARD = 10.0 * _EPS ** (1.0 / 3.0)  # derivative floor for branch tracking
 _INDETERMINATE_FLOOR = 1e-12  # of the coefficient sum at the point, sum |c_k| |xi|^k
 _TRIM_REL = 1e-12  # coefficients below this share of the largest are dropped
-_CRITICAL_RADIUS = 1e-9 ** 0.5  # Wronskian roots closer than this are one critical point
 _CONTINUE_STEP = 0.5  # first and largest substep of continue_cycle, in s from 0 to 1 along the path
 _CONTINUE_TOL = 1e-12  # cycle residual at each continuation substep
 _ROOT_SWEEPS = 200  # Aberth sweeps over all unconverged zeros before roots gives up
@@ -305,46 +304,19 @@ def orbit(f, z: SpherePoint, n: int) -> list[SpherePoint]:
     return pts
 
 
-def critical_points(f) -> list[tuple[SpherePoint, int]]:
-    """Roots of the Wronskian P'Q - PQ' with multiplicities; total is 2D - 2."""
+def critical_points(f) -> list[SpherePoint]:
+    """The 2D - 2 critical points of f, with multiplicity: the zeros of the
+    Wronskian P'Q - PQ' as roots gives them, each as often as its multiplicity,
+    sorted by (re, im), then infinity for each degree the Wronskian lacks."""
     num, den = f.num, f.den
     D = f.degree
     wr = _trim([u - v for u, v in zip(_convolve(_polyder(num), den),
                                        _convolve(num, _polyder(den)))])
-    deg_wr = len(wr) - 1
-    mult_inf = (2 * D - 2) - deg_wr
-    if mult_inf < 0:
-        raise RootCountMismatch(f"Wronskian degree {deg_wr} exceeds 2D-2 = {2 * D - 2}")
-    wr_desc = wr[::-1]
-    wr_d_desc = _polyder(wr)[::-1]
-    flat = 1e-14 * max(map(abs, wr))  # Newton polish stops on a slope this flat
-    polished = []
-    for x in roots(wr):
-        for _ in range(3):
-            v = _horner(wr_desc, x)
-            d = _horner(wr_d_desc, x)
-            if abs(d) < flat:
-                break
-            step = v / d
-            if abs(step) > 1.0:
-                break
-            x -= step
-        if abs(x) > 1e8:
-            mult_inf += 1
-        else:
-            polished.append(x)
-    clusters: list[list[complex]] = []
-    for x in sorted(polished, key=lambda c: (c.real, c.imag)):
-        for cl in clusters:
-            if abs(x - cl[0]) < _CRITICAL_RADIUS:
-                cl.append(x)
-                break
-        else:
-            clusters.append([x])
-    out = [(SpherePoint.from_complex(sum(cl) / len(cl)), len(cl)) for cl in clusters]
-    if mult_inf > 0:
-        out.append((SpherePoint.infinity(), mult_inf))
-    return out
+    at_inf = (2 * D - 2) - (len(wr) - 1)
+    if at_inf < 0:
+        raise RootCountMismatch(f"Wronskian degree {len(wr) - 1} exceeds 2D-2 = {2 * D - 2}")
+    zeros = sorted(roots(wr), key=lambda c: (c.real, c.imag))
+    return [SpherePoint.from_complex(x) for x in zeros] + [SpherePoint.infinity()] * at_inf
 
 
 def _newton_periodic(f, seed: SpherePoint, period: int, tol: float, max_iter: int = 60) -> list[SpherePoint]:

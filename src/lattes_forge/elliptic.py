@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .dynamics import SpherePoint
-from .errors import LemmaViolation, NoConvergence
+from .errors import IllConditioned, LemmaViolation, NoConvergence
 
 _MAX_TERMS = 220
 _LOG_CUT = -41.0  # stop theta terms below ~1.5e-18 in magnitude
@@ -176,8 +176,10 @@ class _TorusContext:
         scale = max(abs(e1), abs(e2), abs(e3), 1.0)
         if abs(e1 + e2 + e3) > 10.0 * _TOL * scale:
             raise LemmaViolation(f"half-period values do not sum to zero at gamma={gamma}")
-        if min(abs(e1 - e2), abs(e1 - e3), abs(e2 - e3)) < 1e-8 * scale:
-            raise LemmaViolation(f"half-period values are not distinct at gamma={gamma}")
+        gap = min(abs(e1 - e2), abs(e1 - e3), abs(e2 - e3)) / scale
+        if gap < 1e-8:  # distinct in exact arithmetic, but not in double precision
+            raise IllConditioned(f"half-period values at gamma={gamma} differ by only {gap:.3g} "
+                                 "of their size, under the 1e-8 needed to tell them apart")
         self.half_periods = HalfPeriodValues(e1, e2, e3)
         # P''(omega_i) = 2 (e_i - e_j)(e_i - e_k) gives the tau^2 coefficients
         # of (e1 - e2)/(P - e2): 1 - (e1 - e3) tau^2 about 1/2 and
@@ -206,7 +208,7 @@ def _context(gamma: complex) -> _TorusContext:
 
 
 def half_periods(gamma: complex) -> HalfPeriodValues:
-    """P at the three half periods, checked to satisfy e1 + e2 + e3 = 0 and be distinct."""
+    """P at the three half periods, checked to sum to zero and be told apart."""
     return _context(gamma).half_periods
 
 

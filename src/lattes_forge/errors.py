@@ -15,7 +15,8 @@ class LemmaViolation(LattesForgeError):
 
 
 class IllConditioned(LattesForgeError):
-    """A linear solve has no well-separated null direction, or its fit fails the map check."""
+    """Double precision cannot resolve the data: a solve has no separated null
+    direction, a fit fails the map check, or distinct values round together."""
 
 
 class ValidationFailed(LattesForgeError):

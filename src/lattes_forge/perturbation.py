@@ -33,7 +33,6 @@ from .dynamics import (
     eval_map,
     find_cycle,
     orbit,
-    pullback_branch,
     spherical_distance,
 )
 from .elliptic import TorusParameter, TorusPoint, theta_data, theta_map
@@ -196,37 +195,32 @@ def make_marked_point(spec: LattesSpec, base_point: BasePoint, k: int,
     )
 
 
-def _limit_response(spec: LattesSpec, f: RationalMapCoeffs, near: complex) -> complex:
-    """d/dt at t = 0 of the limit point near v or w of (1 + t) f, by implicit
-    differentiation.  EvenZero: (1 + t) f(x) = 0 at the pullback x of 0, so
-    x' = -f(x)/f'(x).  Otherwise the cycle z_(j+1) = (1 + t) f(z_j) gives
-    z'_(j+1) = z_(j+1) + f'(z_j) z'_j, which closes to z'_0 = sum / (1 -
-    multiplier).  The points are finite, so f' is taken in the affine chart."""
-    seed = SpherePoint.from_complex(near)
+def _limit_response(spec: LattesSpec, f: RationalMapCoeffs, z: complex, other: complex) -> complex:
+    """d/dt at t = 0 of the limit point of (1 + t) f at the branch value z,
+    by implicit differentiation at z itself: the torus puts the limit points
+    at v and w, so nothing is solved for.  EvenZero: v and w map to the fixed
+    critical value 0, and (1 + t) f(x) = 0 gives x' = -f(z)/f'(z).  Otherwise
+    z lies on the cycle (z) (OddZero) or (z, other) (OddHalf) of z_(j+1) =
+    (1 + t) f(z_j), so z'_(j+1) = z_(j+1) + f'(z_j) z'_j closes to z'_0 =
+    sum / (1 - multiplier).  The points are finite: f' is the affine one."""
     if spec.case_tag == "EvenZero":
-        x = pullback_branch(f, SpherePoint.zero(), seed, tol=1e-13)
+        x = SpherePoint.from_complex(z)
         return -eval_map(f, x).to_complex() / chart_derivative(f, x, 0, 0)
-    period = 1 if spec.case_tag == "OddZero" else 2
-    # the cycle's multiplier is a^(2 period), which amplifies the rounding
-    # of each map evaluation in the cycle residual: ask for no less
-    tol = max(1e-13, 16.0 * _EPS * float(abs(spec.a)) ** (2 * period))
-    pts = find_cycle(f, seed, period, tol=tol).points
-    # the multiplier from the same affine derivatives as the sum: mixing in
-    # find_cycle's chart-wise multiplier costs a digit (4e-14 in c at a = 5)
+    cycle = (z, other) if spec.case_tag == "OddHalf" else (z,)
     total, mult = 0j, 1.0 + 0j
-    for j, z in enumerate(pts):
-        d = chart_derivative(f, z, 0, 0)
-        total = pts[(j + 1) % len(pts)].to_complex() + d * total
+    for j, x in enumerate(cycle):
+        d = chart_derivative(f, SpherePoint.from_complex(x), 0, 0)
+        total = cycle[(j + 1) % len(cycle)] + d * total
         mult *= d
     return total / (1.0 - mult)
 
 
 def tracked_limits(spec: LattesSpec) -> tuple[complex, complex]:
     """dx_infty/dt and dy_infty/dt at t = 0, the responses of the limit points
-    near v and w; dv/dt = v and dw/dt = w hold exactly for the scaling family."""
+    at v and w; dv/dt = v and dw/dt = w hold exactly for the scaling family."""
     td = theta_data(spec.gamma.gamma)
     base = base_map_for(spec)
-    return _limit_response(spec, base, td.v), _limit_response(spec, base, td.w)
+    return _limit_response(spec, base, td.v, td.w), _limit_response(spec, base, td.w, td.v)
 
 
 def case_response_constant(spec: LattesSpec) -> complex:

@@ -194,13 +194,14 @@ def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args):
 
 
 def test_typed_failures_become_rows(tmp_path):
-    # at gamma0 = i/7 theta_data refuses the half-period values as not
-    # distinct; each row records the refusal and the table is still written
+    # at gamma0 = i/7 theta_data refuses the half-period values, distinct in
+    # exact arithmetic but closer than double precision separates; each row
+    # records the refusal and the table is still written
     assert main(["construct", "--x0=0", "--y0=1/7", "--k-min", "3", "--k-max", "4",
                  "--out", str(tmp_path)]) == 2
     rows = list(csv.DictReader((tmp_path / "convergence.csv").read_text().splitlines()[1:]))
-    assert [(row["k"], row["status"]) for row in rows] == [("3", "error:LemmaViolation"),
-                                                           ("4", "error:LemmaViolation")]
+    assert [(row["k"], row["status"]) for row in rows] == [("3", "error:IllConditioned"),
+                                                           ("4", "error:IllConditioned")]
     assert sorted(os.listdir(tmp_path)) == ["convergence.csv"]
 
 
@@ -426,9 +427,9 @@ def test_certify_refuses_shared_root(tmp_path, capsys):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_verify_lemma3_a5_period2_any_blas_threads(threads):
-    # the period-2 limit point has multiplier a^4 = 625; its tolerance follows
-    # that, so the BLAS thread count, which moves the fit's last bits, cannot
-    # push the cycle solve below its noise floor
+    # the BLAS thread count moves the fit's last bits; lemma 3 differentiates
+    # at the exact branch values, where the period-2 multiplier is a^4 = 625,
+    # and must pass whatever the thread count
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join([SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     proc = subprocess.run(

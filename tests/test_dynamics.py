@@ -87,9 +87,19 @@ def test_orbit_length(z2):
 
 def test_critical_points_z2(z2):
     found = critical_points(z2)
-    assert sum(m for _, m in found) == 2  # 2D - 2
-    classes = {("inf" if p.is_infinity else round(abs(p.to_complex()), 9)) for p, m in found}
-    assert classes == {0.0, "inf"}
+    assert len(found) == 2  # 2D - 2
+    assert abs(found[0].to_complex()) < 1e-15 and found[1].is_infinity
+
+
+def test_critical_points_keep_close_zeros_apart():
+    # z^3 - 3e-10 z has the critical points +-1e-5 (and a double one at
+    # infinity); no clustering radius merges the two finite ones into 0
+    f = RationalMapCoeffs(num=[0, -3e-10, 0, 1], den=[1, 0, 0, 0], degree=3)
+    found = critical_points(f)
+    assert len(found) == 4
+    assert [p.is_infinity for p in found] == [False, False, True, True]
+    lo, hi = (p.to_complex() for p in found[:2])
+    assert abs(lo + 1e-5) < 1e-15 and abs(hi - 1e-5) < 1e-15
 
 
 def test_critical_points_refuse_understated_degree():

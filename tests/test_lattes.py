@@ -129,8 +129,7 @@ def test_half_translated_case_swaps_in_two_cycles():
 @pytest.mark.parametrize("a,case", [(2, "EvenZero"), (3, "OddZero")])
 def test_riemann_hurwitz_count(a, case):
     f = build_rational_map(LattesSpec(TorusParameter(GAMMA0), a, case))
-    found = critical_points(f)
-    assert sum(m for _, m in found) == 2 * a * a - 2
+    assert len(critical_points(f)) == 2 * a * a - 2
 
 
 def test_json_round_trip(base_a2):

@@ -11,10 +11,11 @@ from lattes_forge.dynamics import SpherePoint, continue_cycle, eval_map, orbit, 
 from lattes_forge.elliptic import TorusParameter, TorusPoint, theta_data, theta_map
 from lattes_forge.errors import (
     BranchAmbiguity,
+    LemmaViolation,
     NotPCF,
     PrecisionExhausted,
 )
-from lattes_forge.lattes import LattesSpec
+from lattes_forge.lattes import LattesSpec, RationalMapCoeffs
 from lattes_forge.perturbation import (
     _collision_pair,
     base_map_for,
@@ -223,6 +224,18 @@ def test_response_constant_is_accurate(a, case, gamma):
     report = verify_lemma3(spec_for(a, case, gamma))
     assert abs(report.c_measured - report.c_expected) < 1e-12
     assert report.residual < 1e-12
+
+
+def test_verify_lemma3_refuses_a_map_that_moves_the_branch_values(spec_a2, monkeypatch):
+    # (num + 1e-6 den)/den sends v and w to 1e-6, not to the fixed critical
+    # value 0, and has zeros near them; lemma 3 differentiates at v and w
+    # themselves, so the two response constants disagree instead of a solve
+    # settling on those zeros
+    f = base_map_for(spec_a2)
+    shifted = RationalMapCoeffs([n + 1e-6 * d for n, d in zip(f.num, f.den)], f.den, f.degree)
+    monkeypatch.setattr(perturbation, "base_map_for", lambda spec: shifted)
+    with pytest.raises(LemmaViolation, match="disagree"):
+        verify_lemma3(spec_a2)
 
 
 def test_cross_lemma_consistency(spec_a2):
