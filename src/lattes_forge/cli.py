@@ -108,9 +108,11 @@ def _pair(z: complex) -> list:
 
 def _parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r} ({exc})") from None
+        value = Fraction(text)
+        float(value)  # OverflowError where the float is not finite
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational p/q in float range: {text!r} ({exc})") from None
+    return value
 
 
 def _parse_grid(text: str):

@@ -304,14 +304,17 @@ def orbit(f, z: SpherePoint, n: int) -> list[SpherePoint]:
     return pts
 
 
+def _wronskian(num, den) -> list:
+    """Ascending coefficients, 2D of them, of P'Q - PQ' for ascending num and den."""
+    return [u - v for u, v in zip(_convolve(_polyder(num), den), _convolve(num, _polyder(den)))]
+
+
 def critical_points(f) -> list[SpherePoint]:
     """The 2D - 2 critical points of f, with multiplicity: the zeros of the
     Wronskian P'Q - PQ' as roots gives them, each as often as its multiplicity,
     sorted by (re, im), then infinity for each degree the Wronskian lacks."""
-    num, den = f.num, f.den
     D = f.degree
-    wr = _trim([u - v for u, v in zip(_convolve(_polyder(num), den),
-                                       _convolve(num, _polyder(den)))])
+    wr = _trim(_wronskian(f.num, f.den))
     at_inf = (2 * D - 2) - (len(wr) - 1)
     if at_inf < 0:
         raise RootCountMismatch(f"Wronskian degree {len(wr) - 1} exceeds 2D-2 = {2 * D - 2}")
@@ -474,11 +477,10 @@ _BLOCK = 8192  # pixels per render block: 128 KB per complex array
 MIN_GRID = 16  # smallest render width and height
 
 
-def _horner_block(cn, cd, x, p, q, dp, dq, t) -> None:
-    """Values p, q and derivatives dp, dq at x of the polynomials with scalar
-    (ascending) coefficients cn, cd, written into the given buffers; t is
-    scratch.  From a zero state each step is dp = dp x + p, dq = dq x + q,
-    p = p x + cn[k], q = q x + cd[k], in that order.
+def _horner_block(c, x, v, t) -> None:
+    """Value at x of the polynomial with scalar (ascending) coefficients c,
+    written into v; t is scratch.  From v = c[-1] each step is
+    v = v x + c[k], from the top coefficient down.
 
     No complex product is written over one of its inputs: numpy runs a
     one-element product in place through a loop without fused multiply-add,
@@ -486,68 +488,54 @@ def _horner_block(cn, cd, x, p, q, dp, dq, t) -> None:
     """
     import numpy as np
 
-    # the first step multiplies zeros by x; one product serves all four
-    np.multiply(np.zeros_like(x), x, out=t)
-    np.add(t, 0.0, out=dp)
-    np.add(t, 0.0, out=dq)
-    np.add(t, cn[-1], out=p)
-    np.add(t, cd[-1], out=q)
-    for k in range(len(cn) - 2, -1, -1):
-        np.multiply(dp, x, out=t)
-        np.add(t, p, out=dp)
-        np.multiply(dq, x, out=t)
-        np.add(t, q, out=dq)
-        np.multiply(p, x, out=t)
-        np.add(t, cn[k], out=p)
-        np.multiply(q, x, out=t)
-        np.add(t, cd[k], out=q)
+    v.fill(c[-1])
+    for k in range(len(c) - 2, -1, -1):
+        np.multiply(v, x, out=t)
+        np.add(t, c[k], out=v)
 
 
-def _shade_block(num, den, xs, ys, max_iter: int, start: int, stop: int,
-                 out) -> None:
+def _shade_block(polys, xs, ys, max_iter: int, start: int, stop: int, out) -> None:
     """Shade the row-major pixels start:stop of the grid ys x xs into out.
 
-    Pixels stay grouped by input chart (chart 0 first, grid order kept
-    within each group), so each group runs Horner with scalar coefficients.
-    Every pixel gets the same IEEE operations, in the same order, whatever
-    the block and whatever its neighbours.
+    polys holds the ascending coefficients of the numerator, the denominator
+    and the Wronskian of degree 2D - 2.  A pixel carries its chart coordinate
+    xi, |xi| <= 1: p/q in chart 0, where |q| >= |p|, and q/p in chart 1.
+    Pixels stay grouped by chart (chart 0 first, grid order kept within each
+    group), so each group runs Horner with scalar coefficients, reversed in
+    chart 1.  Every pixel gets the same IEEE operations, in the same order,
+    whatever the block and whatever its neighbours.
     """
     import numpy as np
 
-    rnum, rden = num[::-1], den[::-1]
+    reversed_polys = [c[::-1] for c in polys]
     n = stop - start
     pos = np.arange(start, stop)  # grid index of each pixel as the groups move
-    Z = xs[pos % len(xs)] + 1j * ys[pos // len(xs)]
-    W = np.ones_like(Z)
+    p = xs[pos % len(xs)] + 1j * ys[pos // len(xs)]
+    q = np.ones_like(p)
+    ap, aq = np.abs(p), np.abs(q)
     log_acc = np.zeros(n)
-    xi, p, q, dp, dq, t = (np.empty(n, dtype=complex) for _ in range(6))
+    w, t = np.empty_like(p), np.empty_like(p)
     for _ in range(max_iter):
-        chart0 = np.abs(W) >= np.abs(Z)
+        chart0 = aq >= ap
+        xi = np.where(chart0, p, q) / np.where(chart0, q, p)
         n0 = int(np.count_nonzero(chart0))
         if not chart0[:n0].all():
             order = np.concatenate((np.flatnonzero(chart0), np.flatnonzero(~chart0)))
-            Z, W, log_acc, pos = Z[order], W[order], log_acc[order], pos[order]
-        np.divide(Z[:n0], W[:n0], out=xi[:n0])
-        np.divide(W[n0:], Z[n0:], out=xi[n0:])
-        for lo, hi, cn, cd in ((0, n0, num, den), (n0, n, rnum, rden)):
-            if lo < hi:
-                _horner_block(cn, cd, xi[lo:hi], p[lo:hi], q[lo:hi], dp[lo:hi], dq[lo:hi], t[lo:hi])
+            xi, log_acc, pos = xi[order], log_acc[order], pos[order]
+        for cs, group in zip((polys, reversed_polys), (slice(0, n0), slice(n0, n))):
+            for c, v in zip(cs, (p, q, w)):
+                _horner_block(c, xi[group], v[group], t[group])
         ap, aq = np.abs(p), np.abs(q)
         # spherical derivative of f = (p : q) at xi, the same in either output
-        # chart: |p'q - pq'| (1 + |xi|^2) / (|p|^2 + |q|^2)
-        sph = (np.abs(dp * q - p * dq) * (1.0 + np.square(np.abs(xi)))
-               / (np.square(ap) + np.square(aq)))
+        # chart: |p'q - pq'| (1 + |xi|^2) / (|p|^2 + |q|^2); in chart 1 p'q - pq'
+        # of the reversed pair is minus the reversed Wronskian
+        sph = np.abs(w) * (1.0 + np.square(np.abs(xi))) / (np.square(ap) + np.square(aq))
         log_acc += np.log(np.maximum(sph, 1e-300))
-        m = np.maximum(ap, aq)
-        m[m == 0.0] = 1.0
-        Z, W = p / m, q / m  # standard coords in both charts (reversal already applied)
     lyap = log_acc / max_iter
     ramp = np.clip(128.0 + 28.0 * lyap, 0.0, 254.0).astype(np.uint8)
-    bounded_end = np.abs(W) >= np.abs(Z)
-    escaped = np.abs(W) < 1e-6 * np.abs(Z)
     out[pos, 0] = ramp
-    out[pos, 1] = np.where(bounded_end, 255, 80)
-    out[pos, 2] = np.where(escaped, 255, ramp)
+    out[pos, 1] = np.where(aq >= ap, 255, 80)
+    out[pos, 2] = np.where(aq < 1e-6 * ap, 255, ramp)
 
 
 def _usable_cpus() -> int:
@@ -579,7 +567,9 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(span) and span > 0.0):
         raise ValueError(f"span must be finite and positive, got {span}")
-    num, den = np.asarray(f.num, dtype=complex), np.asarray(f.den, dtype=complex)
+    # without its top coefficient, the rounding residue of D a_D b_D - a_D D b_D,
+    # the Wronskian has degree 2D - 2 and the chart-1 reversal is exact
+    polys = [np.asarray(c, dtype=complex) for c in (f.num, f.den, _wronskian(f.num, f.den)[:-1])]
     xs = np.linspace(-span, span, width)
     ys = np.linspace(-span, span, height)
     size = width * height
@@ -589,7 +579,7 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
 
     def shade(share: int) -> None:
         for start in starts[share::k]:
-            _shade_block(num, den, xs, ys, max_iter, start, min(start + _BLOCK, size), out)
+            _shade_block(polys, xs, ys, max_iter, start, min(start + _BLOCK, size), out)
 
     pids = []
     try:

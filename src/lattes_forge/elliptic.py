@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -163,6 +164,10 @@ class _TorusContext:
     def __init__(self, gamma: complex):
         if not (gamma.imag > 0):
             raise ValueError("gamma must lie in the upper half plane")
+        # P at the half periods reads sin(5 v), |Im v| = pi Im(gamma)/2, which leaves
+        # the float range long after the half-period values have become inseparable
+        if 2.5 * math.pi * gamma.imag > math.log(sys.float_info.max):
+            raise IllConditioned(f"gamma={gamma} is too tall: its half-period theta series overflow")
         self.gamma = gamma
         self.lq = 1j * math.pi * gamma  # log of the nome
         self.half_powers = []  # the nome powers _theta reads, kinds 1 and 2
@@ -174,12 +179,13 @@ class _TorusContext:
         e2 = self.p_centered(*HALF_LATTICE[3].centered())
         e3 = self.p_centered(*HALF_LATTICE[2].centered())
         scale = max(abs(e1), abs(e2), abs(e3), 1.0)
-        if abs(e1 + e2 + e3) > 10.0 * _TOL * scale:
-            raise LemmaViolation(f"half-period values do not sum to zero at gamma={gamma}")
+        # separation first: values double precision cannot tell apart sum to noise
         gap = min(abs(e1 - e2), abs(e1 - e3), abs(e2 - e3)) / scale
         if gap < 1e-8:  # distinct in exact arithmetic, but not in double precision
             raise IllConditioned(f"half-period values at gamma={gamma} differ by only {gap:.3g} "
                                  "of their size, under the 1e-8 needed to tell them apart")
+        if abs(e1 + e2 + e3) > 10.0 * _TOL * scale:
+            raise LemmaViolation(f"half-period values do not sum to zero at gamma={gamma}")
         self.half_periods = HalfPeriodValues(e1, e2, e3)
         # P''(omega_i) = 2 (e_i - e_j)(e_i - e_k) gives the tau^2 coefficients
         # of (e1 - e2)/(P - e2): 1 - (e1 - e3) tau^2 about 1/2 and

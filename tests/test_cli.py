@@ -180,6 +180,8 @@ def test_construct_rejects_bad_parameters(capsys):
     ["verify-lemma1", "--grid", "1:2:3"],
     ["certify", "--max-iter", "0", "map.json"],
     ["render", "--max-iter", "0"],
+    ["verify-lemma3", "--x0=1e309"],  # beyond the float range
+    ["construct", "--y0=1e309"],
 ])
 def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args):
     # refused before --out is created and before anything is solved
@@ -193,11 +195,13 @@ def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args):
     assert not out.exists()
 
 
-def test_typed_failures_become_rows(tmp_path):
-    # at gamma0 = i/7 theta_data refuses the half-period values, distinct in
-    # exact arithmetic but closer than double precision separates; each row
+@pytest.mark.parametrize("y0", ["1/7", "1/51", "100", "1000", "1e20"])
+def test_typed_failures_become_rows(tmp_path, y0):
+    # at gamma0 = i/7 and i/51 theta_data refuses the half-period values,
+    # distinct in exact arithmetic but closer than double precision separates;
+    # from 100i on their theta series would leave the float range.  Each row
     # records the refusal and the table is still written
-    assert main(["construct", "--x0=0", "--y0=1/7", "--k-min", "3", "--k-max", "4",
+    assert main(["construct", "--x0=0", f"--y0={y0}", "--k-min", "3", "--k-max", "4",
                  "--out", str(tmp_path)]) == 2
     rows = list(csv.DictReader((tmp_path / "convergence.csv").read_text().splitlines()[1:]))
     assert [(row["k"], row["status"]) for row in rows] == [("3", "error:IllConditioned"),

@@ -200,45 +200,34 @@ def reference_render(f, width: int, height: int, max_iter: int, span: float = 2.
     """Reference oracle: a full-grid render kernel that julia_render must match
     bit for bit.
 
-    Every temporary spans the whole grid, and both quotient branches and both
-    chart coefficient sets are evaluated on every pixel.
+    Every temporary spans the whole grid, and each pixel's chart coefficients,
+    ascending in chart 0 and reversed in chart 1, are chosen by np.where.  A
+    pixel carries its chart coordinate xi and its last image (p : q); the
+    spherical derivative reads the Wronskian without its top coefficient.
     """
-    num, den = np.asarray(f.num, dtype=complex), np.asarray(f.den, dtype=complex)
-    rnum, rden = num[::-1], den[::-1]
+    polys = [np.asarray(c, dtype=complex)
+             for c in (f.num, f.den, dynamics._wronskian(f.num, f.den)[:-1])]
     xs = np.linspace(-span, span, width)
     ys = np.linspace(-span, span, height)
     X, Y = np.meshgrid(xs, ys)
-    Z = (X + 1j * Y).ravel()
-    W = np.ones_like(Z)
-    log_acc = np.zeros(Z.shape, dtype=float)
+    p = (X + 1j * Y).ravel()
+    q = np.ones_like(p)
+    log_acc = np.zeros(p.shape, dtype=float)
     for _ in range(max_iter):
-        chart0 = np.abs(W) >= np.abs(Z)
-        xi = np.where(chart0, Z / np.where(chart0, W, 1.0), W / np.where(chart0, 1.0, Z))
-        pv = np.zeros_like(Z)
-        qv = np.zeros_like(Z)
-        pd = np.zeros_like(Z)
-        qd = np.zeros_like(Z)
-        for k in range(len(num) - 1, -1, -1):
-            pd = pd * xi + pv
-            qd = qd * xi + qv
-            pv = pv * xi + np.where(chart0, num[k], rnum[k])
-            qv = qv * xi + np.where(chart0, den[k], rden[k])
-        out0 = np.abs(qv) >= np.abs(pv)
-        u = np.where(out0, pv / np.where(out0, qv, 1.0), qv / np.where(out0, 1.0, pv))
-        g = np.where(
-            out0,
-            (pd * qv - pv * qd) / np.where(out0, qv * qv, 1.0),
-            (qd * pv - qv * pd) / np.where(out0, 1.0, pv * pv),
-        )
-        sph = np.abs(g) * (1.0 + np.abs(xi) ** 2) / (1.0 + np.abs(u) ** 2)
+        chart0 = np.abs(q) >= np.abs(p)
+        xi = np.where(chart0, p, q) / np.where(chart0, q, p)
+        values = []
+        for c in polys:
+            v = np.where(chart0, c[-1], c[0])
+            for k in range(len(c) - 2, -1, -1):
+                v = v * xi + np.where(chart0, c[k], c[-1 - k])
+            values.append(v)
+        p, q, w = values
+        sph = np.abs(w) * (1.0 + np.abs(xi) ** 2) / (np.abs(p) ** 2 + np.abs(q) ** 2)
         log_acc += np.log(np.maximum(sph, 1e-300))
-        Znew, Wnew = pv, qv
-        m = np.maximum(np.abs(Znew), np.abs(Wnew))
-        m = np.where(m == 0.0, 1.0, m)
-        Z, W = Znew / m, Wnew / m
     lyap = log_acc / max_iter
-    bounded_end = np.abs(W) >= np.abs(Z)
-    escaped = np.abs(W) < 1e-6 * np.abs(Z)
+    bounded_end = np.abs(q) >= np.abs(p)
+    escaped = np.abs(q) < 1e-6 * np.abs(p)
     ramp = np.clip(128.0 + 28.0 * lyap, 0.0, 254.0).astype(np.uint8)
     r = ramp
     g = np.where(bounded_end, 255, 80).astype(np.uint8)
@@ -253,10 +242,12 @@ def base_a3():
 
 @pytest.fixture
 def render_maps(z2, base_a2, base_a3):
-    return {"z2": z2, "a2": base_a2, "a3": base_a3}
+    # a2c: complex coefficients and no Lattes map, so no symmetry of the
+    # picture can hide a wrong conjugate or a wrong chart
+    return {"z2": z2, "a2": base_a2, "a3": base_a3, "a2c": base_a2.scaled(1 + 0.01j)}
 
 
-@pytest.mark.parametrize("name", ["z2", "a2", "a3"])
+@pytest.mark.parametrize("name", ["z2", "a2", "a3", "a2c"])
 @pytest.mark.parametrize("width,height,max_iter", [
     (16, 16, 10),
     (97, 91, 4),  # 8,827 pixels: a full block and a ragged one
@@ -267,7 +258,7 @@ def test_julia_render_matches_reference(render_maps, name, width, height, max_it
     assert np.array_equal(julia_render(f, width, height, max_iter=max_iter), expected)
 
 
-@pytest.mark.parametrize("name", ["z2", "a2", "a3"])
+@pytest.mark.parametrize("name", ["z2", "a2", "a3", "a2c"])
 def test_julia_render_red_is_the_spherical_derivative(render_maps, name):
     # one iteration: red is floor(128 + 28 log s) with s the spherical
     # derivative, here from a chart derivative and the image's coordinate
@@ -284,6 +275,24 @@ def test_julia_render_red_is_the_spherical_derivative(render_maps, name):
             s = abs(g) * (1.0 + abs(xi) ** 2) / (1.0 + abs(u) ** 2)
             want = min(max(math.floor(128.0 + 28.0 * math.log(s)), 0), 254)
             assert abs(red[i, j] - want) <= 1
+
+
+@given(st.integers(1, 9).flatmap(lambda d: st.tuples(
+    st.lists(st.complex_numbers(max_magnitude=1.0), min_size=d + 1, max_size=d + 1),
+    st.lists(st.complex_numbers(max_magnitude=1.0), min_size=d + 1, max_size=d + 1),
+    st.complex_numbers(max_magnitude=1.0))))
+def test_wronskian_matches_the_derivative_chains(drawn):
+    # at z = x (chart 0) the Wronskian is P'Q - PQ'; at z = 1/x (chart 1) its
+    # reversal without the top coefficient, the rounding residue of
+    # D a_D b_D - a_D D b_D, is -(P~'Q~ - P~Q~') for the reversed P~, Q~
+    num, den, x = drawn
+    wr = dynamics._wronskian(num, den)
+    assert len(wr) == 2 * (len(num) - 1)
+    tol = 1e-13 * len(num) ** 2 * sum(map(abs, num)) * sum(map(abs, den))
+    for got, p, q, sign in ((dynamics._horner(wr[::-1], x), num[::-1], den[::-1], 1.0),
+                            (dynamics._horner(wr[:-1], x), num, den, -1.0)):
+        (pv, pd), (qv, qd) = dynamics._horner_pair(p, x), dynamics._horner_pair(q, x)
+        assert abs(got - sign * (pd * qv - pv * qd)) <= tol
 
 
 # 131 x 127 = 16,637 pixels: two full blocks and a ragged one

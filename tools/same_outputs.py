@@ -15,7 +15,8 @@ NAME.stderr and NAME.exit.  Commands:
 - every render spec at the benchmark's size;
 - construct, verify-lemma3 and render at a = 4, 1/3 + 5i/3, whose fitted
   map fails the map check;
-- the usage errors that construct, verify-lemma1, certify and render refuse.
+- the usage errors that construct, verify-lemma1, certify and render refuse,
+  and the lattices too thin or too tall for double precision.
 
 --sweep adds construct, then certify of each artifact, over a grid of base
 points beyond the benchmark pools (SWEEP_X0 x SWEEP_Y0 at every a and case
@@ -57,6 +58,18 @@ USAGE_ERRORS = [
     ("verify-lemma1", "--grid", "1:2:3"),
     ("verify-lemma1", "--grid", "nan:1:1:2:2"),
     ("render", "--size", "8", "--y0=3"),
+    ("verify-lemma3", "--x0=1e309"),
+    ("construct", "--y0=1e309"),
+]
+
+# lattices too thin or too tall for double precision to tell their
+# half-period values apart, or for their theta series to stay in range
+THIN_AND_TALL = [
+    ("construct", "--x0=0", "--y0=1/51", "--k-min", "3", "--k-max", "3"),
+    ("construct", "--x0=1/3", "--y0=1/201", "--k-min", "3", "--k-max", "3"),
+    ("construct", "--x0=0", "--y0=100", "--k-min", "3", "--k-max", "3"),
+    ("verify-lemma3", "--y0=100"),
+    ("render", "--y0=1000", "--size", "16"),
 ]
 
 # the fitted map at a = 4, gamma0 = 1/3 + 5i/3 has effective degree 15, not 16
@@ -111,7 +124,7 @@ def jobs() -> list[tuple]:
             (("verify-lemma3",) + REFUSED_FIT, ("--out", ".")),
             (("render",) + REFUSED_FIT + ("--size", str(workloads.RENDER_SIZE)),
              ("--out", "render.ppm"))]
-    out += [(args, ("--out", "out")) for args in USAGE_ERRORS]
+    out += [(args, ("--out", "out")) for args in USAGE_ERRORS + THIN_AND_TALL]
     return out
 
 
