@@ -109,7 +109,8 @@ def _pair(z: complex) -> list:
 def _parse_rational(text: str) -> Fraction:
     try:
         value = Fraction(text)
-        float(value)  # OverflowError where the float is not finite
+        if value and not float(value):  # float() raises OverflowError where not finite
+            raise ValueError("its float underflows to 0")
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational p/q in float range: {text!r} ({exc})") from None
     return value

@@ -65,14 +65,17 @@ def test_verify_lemma1_corrupt_detector(monkeypatch):
 
 
 def test_verify_lemma1_reports_a_failed_identity(tmp_path, capsys):
-    # below Im gamma = 0.4 the second differences miss the identity by more
-    # than 1e-8: the report is still written, and the exit code says why
-    assert main(["verify-lemma1", "--grid=0.1:0.2:0.3:0.4:2", "--out", str(tmp_path)]) == 2
+    # the Cauchy integral measures this grid to 1.5e-10, inside the default
+    # tolerance but not inside 1e-12: the report is still written, and the exit
+    # code says why
+    grid = "--grid=0.1:0.2:0.3:0.4:2"
+    assert main(["verify-lemma1", grid, "--tol=1e-12", "--out", str(tmp_path)]) == 2
     assert ">= tolerance" in capsys.readouterr().out
     doc = json.loads((tmp_path / "lemma1_report.json").read_text())
     assert doc["passed"] is False
     assert len(doc["rows"]) == 4
-    assert doc["worst_residual"] > 1e-8
+    assert doc["worst_residual"] > 1e-12
+    assert main(["verify-lemma1", grid]) == 0
 
 
 def test_verify_lemma1_grid_validation(capsys):
@@ -182,6 +185,8 @@ def test_construct_rejects_bad_parameters(capsys):
     ["render", "--max-iter", "0"],
     ["verify-lemma3", "--x0=1e309"],  # beyond the float range
     ["construct", "--y0=1e309"],
+    ["verify-lemma3", "--y0=1e-400"],  # positive, but its float underflows to 0
+    ["render", "--x0=1e-400"],
 ])
 def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args):
     # refused before --out is created and before anything is solved
@@ -191,15 +196,19 @@ def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args):
     monkeypatch.setattr(perturbation, "_collision_pair", solve)
     out = tmp_path / "out"
     assert main(args + ["--out", str(out)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    # a positive value whose float is 0 is refused as such, not for its sign
+    assert ("underflow" in err) == any(arg.endswith("=1e-400") for arg in args)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("y0", ["1/7", "1/51", "100", "1000", "1e20"])
+@pytest.mark.parametrize("y0", ["1/7", "1/51", "1/10001", "100", "1000", "1e20"])
 def test_typed_failures_become_rows(tmp_path, y0):
     # at gamma0 = i/7 and i/51 theta_data refuses the half-period values,
     # distinct in exact arithmetic but closer than double precision separates;
-    # from 100i on their theta series would leave the float range.  Each row
+    # at i/10001 their theta series would need more terms than they may take,
+    # and from 100i on they would leave the float range.  Each row
     # records the refusal and the table is still written
     assert main(["construct", "--x0=0", f"--y0={y0}", "--k-min", "3", "--k-max", "4",
                  "--out", str(tmp_path)]) == 2

@@ -168,7 +168,7 @@ def test_theta_data_frozen_regression():
     assert abs(kappa - (-13.444526261119451 - 23.6387731285017j)) < 1e-9
 
 
-@pytest.mark.parametrize("gamma", [1j, GAMMA0, 0.1 + 1.4j])
+@pytest.mark.parametrize("gamma", [1j, GAMMA0, 0.1 + 1.4j, 0.1 + 0.3j, 0.1 + 0.2j])
 def test_branch_derivative_identity(gamma):
     # lam/v + mu/w = 0 and the two kappa expressions agree, as measured
     td = measured_theta_data(gamma)

@@ -11,7 +11,7 @@ NAME.stderr and NAME.exit.  Commands:
 - every construct spec of bench/workloads.py, then certify of each
   construction artifact it wrote;
 - every verify-lemma3 spec, known defects included;
-- verify-lemma1 on its default grid;
+- verify-lemma1 on its default grid and on 0.1:0.2:0.3:0.4:2;
 - every render spec at the benchmark's size;
 - construct, verify-lemma3 and render at a = 4, 1/3 + 5i/3, whose fitted
   map fails the map check;
@@ -60,6 +60,7 @@ USAGE_ERRORS = [
     ("render", "--size", "8", "--y0=3"),
     ("verify-lemma3", "--x0=1e309"),
     ("construct", "--y0=1e309"),
+    ("verify-lemma3", "--y0=1e-400"),
 ]
 
 # lattices too thin or too tall for double precision to tell their
@@ -67,6 +68,7 @@ USAGE_ERRORS = [
 THIN_AND_TALL = [
     ("construct", "--x0=0", "--y0=1/51", "--k-min", "3", "--k-max", "3"),
     ("construct", "--x0=1/3", "--y0=1/201", "--k-min", "3", "--k-max", "3"),
+    ("verify-lemma3", "--x0=0", "--y0=1/10001"),
     ("construct", "--x0=0", "--y0=100", "--k-min", "3", "--k-max", "3"),
     ("verify-lemma3", "--y0=100"),
     ("render", "--y0=1000", "--size", "16"),
@@ -118,7 +120,8 @@ def jobs() -> list[tuple]:
     out = [(workloads.construct_op(*s).args, ("--out", ".")) for s in workloads.CONSTRUCT_POOL]
     out += [(workloads.lemma3_op(*s).args, ("--out", "."))
             for s in workloads.LEMMA3_POOL + workloads.LEMMA3_KNOWN_DEFECTS]
-    out.append((("verify-lemma1",), ("--out", ".")))
+    out += [(("verify-lemma1",), ("--out", ".")),
+            (("verify-lemma1", "--grid=0.1:0.2:0.3:0.4:2"), ("--out", "."))]
     out += [(workloads.render_op(*s).args, ("--out", "render.ppm")) for s in workloads.RENDER_POOL]
     out += [(("construct",) + REFUSED_FIT + ("--k-min", "2", "--k-max", "2"), ("--out", ".")),
             (("verify-lemma3",) + REFUSED_FIT, ("--out", ".")),
