@@ -473,7 +473,7 @@ def classify_orbit(f, z: SpherePoint, max_iter: int = 2000,
     return None
 
 
-_BLOCK = 8192  # pixels per render block: 128 KB per complex array
+_BLOCK = 8192  # pixels per render block: 64 KB per complex64 array
 MIN_GRID = 16  # smallest render width and height
 
 
@@ -494,13 +494,16 @@ def _horner_block(c, x, v, t) -> None:
         np.add(t, c[k], out=v)
 
 
-def _shade_block(polys, xs, ys, max_iter: int, start: int, stop: int, out) -> None:
-    """Shade the row-major pixels start:stop of the grid ys x xs into out.
+def _shade_block(polys, xs, ys, span: float, max_iter: int, start: int, stop: int, out) -> None:
+    """Shade the row-major pixels start:stop of the grid span (ys x xs) into out.
 
-    polys holds the ascending coefficients of the numerator, the denominator
-    and the Wronskian of degree 2D - 2.  A pixel carries its chart coordinate
-    xi, |xi| <= 1: p/q in chart 0, where |q| >= |p|, and q/p in chart 1.
-    Pixels stay grouped by chart (chart 0 first, grid order kept within each
+    polys holds the complex64 ascending coefficients of the numerator, the
+    denominator and the Wronskian of degree 2D - 2; xs and ys run from -1 to
+    1.  A pixel carries its chart coordinate xi, |xi| <= 1: p/q in chart 0,
+    where |q| >= |p|, and q/p in chart 1.  The first xi is the grid point z
+    or 1/z, taken in double from z / span before the cast, so no finite span
+    overflows; every later value is complex64, and log_acc float64.  Pixels
+    stay grouped by chart (chart 0 first, grid order kept within each
     group), so each group runs Horner with scalar coefficients, reversed in
     chart 1.  Every pixel gets the same IEEE operations, in the same order,
     whatever the block and whatever its neighbours.
@@ -510,18 +513,23 @@ def _shade_block(polys, xs, ys, max_iter: int, start: int, stop: int, out) -> No
     reversed_polys = [c[::-1] for c in polys]
     n = stop - start
     pos = np.arange(start, stop)  # grid index of each pixel as the groups move
-    p = xs[pos % len(xs)] + 1j * ys[pos // len(xs)]
-    q = np.ones_like(p)
+    u = xs[pos % len(xs)] + 1j * ys[pos // len(xs)]  # the grid point z over span
+    far = np.abs(u) > 1.0 / span  # |z| > 1, without forming |z|, which can overflow
+    z = span * u
+    z[far] = 1.0 / u[far] / span  # the chart-1 coordinate 1/z
+    z = z.astype(np.complex64)
+    p, q = np.where(far, 1, z), np.where(far, z, 1)  # (xi : 1) in chart 0, (1 : xi) in chart 1
     ap, aq = np.abs(p), np.abs(q)
     log_acc = np.zeros(n)
-    w, t = np.empty_like(p), np.empty_like(p)
+    xi, w, t = np.empty_like(p), np.empty_like(p), np.empty_like(p)
     for _ in range(max_iter):
         chart0 = aq >= ap
-        xi = np.where(chart0, p, q) / np.where(chart0, q, p)
         n0 = int(np.count_nonzero(chart0))
         if not chart0[:n0].all():
             order = np.concatenate((np.flatnonzero(chart0), np.flatnonzero(~chart0)))
-            xi, log_acc, pos = xi[order], log_acc[order], pos[order]
+            p, q, log_acc, pos = p[order], q[order], log_acc[order], pos[order]
+        np.divide(p[:n0], q[:n0], out=xi[:n0])
+        np.divide(q[n0:], p[n0:], out=xi[n0:])
         for cs, group in zip((polys, reversed_polys), (slice(0, n0), slice(n0, n))):
             for c, v in zip(cs, (p, q, w)):
                 _horner_block(c, xi[group], v[group], t[group])
@@ -530,7 +538,7 @@ def _shade_block(polys, xs, ys, max_iter: int, start: int, stop: int, out) -> No
         # chart: |p'q - pq'| (1 + |xi|^2) / (|p|^2 + |q|^2); in chart 1 p'q - pq'
         # of the reversed pair is minus the reversed Wronskian
         sph = np.abs(w) * (1.0 + np.square(np.abs(xi))) / (np.square(ap) + np.square(aq))
-        log_acc += np.log(np.maximum(sph, 1e-300))
+        log_acc += np.log(np.maximum(sph, 1e-300, dtype=float))
     lyap = log_acc / max_iter
     ramp = np.clip(128.0 + 28.0 * lyap, 0.0, 254.0).astype(np.uint8)
     out[pos, 0] = ramp
@@ -551,8 +559,15 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
 
     Red encodes the average log spherical derivative, green the final chart
     (bright = bounded), blue carries the escape marker 255 (final point
-    within 1e-6 of infinity).  The grid is shaded in blocks of _BLOCK
-    pixels; the output bytes do not depend on the split.
+    within 1e-6 of infinity).  The grid is span times linspace(-1, 1), so
+    any finite span works, and it is shaded in blocks of _BLOCK pixels; the
+    output bytes do not depend on the split.
+
+    Orbits run in complex64: the numerator, denominator and Wronskian
+    coefficients of f.unit_scaled() are computed in double and cast once.
+    Red does not see the precision: for a Lattes map the mean log derivative
+    is log |a| plus an endpoint term divided by max_iter, and one red level
+    is 1/28 in that mean.
 
     The blocks are dealt round-robin to this process and k - 1 forked
     workers, k = min(usable CPUs, blocks), which write straight into a
@@ -567,11 +582,13 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(span) and span > 0.0):
         raise ValueError(f"span must be finite and positive, got {span}")
+    f = f.unit_scaled()  # so that the complex64 values stay in range
     # without its top coefficient, the rounding residue of D a_D b_D - a_D D b_D,
     # the Wronskian has degree 2D - 2 and the chart-1 reversal is exact
-    polys = [np.asarray(c, dtype=complex) for c in (f.num, f.den, _wronskian(f.num, f.den)[:-1])]
-    xs = np.linspace(-span, span, width)
-    ys = np.linspace(-span, span, height)
+    polys = [np.asarray(c, dtype=np.complex64)
+             for c in (f.num, f.den, _wronskian(f.num, f.den)[:-1])]
+    xs = np.linspace(-1.0, 1.0, width)
+    ys = np.linspace(-1.0, 1.0, height)
     size = width * height
     starts = range(0, size, _BLOCK)
     k = min(_usable_cpus(), len(starts))
@@ -579,7 +596,7 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
 
     def shade(share: int) -> None:
         for start in starts[share::k]:
-            _shade_block(polys, xs, ys, max_iter, start, min(start + _BLOCK, size), out)
+            _shade_block(polys, xs, ys, span, max_iter, start, min(start + _BLOCK, size), out)
 
     pids = []
     try:

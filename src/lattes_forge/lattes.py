@@ -98,7 +98,8 @@ class RationalMapCoeffs(_MapFields):
     effective degree must match and the numerator and denominator roots must
     stay apart (no common roots).  It keeps the coefficients as given, scale
     included.  The scaling-family members (1 + t) f of a checked map come
-    from `scaled`, which normalizes and does not check.
+    from `scaled`, which normalizes and does not check, and the same map at
+    a scale near 1 from `unit_scaled`.
     """
 
     __slots__ = ()
@@ -129,6 +130,20 @@ class RationalMapCoeffs(_MapFields):
             raise ValueError(f"the root check did not settle: {exc}") from None
         if gap < _ROOT_GAP_FLOOR:
             raise ValueError(f"numerator and denominator share a root (chordal gap {gap:.3e})")
+
+    def unit_scaled(self) -> RationalMapCoeffs:
+        """This map if its largest coefficient modulus m lies in [1/2, 2);
+        otherwise the same map with numerator and denominator times the power
+        of two nearest 1/m, exactly, so that every product of coefficients and
+        points of modulus at most 1 stays in the float range.  Not checked
+        again: a power of two moves no zero."""
+        m = max(map(abs, self.num + self.den))
+        if 0.5 <= m < 2.0:
+            return self
+        e = -round(math.log2(m))
+        num, den = (tuple(complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for c in cs)
+                    for cs in (self.num, self.den))
+        return self._replace(num=num, den=den, abs_sum=sum(map(abs, num)) + sum(map(abs, den)))
 
     def scaled(self, factor) -> RationalMapCoeffs:
         """The map (factor P : Q), normalized but not checked again.

@@ -473,6 +473,29 @@ def test_render_construct_artifact(tmp_path, capsys):
     assert "cannot load map" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale, exact", [(2.0 ** 600, True), (2.0 ** -600, True),
+                                          (1e-200, False)], ids=["2^600", "2^-600", "1e-200"])
+def test_map_files_far_from_scale_one_are_rescaled_on_load(tmp_path, construction_results,
+                                                          scale, exact):
+    # the k = 4 map, 11 postcritical points, with every coefficient times
+    # scale: loading undoes a power of two exactly, so certify and render
+    # write the stored map's bytes; 1e-200 moves the last bits, not the count
+    doc = map_to_dict(construction_results[1].g_k)
+    scaled = dict(doc, **{key: [[re * scale, im * scale] for re, im in doc[key]]
+                          for key in ("num", "den")})
+    for name, d in (("stored", doc), ("scaled", scaled)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(d))
+        assert main(["certify", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+        assert main(["render", "--map-file", str(tmp_path / f"{name}.json"), "--size", "16",
+                     "--out", str(tmp_path / f"{name}.ppm")]) == 0
+    stored, rescaled = ((tmp_path / name / "certificate.json").read_bytes()
+                        for name in ("stored", "scaled"))
+    assert json.loads(stored)["postcritical_count"] == json.loads(rescaled)["postcritical_count"] == 11
+    if exact:
+        assert rescaled == stored
+        assert (tmp_path / "scaled.ppm").read_bytes() == (tmp_path / "stored.ppm").read_bytes()
+
+
 def test_render_writes_ppm(tmp_path):
     target = tmp_path / "img.ppm"
     assert main(["render", "--size", "16", "--max-iter", "6", "--out", str(target)]) == 0

@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +32,9 @@ from lattes_forge.errors import BranchAmbiguity, IndeterminatePoint, RootCountMi
 from lattes_forge.lattes import LattesSpec, RationalMapCoeffs, build_rational_map
 
 from oracles import mobius_conjugate, preimages
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+from workloads import GREEN_SHARE_TOL, RED_AGREE, RED_LEVELS  # noqa: E402  (the bench's render check)
 
 
 @pytest.fixture
@@ -196,22 +200,28 @@ def test_julia_render_escape_contrast(z2):
     assert int(ring.sum()) != int(center.sum())
 
 
-def reference_render(f, width: int, height: int, max_iter: int, span: float = 2.0) -> np.ndarray:
+def reference_render(f, width: int, height: int, max_iter: int, span: float = 2.0,
+                     dtype=np.complex64) -> np.ndarray:
     """Reference oracle: a full-grid render kernel that julia_render must match
-    bit for bit.
+    bit for bit at dtype complex64; at dtype complex it is the same kernel in
+    double precision.
 
     Every temporary spans the whole grid, and each pixel's chart coefficients,
     ascending in chart 0 and reversed in chart 1, are chosen by np.where.  A
     pixel carries its chart coordinate xi and its last image (p : q); the
-    spherical derivative reads the Wronskian without its top coefficient.
+    first xi is z or 1/z in double, for the grid point z = span u, before the
+    cast to dtype.  The spherical derivative reads the Wronskian without its
+    top coefficient, and its logarithm is floored at 1e-300 in double.
     """
-    polys = [np.asarray(c, dtype=complex)
+    polys = [np.asarray(c, dtype=dtype)
              for c in (f.num, f.den, dynamics._wronskian(f.num, f.den)[:-1])]
-    xs = np.linspace(-span, span, width)
-    ys = np.linspace(-span, span, height)
-    X, Y = np.meshgrid(xs, ys)
-    p = (X + 1j * Y).ravel()
-    q = np.ones_like(p)
+    X, Y = np.meshgrid(np.linspace(-1.0, 1.0, width), np.linspace(-1.0, 1.0, height))
+    u = (X + 1j * Y).ravel()
+    far = np.abs(u) > 1.0 / span
+    z = span * u
+    z[far] = 1.0 / u[far] / span
+    z = z.astype(dtype)
+    p, q = np.where(far, 1, z), np.where(far, z, 1)
     log_acc = np.zeros(p.shape, dtype=float)
     for _ in range(max_iter):
         chart0 = np.abs(q) >= np.abs(p)
@@ -224,7 +234,7 @@ def reference_render(f, width: int, height: int, max_iter: int, span: float = 2.
             values.append(v)
         p, q, w = values
         sph = np.abs(w) * (1.0 + np.abs(xi) ** 2) / (np.abs(p) ** 2 + np.abs(q) ** 2)
-        log_acc += np.log(np.maximum(sph, 1e-300))
+        log_acc += np.log(np.maximum(sph, 1e-300, dtype=float))
     lyap = log_acc / max_iter
     bounded_end = np.abs(q) >= np.abs(p)
     escaped = np.abs(q) < 1e-6 * np.abs(p)
@@ -275,6 +285,45 @@ def test_julia_render_red_is_the_spherical_derivative(render_maps, name):
             s = abs(g) * (1.0 + abs(xi) ** 2) / (1.0 + abs(u) ** 2)
             want = min(max(math.floor(128.0 + 28.0 * math.log(s)), 0), 254)
             assert abs(red[i, j] - want) <= 1
+
+
+@pytest.mark.parametrize("name", ["z2", "a2", "a3", "a2c"])
+def test_single_precision_render_passes_the_bench_check(render_maps, name):
+    # the complex64 kernel against the same kernel in double, under the
+    # bench's render check.  Green (the final chart) agrees on only about half
+    # the pixels of a chaotic map after 40 iterations, so its bright share is
+    # a binomial draw: scaling a2c's numerator by 1 + j 1e-7, j = 1..12, moves
+    # it in double by up to 0.031 at 64^2 and by at most 0.0104 at 128^2
+    f = render_maps[name]
+    single = julia_render(f, 128, 128, max_iter=40).reshape(-1, 3).astype(int)
+    double = reference_render(f, 128, 128, 40, dtype=complex).reshape(-1, 3).astype(int)
+    red, green, blue = single.T
+    assert np.mean(np.abs(red - double[:, 0]) <= RED_LEVELS) >= RED_AGREE
+    assert set(np.unique(green)) <= {80, 255}
+    assert np.all((blue == 255) | (blue == red))
+    assert abs(np.mean(green == 255) - np.mean(double[:, 1] == 255)) <= GREEN_SHARE_TOL
+
+
+@pytest.mark.parametrize("span, pixel", [
+    (1e308, (0, 80, 255)),  # every grid point is within 1e-300 of infinity
+    (sys.float_info.max, (0, 80, 255)),
+    (5e-324, (0, 255, 0)),  # and here of 0
+])
+def test_julia_render_takes_any_finite_span(z2, span, pixel):
+    # both are superattracting fixed points of z^2, so the spherical
+    # derivative is 0 and red is floored; no step overflows on the way
+    buf = julia_render(z2, 16, 16, max_iter=4, span=span)
+    assert np.array_equal(buf, np.broadcast_to(np.array(pixel, dtype=np.uint8), buf.shape))
+    assert np.array_equal(buf, reference_render(z2, 16, 16, 4, span=span))
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 200, 2.0 ** -200], ids=["2^200", "2^-200"])
+def test_julia_render_does_not_see_the_coefficient_scale(render_maps, scale):
+    # the kernel casts the unit-scaled coefficients, so a map whose own would
+    # leave the complex64 range draws the same bytes
+    f = render_maps["a2c"]
+    g = RationalMapCoeffs([c * scale for c in f.num], [c * scale for c in f.den], f.degree)
+    assert np.array_equal(julia_render(g, 16, 16, max_iter=10), julia_render(f, 16, 16, max_iter=10))
 
 
 @given(st.integers(1, 9).flatmap(lambda d: st.tuples(

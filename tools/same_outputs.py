@@ -23,8 +23,10 @@ points beyond the benchmark pools (SWEEP_X0 x SWEEP_Y0 at every a and case
 of SWEEP_CASES, keeping the denominators that standard_parameters accepts:
 160 specs).
 
-`diff -r` of two OUTDIRs, made from two commits, is their byte-identity
-check.  Two commands run at a time.
+Two OUTDIRs, made from two commits, are compared in two parts: the render
+PPMs with `python tools/render_agreement.py OUTDIR_A OUTDIR_B`, which applies
+the bench's render check, and everything else with `diff -r` (byte
+identity; `diff -r -x '*.ppm'` skips the PPMs).  Two commands run at a time.
 """
 
 from __future__ import annotations
