@@ -92,13 +92,11 @@ def _atomic_write(path: str, data: bytes | str) -> None:
 
 
 def _load_map(path: str):
-    """The map in a bare map document or in a construct artifact (its "map"),
-    unit-scaled: a map whose largest coefficient modulus lies in [1/2, 2), as
-    every map `construct` writes, is used as stored."""
+    """The map in a bare map document or in a construct artifact (its "map")."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-        return map_from_dict(doc.get("map", doc)).unit_scaled()
+        return map_from_dict(doc.get("map", doc))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"cannot load map from {path}: {exc}") from None
 

@@ -21,13 +21,7 @@ import os
 import sys
 from typing import NamedTuple
 
-from .errors import (
-    BranchAmbiguity,
-    ContinuationBreakdown,
-    IndeterminatePoint,
-    NoConvergence,
-    RootCountMismatch,
-)
+from .errors import BranchAmbiguity, ContinuationBreakdown, IndeterminatePoint, NoConvergence
 
 _EPS = sys.float_info.epsilon
 _GUARD = 10.0 * _EPS ** (1.0 / 3.0)  # derivative floor for branch tracking
@@ -131,8 +125,6 @@ def _horner_pair(desc, x: complex) -> tuple[complex, complex]:
 
 
 def _polyder(coeffs) -> list:
-    if len(coeffs) <= 1:
-        return [0j]
     return [c * float(k) for k, c in enumerate(coeffs) if k]
 
 
@@ -190,7 +182,8 @@ def roots(coeffs) -> list[complex]:
     Algorithms 13 (1996) 179-200).  Simple zeros come out to a few rounding
     units times their condition number, a double zero to about sqrt(eps),
     like the companion-matrix eigenvalues of numpy.roots.  Raises
-    NoConvergence when a zero has not settled within _ROOT_SWEEPS sweeps.
+    NoConvergence when a zero has not settled within _ROOT_SWEEPS sweeps, or
+    when an iterate leaves the float range (a zero below it, for one).
     """
     c = [complex(x) for x in coeffs]
     while c and c[-1] == 0:
@@ -229,6 +222,8 @@ def roots(coeffs) -> list[complex]:
                 if j != i:
                     pull += 1.0 / (zi - z[j])
             z[i] = zi - 1.0 / (newton - pull)
+            if not cmath.isfinite(z[i]):
+                raise NoConvergence("a polynomial zero left the float range")
             if abs(p) > noise * size:
                 moving.append(i)
         if not moving:
@@ -305,21 +300,22 @@ def orbit(f, z: SpherePoint, n: int) -> list[SpherePoint]:
 
 
 def _wronskian(num, den) -> list:
-    """Ascending coefficients, 2D of them, of P'Q - PQ' for ascending num and den."""
-    return [u - v for u, v in zip(_convolve(_polyder(num), den), _convolve(num, _polyder(den)))]
+    """Ascending coefficients, 2D - 1 of them, of P'Q - PQ' for num and den
+    of D + 1 ascending coefficients each: its degree is 2D - 2, since the
+    coefficient of z^(2D - 1), D a_D b_D - a_D D b_D, is identically zero."""
+    u, v = _convolve(_polyder(num), den), _convolve(num, _polyder(den))
+    return [u[k] - v[k] for k in range(2 * len(num) - 3)]
 
 
 def critical_points(f) -> list[SpherePoint]:
     """The 2D - 2 critical points of f, with multiplicity: the zeros of the
     Wronskian P'Q - PQ' as roots gives them, each as often as its multiplicity,
-    sorted by (re, im), then infinity for each degree the Wronskian lacks."""
-    D = f.degree
+    sorted by (re, im), then infinity for each degree the Wronskian lacks.
+    Raises NoConvergence where roots does."""
     wr = _trim(_wronskian(f.num, f.den))
-    at_inf = (2 * D - 2) - (len(wr) - 1)
-    if at_inf < 0:
-        raise RootCountMismatch(f"Wronskian degree {len(wr) - 1} exceeds 2D-2 = {2 * D - 2}")
     zeros = sorted(roots(wr), key=lambda c: (c.real, c.imag))
-    return [SpherePoint.from_complex(x) for x in zeros] + [SpherePoint.infinity()] * at_inf
+    return ([SpherePoint.from_complex(x) for x in zeros]
+            + [SpherePoint.infinity()] * (2 * f.degree - 1 - len(wr)))
 
 
 def _newton_periodic(f, seed: SpherePoint, period: int, tol: float, max_iter: int = 60) -> list[SpherePoint]:
@@ -564,7 +560,8 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
     output bytes do not depend on the split.
 
     Orbits run in complex64: the numerator, denominator and Wronskian
-    coefficients of f.unit_scaled() are computed in double and cast once.
+    coefficients, at the unit scale every map is stored at, are computed in
+    double and cast once, so their values stay in the complex64 range.
     Red does not see the precision: for a Lattes map the mean log derivative
     is log |a| plus an endpoint term divided by max_iter, and one red level
     is 1/28 in that mean.
@@ -582,11 +579,7 @@ def julia_render(f, width: int, height: int, max_iter: int = 40,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(span) and span > 0.0):
         raise ValueError(f"span must be finite and positive, got {span}")
-    f = f.unit_scaled()  # so that the complex64 values stay in range
-    # without its top coefficient, the rounding residue of D a_D b_D - a_D D b_D,
-    # the Wronskian has degree 2D - 2 and the chart-1 reversal is exact
-    polys = [np.asarray(c, dtype=np.complex64)
-             for c in (f.num, f.den, _wronskian(f.num, f.den)[:-1])]
+    polys = [np.asarray(c, dtype=np.complex64) for c in (f.num, f.den, _wronskian(f.num, f.den))]
     xs = np.linspace(-1.0, 1.0, width)
     ys = np.linspace(-1.0, 1.0, height)
     size = width * height

@@ -27,10 +27,6 @@ class IndeterminatePoint(LattesForgeError):
     """Homogeneous evaluation produced (~0 : ~0)."""
 
 
-class RootCountMismatch(LattesForgeError):
-    """Recovered critical points do not add up to 2D - 2."""
-
-
 class NoConvergence(LattesForgeError):
     """An iterative solve or a series ran out of iterations or terms."""
 

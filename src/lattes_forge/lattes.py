@@ -93,13 +93,16 @@ class RationalMapCoeffs(_MapFields):
     """Degree-D rational map as ascending numerator/denominator coefficients,
     held as tuples of Python complex.
 
-    Construction pads both to D + 1 coefficients, stores abs_sum = sum |num_k|
-    + sum |den_k| and checks the map: finite and not identically zero, the
-    effective degree must match and the numerator and denominator roots must
-    stay apart (no common roots).  It keeps the coefficients as given, scale
-    included.  The scaling-family members (1 + t) f of a checked map come
-    from `scaled`, which normalizes and does not check, and the same map at
-    a scale near 1 from `unit_scaled`.
+    Construction pads both to D + 1 coefficients and stores them at unit
+    scale: when the largest coefficient modulus m is finite and nonzero but
+    outside [1/2, 2), both are multiplied by the power of two nearest 1/m,
+    exactly wherever no coefficient leaves the normal float range, so that
+    every product of coefficients and points of modulus at most 1 stays in
+    range.  It stores abs_sum = sum |num_k| + sum |den_k| and checks the map:
+    finite and not identically zero, the effective degree must match and the
+    numerator and denominator roots must stay apart (no common roots).  The
+    scaling-family members (1 + t) f of a checked map come from `scaled`,
+    which normalizes and does not check.
     """
 
     __slots__ = ()
@@ -112,6 +115,11 @@ class RationalMapCoeffs(_MapFields):
         pad = (0j,)
         num = tuple(complex(c) for c in num) + pad * (degree + 1 - len(num))
         den = tuple(complex(c) for c in den) + pad * (degree + 1 - len(den))
+        m = max(map(abs, num + den))
+        if 0.0 < m < math.inf and not 0.5 <= m < 2.0:
+            e = -round(math.log2(m))
+            num, den = (tuple(complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for c in cs)
+                        for cs in (num, den))
         self = super().__new__(cls, num, den, degree, sum(map(abs, num)) + sum(map(abs, den)))
         self.__post_init__()
         return self
@@ -130,20 +138,6 @@ class RationalMapCoeffs(_MapFields):
             raise ValueError(f"the root check did not settle: {exc}") from None
         if gap < _ROOT_GAP_FLOOR:
             raise ValueError(f"numerator and denominator share a root (chordal gap {gap:.3e})")
-
-    def unit_scaled(self) -> RationalMapCoeffs:
-        """This map if its largest coefficient modulus m lies in [1/2, 2);
-        otherwise the same map with numerator and denominator times the power
-        of two nearest 1/m, exactly, so that every product of coefficients and
-        points of modulus at most 1 stays in the float range.  Not checked
-        again: a power of two moves no zero."""
-        m = max(map(abs, self.num + self.den))
-        if 0.5 <= m < 2.0:
-            return self
-        e = -round(math.log2(m))
-        num, den = (tuple(complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for c in cs)
-                    for cs in (self.num, self.den))
-        return self._replace(num=num, den=den, abs_sum=sum(map(abs, num)) + sum(map(abs, den)))
 
     def scaled(self, factor) -> RationalMapCoeffs:
         """The map (factor P : Q), normalized but not checked again.
@@ -326,7 +320,20 @@ def map_to_dict(f: RationalMapCoeffs) -> dict:
 
 
 def map_from_dict(doc: dict) -> RationalMapCoeffs:
-    """The checked map of a map_to_dict document, coefficients bit for bit."""
-    num = [complex(re, im) for re, im in doc["num"]]
-    den = [complex(re, im) for re, im in doc["den"]]
-    return RationalMapCoeffs(num=num, den=den, degree=int(doc["degree"]))
+    """The checked map of a map_to_dict document, coefficients bit for bit.
+
+    Raises ValueError for a degree that is not a JSON integer or a
+    coefficient that is not a pair of JSON numbers; a JSON boolean is neither.
+    """
+    degree = doc["degree"]
+    if type(degree) is not int:
+        raise ValueError(f"degree must be an integer, got {degree!r}")
+    num, den = ([_coefficient(pair) for pair in doc[key]] for key in ("num", "den"))
+    return RationalMapCoeffs(num=num, den=den, degree=degree)
+
+
+def _coefficient(pair) -> complex:
+    re, im = pair
+    if type(re) not in (int, float) or type(im) not in (int, float):
+        raise ValueError(f"coefficient must be a pair of numbers, got {pair!r}")
+    return complex(re, im)

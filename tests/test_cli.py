@@ -438,6 +438,33 @@ def test_certify_refuses_shared_root(tmp_path, capsys):
     assert "cannot load map" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree, num", [
+    (2.9, [[1, 0], [0, 0], [1, 0]]), ("2", [[1, 0], [0, 0], [1, 0]]),
+    (True, [[0, 0], [1, 0]]), (2, [[True, False], [0, 0], [1, 0]]),
+], ids=["float-degree", "string-degree", "boolean-degree", "boolean-coefficient"])
+def test_malformed_map_documents_are_refused(tmp_path, monkeypatch, capsys, degree, num):
+    # a degree must be a JSON integer and a coefficient a pair of JSON numbers;
+    # int() and complex() would take each of these, true as 1
+    den = [[1, 0], [2, 0], [0, 0]][:len(num)]
+    (tmp_path / "map.json").write_text(json.dumps({"degree": degree, "num": num, "den": den}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["certify", "map.json", "--out", "cert"]) == 1
+    assert main(["render", "--map-file", "map.json", "--size", "16", "--out", "map.ppm"]) == 1
+    assert capsys.readouterr().err.count("cannot load map") == 2
+    assert sorted(os.listdir(tmp_path)) == ["map.json"]
+
+
+def test_certify_refuses_a_critical_point_below_the_float_range(tmp_path, capsys):
+    # the Wronskian of (1 + z^2) / (1 + 2.2e-313 z) has a zero near 1.1e-313,
+    # which the root iteration cannot reach: a failed certification, not a
+    # bad map file
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"degree": 2, "num": [[1, 0], [0, 0], [1, 0]],
+                                "den": [[1, 0], [2.2250738585e-313, 0], [0, 0]]}))
+    assert main(["certify", str(path)]) == 2
+    assert "a polynomial zero left the float range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_verify_lemma3_a5_period2_any_blas_threads(threads):
     # the BLAS thread count moves the fit's last bits; lemma 3 differentiates
@@ -458,6 +485,21 @@ def test_known_defect_a5_fit_is_refused(capsys):
     expected to flip this test."""
     assert main(["verify-lemma3", "--a", "5", "--case", "2", "--x0=1/5", "--y0=3/5"]) == 2
     assert capsys.readouterr().err.startswith("error: held-out semiconjugacy residual")
+
+
+def test_known_defect_certify_refuses_a_certified_construct(tmp_path, capsys):
+    """Known defect: construct certifies k = 4 at a = 4, x0 = 1/5, y0 = 1 with
+    11 postcritical points, but certify of its artifact iterates a critical
+    value forward, where the orbit expands by about a^2 per step, and finds
+    no near-return within 1e-8.  Checking each itinerary backward (ROADMAP
+    item 18) is expected to flip this test."""
+    assert main(["construct", "--a", "4", "--x0=1/5", "--y0=1", "--k-min", "4", "--k-max", "4",
+                 "--out", str(tmp_path)]) == 0
+    artifact = tmp_path / "construction_k4.json"
+    assert json.loads(artifact.read_text())["postcritical_count"] == 11
+    capsys.readouterr()
+    assert main(["certify", str(artifact)]) == 2
+    assert "found no cycle within 300 iterates" in capsys.readouterr().err
 
 
 def test_render_construct_artifact(tmp_path, capsys):

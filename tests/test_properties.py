@@ -4,13 +4,14 @@ import json
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lattes_forge.cli import _json_text, _linspace
 from lattes_forge.dynamics import (
     SpherePoint,
     chart_derivative,
+    critical_points,
     eval_map,
     find_cycle,
     multiplier,
@@ -56,6 +57,22 @@ def maps(draw):
         return RationalMapCoeffs(num=num, den=den, degree=D)
     except ValueError:
         assume(False)
+
+
+# the Wronskian of (1 + z^2) / (1 + 2.2e-313 z) has a zero near 1.1e-313,
+# below the normal float range, and that of the degree-3 map a subnormal
+# constant term: roots need not find such zeros, but must refuse with a type
+@example(RationalMapCoeffs([1, 0, 1], [1, 2.2250738585e-313, 0], 2))
+@example(RationalMapCoeffs([0.5, 0.5 + 1.11253692926e-313j, 0, 1], [0.5j, 0.5j, 0, 0], 3))
+@given(maps())
+def test_critical_points_are_2d_minus_2_or_refused(f):
+    # a checked map has exactly 2D - 2 critical points with multiplicity, by
+    # Riemann-Hurwitz; where the zeros cannot be found the refusal is typed
+    try:
+        found = critical_points(f)
+    except NoConvergence:
+        return
+    assert len(found) == 2 * f.degree - 2
 
 
 @given(st.one_of(maps(), maps().map(lambda f: f.scaled(1.0)),

@@ -1,0 +1,60 @@
+"""The output-comparison tools under tools/: their checks and the commands they run."""
+
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from lattes_forge.cli import build_parser
+from lattes_forge.dynamics import ppm_bytes
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+import render_agreement  # noqa: E402
+import same_outputs  # noqa: E402
+
+
+def _write_ppm(path, green=255, shape=(16, 16)):
+    """A PPM of the renderer's palette (blue equal to red) unless green is off it."""
+    buffer = np.empty(shape + (3,), dtype=np.uint8)
+    buffer[..., 0] = buffer[..., 2] = 128
+    buffer[..., 1] = green
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(ppm_bytes(buffer))
+
+
+def test_render_agreement_accepts_the_same_ppm(tmp_path):
+    for side in ("a", "b"):
+        _write_ppm(tmp_path / side / "run" / "render.ppm")
+    assert render_agreement.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+
+
+@pytest.mark.parametrize("b_name, b_args, reason", [
+    ("render.ppm", dict(green=7), "palette BROKEN"),
+    ("render.ppm", dict(shape=(16, 17)), "shapes 16x16 and 17x16"),
+    ("other.ppm", {}, "no PPM is held in both directories"),
+], ids=["palette-break", "shape-mismatch", "none-in-both"])
+def test_render_agreement_refuses(tmp_path, capsys, b_name, b_args, reason):
+    _write_ppm(tmp_path / "a" / "render.ppm")
+    _write_ppm(tmp_path / "b" / b_name, **b_args)
+    assert render_agreement.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out, err = capsys.readouterr()
+    assert reason in out + err
+
+
+def test_same_outputs_job_counts():
+    # the sweep grid keeps the denominators that are odd and coprime with a
+    assert len(same_outputs.sweep_jobs()) == 160
+    assert len(same_outputs.jobs()) == 70
+
+
+def test_same_outputs_commands_parse():
+    # a renamed or removed flag would turn a job into a usage error, which
+    # the byte comparison of two such runs would not notice
+    parser = build_parser()
+    usage_errors = set(same_outputs.USAGE_ERRORS)
+    for args, out_flag in same_outputs.jobs() + same_outputs.sweep_jobs():
+        if args not in usage_errors:
+            parser.parse_args(list(args + out_flag))
+    parser.parse_args(["certify", "construction_k3.json"])
