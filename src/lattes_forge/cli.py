@@ -97,7 +97,7 @@ def _load_map(path: str):
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
         return map_from_dict(doc.get("map", doc))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"cannot load map from {path}: {exc}") from None
 
 
@@ -451,7 +451,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # here, so that a closed stdout is an error line and exit 1
+        return code
     except PrecisionExhausted as exc:
         print(f"precision: {exc}", file=sys.stderr)
         return EXIT_PRECISION
@@ -466,5 +468,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """Console entry point: main(), flush, then os._exit without interpreter teardown."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:  # os._exit also when a flush fails, as on a stdout closed early
+        os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -441,10 +442,13 @@ def test_certify_refuses_shared_root(tmp_path, capsys):
 @pytest.mark.parametrize("degree, num", [
     (2.9, [[1, 0], [0, 0], [1, 0]]), ("2", [[1, 0], [0, 0], [1, 0]]),
     (True, [[0, 0], [1, 0]]), (2, [[True, False], [0, 0], [1, 0]]),
-], ids=["float-degree", "string-degree", "boolean-degree", "boolean-coefficient"])
+    (1, [[1.5e308, 1.5e308], [1, 0]]), (1, [[10 ** 400, 0], [1, 0]]),
+], ids=["float-degree", "string-degree", "boolean-degree", "boolean-coefficient",
+        "modulus-overflow", "integer-overflow"])
 def test_malformed_map_documents_are_refused(tmp_path, monkeypatch, capsys, degree, num):
-    # a degree must be a JSON integer and a coefficient a pair of JSON numbers;
-    # int() and complex() would take each of these, true as 1
+    # a degree must be a JSON integer and a coefficient a pair of JSON numbers
+    # whose modulus is a float; int() and complex() would take the first four,
+    # true as 1, and abs() or complex() raise OverflowError on the last two
     den = [[1, 0], [2, 0], [0, 0]][:len(num)]
     (tmp_path / "map.json").write_text(json.dumps({"degree": degree, "num": num, "den": den}))
     monkeypatch.chdir(tmp_path)
@@ -596,3 +600,67 @@ def test_atomic_write_leaves_other_files_alone(tmp_path):
         _atomic_write(str(path), "not ascii: \u00e9")
     assert path.read_text() == "new\n"
     assert sorted(os.listdir(tmp_path)) == ["report.json", "report.json.tmp"]
+
+
+def _cli_process(*args, **kwargs):
+    """python -m lattes_forge.cli ARGS through pipes, with stdout block-buffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    return subprocess.Popen([sys.executable, "-m", "lattes_forge.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def test_the_cli_process_writes_everything_before_it_exits(tmp_path):
+    # the process ends in os._exit, so nothing is flushed for it at teardown
+    proc = _cli_process("verify-lemma1", "--grid=-0.2:0.0:0.9:1.1:2", "--out", str(tmp_path))
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 5 and lines[-1].startswith("worst residual ")
+    assert all(line.startswith("gamma=") for line in lines[:4])
+    assert len(json.loads((tmp_path / "lemma1_report.json").read_text())["rows"]) == 4
+    proc = _cli_process("verify-lemma1", "--tol=0")
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (1, "")
+    assert "error: argument --tol: must be a finite positive number" in err
+
+
+def test_a_closed_stdout_is_an_error_line():
+    # the report is written by main's own flush, so a reader that left early
+    # gets the usage exit and an error line, not a traceback at teardown
+    with _cli_process("verify-lemma1") as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert "error: [Errno 32] Broken pipe" in err
+    assert "Traceback" not in err
+
+
+_ATEXIT_COUNT = """
+import atexit, sys
+before = atexit._ncallbacks()
+from lattes_forge.cli import main
+codes = [main(["construct", "--k-min", "3", "--k-max", "3", "--out", sys.argv[1]]),
+         main(["render", "--size", "16", "--out", sys.argv[1]])]
+print(codes, atexit._ncallbacks() - before)
+"""
+
+
+def test_commands_register_no_exit_handlers(tmp_path):
+    # run() skips the interpreter's teardown, which is safe only while the
+    # package and what it imports (numpy included) leave nothing to run there
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", _ATEXIT_COUNT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] 0"
+
+
+def test_the_console_script_is_run():
+    root = os.path.dirname(SRC)
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        scripts = fh.read().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    (target,) = [line.split("=", 1)[1].strip().strip('"') for line in scripts.splitlines()
+                 if line.startswith("lattes-forge ")]
+    assert pkgutil.resolve_name(target) is cli.run
