@@ -137,14 +137,6 @@ def _convolve(a, b) -> list:
     return out
 
 
-def _trim(coeffs):
-    """coeffs without the top coefficients below _TRIM_REL of the largest."""
-    mags = [abs(c) for c in coeffs]
-    cut = _TRIM_REL * max(mags)
-    keep = [k for k, m in enumerate(mags) if m > cut]
-    return coeffs[: keep[-1] + 1] if keep else coeffs[:1]
-
-
 def _aberth_start(c: list) -> list:
     """Starting points for the zeros of the polynomial with ascending
     coefficients c (both end coefficients nonzero): for each edge of the
@@ -179,9 +171,10 @@ def roots(coeffs) -> list[complex]:
     of _aberth_start.  A zero stops moving once its backward error is at the
     rounding level of Horner's rule, |p(z)| <= 4 n eps sum |c_k| |z|^k, with
     p evaluated through its reversal at 1/z where |z| > 1 (Bini, Numer.
-    Algorithms 13 (1996) 179-200).  Simple zeros come out to a few rounding
-    units times their condition number, a double zero to about sqrt(eps),
-    like the companion-matrix eigenvalues of numpy.roots.  Raises
+    Algorithms 13 (1996) 179-200), plus n times the smallest subnormal for
+    the products that fall below the float range.  Simple zeros come out to
+    a few rounding units times their condition number, a double zero to
+    about sqrt(eps), like the companion-matrix eigenvalues of numpy.roots.  Raises
     NoConvergence when a zero has not settled within _ROOT_SWEEPS sweeps, or
     when an iterate leaves the float range (a zero below it, for one).
     """
@@ -198,6 +191,7 @@ def roots(coeffs) -> list[complex]:
     ascending = list(zip(c, map(abs, c)))  # Horner order of the reversal
     descending = ascending[::-1]
     noise = 4.0 * n * _EPS
+    underflow = n * math.ulp(0.0)  # what Horner's rule can lose below the float range
     z = _aberth_start(c)
     active = range(n)
     for _ in range(_ROOT_SWEEPS):
@@ -224,7 +218,7 @@ def roots(coeffs) -> list[complex]:
             z[i] = zi - 1.0 / (newton - pull)
             if not cmath.isfinite(z[i]):
                 raise NoConvergence("a polynomial zero left the float range")
-            if abs(p) > noise * size:
+            if abs(p) > noise * size + underflow:
                 moving.append(i)
         if not moving:
             return [0j] * at_zero + z
@@ -307,15 +301,27 @@ def _wronskian(num, den) -> list:
     return [u[k] - v[k] for k in range(2 * len(num) - 3)]
 
 
-def critical_points(f) -> list[SpherePoint]:
-    """The 2D - 2 critical points of f, with multiplicity: the zeros of the
-    Wronskian P'Q - PQ' as roots gives them, each as often as its multiplicity,
-    sorted by (re, im), then infinity for each degree the Wronskian lacks.
+def effective_degree(coeffs, cut: float) -> int:
+    """Index of the last coefficient whose modulus is above cut (0 if none)."""
+    return max((k for k, c in enumerate(coeffs) if abs(c) > cut), default=0)
+
+
+def sphere_zeros(coeffs, degree: int, cut: float) -> list[SpherePoint]:
+    """Zeros on the sphere, with multiplicity, of the degree-`degree` lift of
+    coeffs: those roots gives for coeffs up to their effective degree above
+    cut, sorted by (re, im), then infinity once for each degree dropped.
     Raises NoConvergence where roots does."""
-    wr = _trim(_wronskian(f.num, f.den))
-    zeros = sorted(roots(wr), key=lambda c: (c.real, c.imag))
-    return ([SpherePoint.from_complex(x) for x in zeros]
-            + [SpherePoint.infinity()] * (2 * f.degree - 1 - len(wr)))
+    eff = effective_degree(coeffs, cut)
+    zeros = sorted(roots(coeffs[: eff + 1]), key=lambda c: (c.real, c.imag))
+    return [SpherePoint.from_complex(x) for x in zeros] + [SpherePoint.infinity()] * (degree - eff)
+
+
+def critical_points(f) -> list[SpherePoint]:
+    """The 2D - 2 critical points of f, with multiplicity: the zeros on the
+    sphere of the Wronskian P'Q - PQ', trimmed below _TRIM_REL of its largest
+    coefficient.  Raises NoConvergence where roots does."""
+    wr = _wronskian(f.num, f.den)
+    return sphere_zeros(wr, 2 * f.degree - 2, _TRIM_REL * max(map(abs, wr)))
 
 
 def _newton_periodic(f, seed: SpherePoint, period: int, tol: float, max_iter: int = 60) -> list[SpherePoint]:

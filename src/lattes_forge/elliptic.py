@@ -92,57 +92,33 @@ HALF_LATTICE = (
 
 
 def _theta(kind: int, v: complex, lq: complex, powers: list) -> complex:
-    """Jacobi theta_kind(v, q) with log-nome lq = log q, |q| < 1.
-
-    powers holds the nome powers of the lattice by term index n:
-    exp((n + 1/2)^2 lq) for kinds 1 and 2, exp(n^2 lq) for kinds 3 and 4
-    (whose entry 0 is 1).  They depend on lq alone, so a lattice keeps one
-    list of each kind; the series appends the terms it is the first to reach.
-    """
-    decay = -lq.real
+    """Jacobi theta_kind(v, q), log-nome lq = log q, |q| < 1: the sum over
+    n >= 0 (kinds 1, 2; m = n + 1/2) or n >= 1 (kinds 3, 4; m = n) of
+    exp(m^2 lq) sin 2mv (kind 1) or cos 2mv, alternating for kinds 1 and 4,
+    up to the first n past the peak term whose log bound m^2 Re lq + 2m |Im v|
+    is under _LOG_CUT.  powers holds the nome powers by n (entry 0 is 1 for
+    kinds 3, 4); they depend on lq alone, so a lattice keeps one list per pair
+    of kinds, and the series appends the terms it is the first to reach."""
+    half = kind < 3
     iv = abs(v.imag)
-    if kind in (1, 2):
-        hump = iv / decay - 0.5
-        acc = 0j
-        n = 0
-        while True:
-            e = (n + 0.5) ** 2
-            logmag = e * lq.real + (2 * n + 1) * iv
-            if n > hump + 2 and logmag < _LOG_CUT:
-                break
-            arg = (2 * n + 1) * v
-            if n == len(powers):
-                powers.append(cmath.exp(e * lq))
-            if kind == 1:
-                term = powers[n] * cmath.sin(arg)
-                if n % 2:
-                    term = -term
-            else:
-                term = powers[n] * cmath.cos(arg)
-            acc += term
-            n += 1
-            if n > _MAX_TERMS:
-                raise NoConvergence(f"theta_{kind} series needed more than {_MAX_TERMS} terms")
-        return 2.0 * acc
-    if kind in (3, 4):
-        hump = iv / decay
-        acc = 1.0 + 0j
-        n = 1
-        while True:
-            logmag = n * n * lq.real + 2 * n * iv
-            if n > hump + 2 and logmag < _LOG_CUT:
-                break
-            if n == len(powers):
-                powers.append(cmath.exp(n * n * lq))
-            term = powers[n] * cmath.cos(2 * n * v)
-            if kind == 4 and n % 2:
-                term = -term
-            acc += 2.0 * term
-            n += 1
-            if n > _MAX_TERMS:
-                raise NoConvergence(f"theta_{kind} series needed more than {_MAX_TERMS} terms")
-        return acc
-    raise ValueError(f"theta kind must be 1..4, got {kind}")
+    hump = iv / -lq.real - (0.5 if half else 0.0)
+    acc = 0j if half else 1.0 + 0j
+    n = 0 if half else 1
+    while True:
+        m = n + 0.5 if half else n
+        e = m * m
+        if n > hump + 2 and e * lq.real + 2 * m * iv < _LOG_CUT:
+            break
+        if n == len(powers):
+            powers.append(cmath.exp(e * lq))
+        term = powers[n] * (cmath.sin if kind == 1 else cmath.cos)(2 * m * v)
+        if kind in (1, 4) and n % 2:
+            term = -term
+        acc += term if half else 2.0 * term
+        n += 1
+        if n > _MAX_TERMS:
+            raise NoConvergence(f"theta_{kind} series needed more than {_MAX_TERMS} terms")
+    return 2.0 * acc if half else acc
 
 
 class HalfPeriodValues(NamedTuple):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .dynamics import SpherePoint, eval_map, roots, spherical_distance
+from .dynamics import SpherePoint, effective_degree, eval_map, sphere_zeros, spherical_distance
 from .elliptic import HALF_LATTICE, TorusParameter, TorusPoint, theta_data, theta_map
 from .errors import IllConditioned, NoConvergence, ValidationFailed
 
@@ -129,7 +129,7 @@ class RationalMapCoeffs(_MapFields):
         scale = max(map(abs, num + den))
         if not (scale > 0.0 and all(map(cmath.isfinite, num + den))):
             raise ValueError("coefficients are identically zero or non-finite")
-        eff = max(_effective_degree(num, scale), _effective_degree(den, scale))
+        eff = max(effective_degree(cs, _DEGREE_FLOOR * scale) for cs in (num, den))
         if eff != D:
             raise ValueError(f"effective degree {eff} does not match declared degree {D}")
         try:
@@ -172,28 +172,16 @@ def _normalized(num, den) -> tuple[tuple, tuple]:
     return tuple(joint[: len(num)]), tuple(joint[len(num):])
 
 
-def _effective_degree(coeffs: tuple, scale: float) -> int:
-    """Index of the last coefficient above _DEGREE_FLOOR * scale (0 if none)."""
-    cut = _DEGREE_FLOOR * scale
-    return max((k for k, c in enumerate(coeffs) if abs(c) > cut), default=0)
-
-
-def _homogeneous_roots(coeffs: tuple, scale: float, D: int) -> list[SpherePoint]:
-    """Roots of the degree-D homogeneous lift, infinity included by degree drop."""
-    trimmed = coeffs[: _effective_degree(coeffs, scale) + 1]
-    pts = [SpherePoint.from_complex(r) for r in roots(trimmed)]
-    pts.extend(SpherePoint.infinity() for _ in range(D - len(trimmed) + 1))
-    return pts
-
-
 def _root_separation(num: tuple, den: tuple, scale: float, D: int) -> float:
-    """Min chordal distance between numerator and denominator root sets.
+    """Min chordal distance between numerator and denominator root sets, the
+    zeros on the sphere of their degree-D lifts trimmed at _DEGREE_FLOOR * scale.
 
     Scale-free detector of common roots; a raw resultant floor is useless at
     degree ~9 where legitimate resultants of normalized vectors underflow.
     """
-    zeros = _homogeneous_roots(num, scale, D)
-    poles = _homogeneous_roots(den, scale, D)
+    cut = _DEGREE_FLOOR * scale
+    zeros = sphere_zeros(num, D, cut)
+    poles = sphere_zeros(den, D, cut)
     return min(spherical_distance(z, p) for z in zeros for p in poles)
 
 

@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .dynamics import (
+    _EPS,
     CycleData,
     SpherePoint,
     chart_derivative,
@@ -47,7 +48,6 @@ from .errors import (
 )
 from .lattes import LattesSpec, RationalMapCoeffs, build_rational_map, critical_values, torus_endo
 
-_EPS = 2.0 ** -52
 _PCF_TOL = 1e-8  # tolerance to which postcritical orbits are certified
 _COLLISION_TOL = 1e-12  # residual target of the collision solves behind s_k/t_k
 _COLLISION_MAX_ITER = 80  # secant evaluations per collision solve
@@ -55,10 +55,10 @@ _GAMMA_MAX_ITER = 30  # misfit evaluations per gamma_k solve
 _MARKED_TOL = 1e-9  # spherical tolerance of marked orbits, certified and tracked
 
 
-def _check_resolution(a: int, k: int) -> None:
+def _check_resolution(spec: LattesSpec, k: int) -> None:
     """Refuse depths at which t = u / a^(2k), entering the map as 1 + t, keeps
     less relative precision than postcritical orbits are certified to."""
-    loss = _EPS * float(abs(a)) ** (2 * k)
+    loss = _EPS * _degree_power(spec, k)
     if loss > _PCF_TOL:
         raise PrecisionExhausted(
             f"eps * |a|^(2k) = {loss:.3g} exceeds {_PCF_TOL:.0e} at k={k}; "
@@ -165,7 +165,7 @@ def make_marked_point(spec: LattesSpec, base_point: BasePoint, k: int,
     default parameters (tau = y0 integral) land on the fixed point 0, and
     the shooting solve handles that case.
     """
-    _check_resolution(spec.a, k)
+    _check_resolution(spec, k)
     gamma = spec.gamma.gamma
     pre, per, addrs = _exact_itinerary(spec.a, spec.translation,
                                        base_point.address(spec.a, k, family), k + 64)
@@ -258,7 +258,8 @@ def verify_lemma3(spec: LattesSpec) -> ResponseReport:
 
 
 def _degree_power(spec: LattesSpec, k: int) -> float:
-    return float((spec.a * spec.a) ** k)
+    """a^(2k), exact at every depth _check_resolution allows."""
+    return float(spec.a * spec.a) ** k
 
 
 def closed_form_rescaled_root(spec: LattesSpec, marked: MarkedPreperiodicPoint) -> complex:

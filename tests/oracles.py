@@ -2,7 +2,8 @@
 
 None of these runs in a command: the lattice sum checks the theta series
 of P (read through `weierstrass_p`, which no command needs), the
-brute-force fiber checks `pullback_branch`, the Moebius conjugate checks
+brute-force fiber (numpy roots after a trim of its own) checks
+`pullback_branch`, the Moebius conjugate checks
 the chart invariance of multipliers, the inverse-branch tracker and the
 Newton solve in raw t check the shooting solve of the collision equations,
 the scan of every earlier address checks the keyed exact itinerary,
@@ -23,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from lattes_forge.dynamics import (
+    _TRIM_REL,
     SpherePoint,
-    _trim,
     continue_cycle,
     eval_map,
     pullback_branch,
@@ -104,11 +105,19 @@ def weierstrass_p_lattice_sum(tau: TorusPoint, gamma: complex, box: int = 200) -
     return 1.0 / z ** 2 + complex(np.sum(terms))
 
 
+def trimmed(poly) -> np.ndarray:
+    """Ascending coefficients poly without the top ones at or below _TRIM_REL
+    of the largest modulus; the constant term stays if none is above."""
+    poly = np.asarray(poly, dtype=complex)
+    mags = np.abs(poly)
+    above = np.flatnonzero(mags > _TRIM_REL * mags.max())
+    return poly[: above[-1] + 1 if above.size else 1]
+
+
 def preimages(f, target: SpherePoint) -> list[SpherePoint]:
     """All D preimages of target, with multiplicity, by root extraction."""
     num, den = np.asarray(f.num, dtype=complex), np.asarray(f.den, dtype=complex)
-    poly = target.W * num - target.Z * den
-    poly = _trim(poly)
+    poly = trimmed(target.W * num - target.Z * den)
     deg = len(poly) - 1
     out = [SpherePoint.from_complex(complex(r)) for r in (np.roots(poly[::-1]) if deg >= 1 else [])]
     out.extend(SpherePoint.infinity() for _ in range(f.degree - deg))

@@ -469,6 +469,19 @@ def test_certify_refuses_a_critical_point_below_the_float_range(tmp_path, capsys
     assert "a polynomial zero left the float range" in capsys.readouterr().err
 
 
+def test_certify_reaches_critical_points_near_the_float_floor(tmp_path, capsys):
+    # the Wronskian (-5.56e-314, 0, 1.5i, i) has two zeros near 1.4e-157,
+    # where Horner's value of it underflows: roots settles them, and the
+    # certification answers on the map's dynamics
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"degree": 3, "num": [[0.5, 0], [0.5, 1.11253692926e-313], [0, 0], [1, 0]],
+                                "den": [[0, 0.5], [0, 0.5], [0, 0], [0, 0]]}))
+    assert main(["certify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "lands on a cycle with multiplier" in err
+    assert "Aberth sweeps" not in err
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_verify_lemma3_a5_period2_any_blas_threads(threads):
     # the BLAS thread count moves the fit's last bits; lemma 3 differentiates

@@ -1,5 +1,6 @@
 """Chart-safe sphere dynamics: evaluation, cycles, pullbacks, rendering."""
 
+import cmath
 import math
 import os
 import sys
@@ -31,7 +32,7 @@ from lattes_forge.elliptic import TorusParameter
 from lattes_forge.errors import BranchAmbiguity, IndeterminatePoint
 from lattes_forge.lattes import LattesSpec, RationalMapCoeffs, build_rational_map
 
-from oracles import mobius_conjugate, preimages
+from oracles import mobius_conjugate, preimages, trimmed
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 from workloads import GREEN_SHARE_TOL, RED_AGREE, RED_LEVELS  # noqa: E402  (the bench's render check)
@@ -459,8 +460,19 @@ def test_roots_of_base_maps_match_numpy(a, case, gamma):
     wr = (np.convolve(num[1:] * np.arange(1, len(num)), den)
           - np.convolve(num, den[1:] * np.arange(1, len(den))))
     for c in (num, den, wr):
-        c = dynamics._trim(c)
+        c = trimmed(c)
         oracle = np.roots(c[::-1])
         for z, gap in _paired_gaps(roots(c), oracle):
             doubled = sorted(abs(oracle - z))[1] < 1e-4
             assert gap <= (DOUBLE_TOL if doubled else SIMPLE_TOL) * max(1.0, abs(z))
+
+
+def test_roots_settle_where_horner_underflows():
+    # the Wronskian of a map with two critical points near 1.4e-157, where
+    # every term of p(z) but the constant falls below the float range; there
+    # 1.5i z^2 + c = 0 up to a relative 1e-157
+    c = -5.562684646e-314
+    zeros = sorted(roots([c, 0, 1.5j, 1j]), key=lambda z: z.real)
+    small = cmath.sqrt(-c / 1.5j)
+    for z, want in zip(zeros, (-1.5, -small, small), strict=True):
+        assert abs(z - want) <= 1e-8 * abs(want)

@@ -1,6 +1,11 @@
-"""The output-comparison tools under tools/: their checks and the commands they run."""
+"""The output-comparison tools under tools/, their checks and the commands they
+run, and the bench tracer's hold on the layers of src/."""
 
+import collections
+import importlib
+import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -8,11 +13,14 @@ import pytest
 
 from lattes_forge.cli import build_parser
 from lattes_forge.dynamics import ppm_bytes
+from lattes_forge.lattes import map_to_dict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
 import render_agreement  # noqa: E402
 import same_outputs  # noqa: E402
+import trace_child  # noqa: E402
 
 
 def _write_ppm(path, green=255, shape=(16, 16)):
@@ -46,7 +54,7 @@ def test_render_agreement_refuses(tmp_path, capsys, b_name, b_args, reason):
 def test_same_outputs_job_counts():
     # the sweep grid keeps the denominators that are odd and coprime with a
     assert len(same_outputs.sweep_jobs()) == 160
-    assert len(same_outputs.jobs()) == 70
+    assert len(same_outputs.jobs()) == 70 + 2 * len(same_outputs.MAP_DOCUMENTS) == 80
 
 
 def test_same_outputs_commands_parse():
@@ -58,3 +66,33 @@ def test_same_outputs_commands_parse():
         if args not in usage_errors:
             parser.parse_args(list(args + out_flag))
     parser.parse_args(["certify", "construction_k3.json"])
+
+
+def test_the_bench_tracer_finds_every_traced_name():
+    # the tracer looks each name up with a bare getattr: a deleted or renamed
+    # layer function would break every traced bench run
+    for layer, names in trace_child.TRACED.items():
+        module = importlib.import_module(f"lattes_forge.{layer}")
+        for name in names:
+            assert callable(getattr(module, name)), f"{layer}.{name}"
+
+
+def _traced_spans(tmp_path, *args) -> collections.Counter:
+    """Span names of one command run under bench/trace_child.py, which must exit 0."""
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "bench", "trace_child.py"),
+                           str(spans), "op", *args, "--out", str(tmp_path / "out")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return collections.Counter(json.loads(spans.read_text())["name"])
+
+
+def test_the_bench_tracer_runs_over_the_layers(tmp_path, base_a2):
+    names = _traced_spans(tmp_path, "verify-lemma3", "--a", "3", "--case", "2", "--x0=1/5")
+    assert names["lattes.build_rational_map"] == names["lattes.RationalMapCoeffs"] == 1
+    (tmp_path / "base.json").write_text(json.dumps(map_to_dict(base_a2)))
+    names = _traced_spans(tmp_path, "certify", "base.json")
+    assert names["dynamics.critical_points"] >= 1
+    assert names["perturbation.certify_strictly_pcf"] >= 1

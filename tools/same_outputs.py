@@ -16,7 +16,9 @@ NAME.stderr and NAME.exit.  Commands:
 - construct, verify-lemma3 and render at a = 4, 1/3 + 5i/3, whose fitted
   map fails the map check;
 - the usage errors that construct, verify-lemma1, certify and render refuse,
-  and the lattices too thin or too tall for double precision.
+  and the lattices too thin or too tall for double precision;
+- certify and render --map-file at size 16 of each bare map document of
+  MAP_DOCUMENTS, written into the command's directory first.
 
 --sweep adds construct, then certify of each artifact, over a grid of base
 points beyond the benchmark pools (SWEEP_X0 x SWEEP_Y0 at every a and case
@@ -31,6 +33,7 @@ identity; `diff -r -x '*.ppm'` skips the PPMs).  Two commands run at a time.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -76,6 +79,25 @@ THIN_AND_TALL = [
     ("render", "--y0=1000", "--size", "16"),
 ]
 
+# bare map documents, so that the map check and the critical points run on
+# maps no construct wrote: the four that tests/test_cli.py has certify
+# refuse or fail, and one whose Wronskian has zeros near 1e-157, where
+# Horner's rule underflows
+MAP_DOCUMENTS = {
+    "subnormal-denominator.json": {"degree": 1, "num": [[0, 3.6643749114008475e-26], [0, 0]],
+                                   "den": [[-1.1125369292536007e-308, 0],
+                                           [1.7693759452741915, 6.032878723966615]]},
+    "critical-point-below-range.json": {"degree": 2, "num": [[1, 0], [0, 0], [1, 0]],
+                                        "den": [[1, 0], [2.2250738585e-313, 0], [0, 0]]},
+    "shared-root.json": {"degree": 2, "num": [[0, 0], [-1, 0], [1, 0]],
+                         "den": [[0, 0], [1, 0], [1, 0]]},
+    "quadratic-polynomial.json": {"degree": 2, "num": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                                  "den": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+    "critical-points-near-underflow.json": {"degree": 3, "num": [[0.5, 0], [0.5, 1.11253692926e-313],
+                                                                 [0, 0], [1, 0]],
+                                            "den": [[0, 0.5], [0, 0.5], [0, 0], [0, 0]]},
+}
+
 # the fitted map at a = 4, gamma0 = 1/3 + 5i/3 has effective degree 15, not 16
 REFUSED_FIT = ("--a", "4", "--case", "1", "--x0=1/3", "--y0=5/3")
 
@@ -108,10 +130,13 @@ def _slug(args: tuple) -> str:
 
 
 def _job(outdir: str, args: tuple, out_flag: tuple = ()) -> None:
-    """One command in a directory of its own; construct is followed by certify
-    of each artifact."""
+    """One command in a directory of its own, after the map documents it
+    names; construct is followed by certify of each artifact."""
     cwd = os.path.join(outdir, _slug(args))
     os.makedirs(cwd)
+    for name in set(args) & MAP_DOCUMENTS.keys():
+        with open(os.path.join(cwd, name), "w", encoding="ascii") as fh:
+            json.dump(MAP_DOCUMENTS[name], fh)
     _run(cwd, "command", args + out_flag)
     if args[0] == "construct":
         for art in sorted(f for f in os.listdir(cwd) if f.startswith("construction_k")):
@@ -130,6 +155,9 @@ def jobs() -> list[tuple]:
             (("render",) + REFUSED_FIT + ("--size", str(workloads.RENDER_SIZE)),
              ("--out", "render.ppm"))]
     out += [(args, ("--out", "out")) for args in USAGE_ERRORS + THIN_AND_TALL]
+    for name in MAP_DOCUMENTS:
+        out += [(("certify", name), ("--out", ".")),
+                (("render", "--map-file", name, "--size", "16"), ("--out", "render.ppm"))]
     return out
 
 
