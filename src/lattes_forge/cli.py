@@ -28,9 +28,8 @@ from .errors import (
     NotRepelling,
     PrecisionExhausted,
 )
-from .lattes import CASE_TAGS, LattesSpec, map_from_dict, map_to_dict
+from .lattes import CASE_TAGS, LattesSpec, lattes_map, map_from_dict, map_to_dict
 from .perturbation import (
-    base_map_for,
     certify_strictly_pcf,
     convergence_table,
     standard_parameters,
@@ -342,7 +341,7 @@ def cmd_render(args) -> int:
     if args.map_file is not None:
         g = _load_map(args.map_file)
     else:
-        g = base_map_for(_spec(args))
+        g = lattes_map(_spec(args))
     buffer = julia_render(g, args.size, args.size, max_iter=args.max_iter, span=args.span)
     path = args.out if args.out else "render.ppm"
     if os.path.isdir(path):

@@ -9,9 +9,11 @@ endomorphism tau -> a tau + b:
     OddHalf   a odd,  b = (gamma + 1)/2
 
 The rational map f of degree D = a^2 is pinned down by the semiconjugacy
-f(theta(tau)) = theta(a tau + b); its coefficients are recovered
+f(theta(tau)) = theta(a tau + b).  Two builders make it: `lattes_map` in
+closed form from the branch value w alone, for verify-lemma3 and render;
+and `build_rational_map`, for construct, which recovers the coefficients
 numerically by homogeneous least squares over quasi-random torus samples
-and validated on held-out samples.
+and validates them on held-out samples.
 """
 
 from __future__ import annotations
@@ -284,6 +286,65 @@ def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
         raise ValidationFailed(
             f"held-out semiconjugacy residual {worst:.3e} >= tol {_HELD_OUT_TOL:.3e}")
     return f
+
+
+def _prod(*polys: list) -> list:
+    """Product of polynomials held as ascending coefficient lists."""
+    out = [1 + 0j]
+    for q in polys:
+        acc = [0j] * (len(out) + len(q) - 1)
+        for i, c in enumerate(out):
+            for j, d in enumerate(q):
+                acc[i + j] += c * d
+        out = acc
+    return out
+
+
+def _sub(p: list, q: list) -> list:
+    n = max(len(p), len(q))
+    return [x - y for x, y in zip(p + [0j] * (n - len(p)), q + [0j] * (n - len(q)))]
+
+
+def lattes_map(spec: LattesSpec) -> RationalMapCoeffs:
+    """The map of spec in closed form, from w = theta_data(gamma).w alone.
+
+    With X = 1/theta the curve is y^2 = g(X) = X^3 - (1 + 1/w) X^2 + X/w, and
+    F(X) = x([a]P) = X - psi_(a-1) psi_(a+1) / psi_a^2 by the division
+    polynomials (Silverman, The Arithmetic of Elliptic Curves, Ex. 3.7), held
+    as polynomials p_n in X: p_n = psi_n for odd n and psi_n / psi_2 for even
+    n, with psi_2^2 = 4 g.  Then f(z) = 1/F(1/z) is the reversed denominator
+    of F over its reversed numerator, and OddHalf follows f with z -> w/z, the
+    translation by (1 + gamma)/2 that swaps 0 with oo and 1 with w.  A map
+    that fails the map check of RationalMapCoeffs is refused as IllConditioned.
+    """
+    a, D = abs(spec.a), spec.degree
+    if D > _MAX_DEGREE:
+        raise ValueError(f"degree {D} exceeds the cap {_MAX_DEGREE}")
+    w = theta_data(spec.gamma.gamma).w
+    a2, a4 = -(1.0 + 1.0 / w), 1.0 / w  # g = X^3 + a2 X^2 + a4 X
+    b2, b4, b8 = 4.0 * a2, 2.0 * a4, -a4 * a4
+    g4 = [0j, 4.0 * a4, 4.0 * a2, 4.0 + 0j]  # psi_2^2
+    p = [[0j], [1 + 0j], [1 + 0j], [b8, 0j, 3.0 * b4, b2, 3.0 + 0j],
+         [b4 * b8, b2 * b8, 10.0 * b8, 0j, 5.0 * b4, b2, 2.0 + 0j]]
+
+    def psi(*ns):  # a product of psi_n with an even number of even n
+        return _prod(*(p[n] for n in ns), *[g4] * (sum(n % 2 == 0 for n in ns) // 2))
+
+    for n in range(5, a + 2):
+        m = n // 2
+        if n % 2:
+            p.append(_sub(psi(m + 2, m, m, m), psi(m - 1, m + 1, m + 1, m + 1)))
+        else:  # psi_2m / psi_2 = p_m (p_(m+2) p_(m-1)^2 - p_(m-2) p_(m+1)^2)
+            p.append(_prod(p[m], _sub(_prod(p[m + 2], p[m - 1], p[m - 1]),
+                                      _prod(p[m - 2], p[m + 1], p[m + 1]))))
+    square, cross = psi(a, a), psi(a - 1, a + 1)
+    num, den = [0j] + square[::-1], _sub([0j] + square, cross)[::-1]
+    if spec.case_tag == "OddHalf":
+        num, den = [w * c for c in den], num
+    try:
+        return RationalMapCoeffs(num=num, den=den, degree=D)
+    except ValueError as exc:
+        raise IllConditioned(str(exc)) from None
 
 
 def critical_values(spec: LattesSpec, r: complex) -> list[SpherePoint]:

@@ -46,7 +46,8 @@ from .errors import (
     PrecisionExhausted,
     ValidationFailed,
 )
-from .lattes import LattesSpec, RationalMapCoeffs, build_rational_map, critical_values, torus_endo
+from .lattes import (LattesSpec, RationalMapCoeffs, build_rational_map, critical_values,
+                     lattes_map, torus_endo)
 
 _PCF_TOL = 1e-8  # tolerance to which postcritical orbits are certified
 _COLLISION_TOL = 1e-12  # residual target of the collision solves behind s_k/t_k
@@ -58,7 +59,10 @@ _MARKED_TOL = 1e-9  # spherical tolerance of marked orbits, certified and tracke
 def _check_resolution(spec: LattesSpec, k: int) -> None:
     """Refuse depths at which t = u / a^(2k), entering the map as 1 + t, keeps
     less relative precision than postcritical orbits are certified to."""
-    loss = _EPS * _degree_power(spec, k)
+    try:
+        loss = _EPS * _degree_power(spec, k)
+    except OverflowError:  # a^(2k) beyond the float range
+        loss = math.inf
     if loss > _PCF_TOL:
         raise PrecisionExhausted(
             f"eps * |a|^(2k) = {loss:.3g} exceeds {_PCF_TOL:.0e} at k={k}; "
@@ -217,9 +221,10 @@ def _limit_response(spec: LattesSpec, f: RationalMapCoeffs, z: complex, other: c
 
 def tracked_limits(spec: LattesSpec) -> tuple[complex, complex]:
     """dx_infty/dt and dy_infty/dt at t = 0, the responses of the limit points
-    at v and w; dv/dt = v and dw/dt = w hold exactly for the scaling family."""
+    at v and w; dv/dt = v and dw/dt = w hold exactly for the scaling family.
+    The map is the closed form, not the fit."""
     td = theta_data(spec.gamma.gamma)
-    base = base_map_for(spec)
+    base = lattes_map(spec)
     return _limit_response(spec, base, td.v, td.w), _limit_response(spec, base, td.w, td.v)
 
 

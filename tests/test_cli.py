@@ -144,8 +144,8 @@ def test_construct_refuses_render(tmp_path, monkeypatch, capsys):
 
 
 def test_render_draws_the_construct_run(tmp_path, monkeypatch):
-    # `render` draws the base map and g_k of a construct run; in one process
-    # the base map is fit once, for the table, and its render reads that fit
+    # `render` draws the base map and g_k of a construct run; the table fits
+    # its maps, while render builds the base map in closed form and fits none
     fits = []  # every fit draws its samples from one stream
     monkeypatch.setattr(lattes, "_sample_stream",
                         lambda spec, draw=lattes._sample_stream: fits.append(spec) or draw(spec))
@@ -161,6 +161,15 @@ def test_render_draws_the_construct_run(tmp_path, monkeypatch):
     header = b"P6\n16 16\n255\n"
     assert base.read_bytes().startswith(header) and g3.read_bytes().startswith(header)
     assert base.read_bytes() != g3.read_bytes()
+
+
+def test_a_depth_beyond_the_float_range_is_a_precision_row(tmp_path, capsys):
+    # a^(2k) overflows a float at a = 2, k = 600; the depth is refused like
+    # every depth past double precision's resolution: a row, exit 3
+    assert main(["construct", "--k-min", "600", "--k-max", "600", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().out == "k=600: precision_exhausted\n"
+    rows = list(csv.DictReader((tmp_path / "convergence.csv").read_text().splitlines()[1:]))
+    assert [(row["k"], row["status"]) for row in rows] == [("600", "precision_exhausted")]
 
 
 def test_construct_rejects_bad_parameters(capsys):
@@ -225,7 +234,7 @@ def test_max_iter_is_refused_before_anything_is_loaded(tmp_path, monkeypatch, ca
         raise AssertionError("loaded or built before the usage error was refused")
 
     monkeypatch.setattr(cli, "_load_map", refuse)
-    monkeypatch.setattr(cli, "base_map_for", refuse)
+    monkeypatch.setattr(cli, "lattes_map", refuse)
     path = tmp_path / "map.json"
     path.write_text(json.dumps(Z2_PLUS_1))
     out = tmp_path / "out"
@@ -322,13 +331,15 @@ stages = ["numpy" in sys.modules]
 from lattes_forge.cli import main
 stages += [main(["certify", sys.argv[1], "--out", sys.argv[2]]), "numpy" in sys.modules]
 stages += [main(["verify-lemma1", "--grid=-0.1:0.1:0.9:1.1:2"]), "numpy" in sys.modules]
+stages += [main(["verify-lemma3", "--a", "5", "--case", "3", "--x0=1/7"]), "numpy" in sys.modules]
 print(stages)
 """
 
 
 def test_certify_and_verify_lemma1_never_load_numpy(tmp_path):
-    # the map type and the scalar dynamics are pure Python; only the fit, the
-    # family's members, the continuation and the render kernel import numpy
+    # the map type, the closed form and the scalar dynamics are pure Python, so
+    # verify-lemma3 loads no numpy either; only the fit, the family's members,
+    # the continuation and the render kernel import numpy
     out = tmp_path / "run"
     assert main(["construct", "--k-min", "3", "--k-max", "3", "--out", str(out)]) == 0
     env = dict(os.environ,
@@ -337,7 +348,7 @@ def test_certify_and_verify_lemma1_never_load_numpy(tmp_path):
                            str(tmp_path / "cert")], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[False, 0, False, 0, False]"
+    assert proc.stdout.splitlines()[-1] == "[False, 0, False, 0, False, 0, False]"
 
 
 _BARE_IMPORTS = """
@@ -398,13 +409,13 @@ def test_continuation_halving_certifies_a_row(tmp_path, monkeypatch):
     assert (row["status"], row["postcritical_count"], row["certified"]) == ("ok", "11", "true")
 
 
-def test_render_refuses_a_fit_its_held_out_samples_miss(tmp_path, capsys):
-    # the fit at gamma = 1/3 + 3i misses the semiconjugacy by 4.5e-4 off the
-    # fit rows' chart, where held-out samples now also fall
+def test_render_draws_where_the_fit_misses(tmp_path):
+    # the fit at gamma = 1/3 + 3i misses the semiconjugacy by 4.5e-4 and is
+    # refused (test_held_out_samples_leave_the_chart_filter); render builds
+    # the map in closed form, which passes the map check there
     target = tmp_path / "render.ppm"
-    assert main(["render", "--y0=3", "--size", "16", "--out", str(target)]) == 2
-    assert capsys.readouterr().err.startswith("error: held-out semiconjugacy residual")
-    assert not target.exists()
+    assert main(["render", "--y0=3", "--size", "16", "--out", str(target)]) == 0
+    assert target.read_bytes().startswith(b"P6\n16 16\n255\n")
 
 
 def test_certify_base_map_is_lattes_witness(tmp_path, base_a2, capsys):
@@ -495,13 +506,15 @@ def test_verify_lemma3_a5_period2_any_blas_threads(threads):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_known_defect_a5_fit_is_refused(capsys):
-    """Known defect: the SVD fit of a = 5, case 2 at gamma = 1/5 + 3/5 i misses
-    its held-out samples by 4.5e-3, so verify-lemma3 refuses it with a typed
-    error.  A closed-form Lattes map in place of the fit (ROADMAP item 3) is
-    expected to flip this test."""
-    assert main(["verify-lemma3", "--a", "5", "--case", "2", "--x0=1/5", "--y0=3/5"]) == 2
-    assert capsys.readouterr().err.startswith("error: held-out semiconjugacy residual")
+def test_lemma3_holds_where_the_a5_fit_missed(tmp_path):
+    """The SVD fit of a = 5, case 2 at gamma = 1/5 + 3/5 i misses its held-out
+    samples by 4.5e-3 and is refused; verify-lemma3 builds the map in closed
+    form and measures the exact response constant there."""
+    assert main(["verify-lemma3", "--a", "5", "--case", "2", "--x0=1/5", "--y0=3/5",
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "lemma3_report.json").read_text())
+    measured = complex(*doc["c_measured"])
+    assert abs(measured - (-25 / 24)) < 1e-12
 
 
 def test_known_defect_certify_refuses_a_certified_construct(tmp_path, capsys):
@@ -581,11 +594,11 @@ def test_render_failed_write_keeps_the_old_ppm(tmp_path, monkeypatch, capsys):
                                   ["--span", "inf"], ["--span", "nan"], ["--size", "8"],
                                   ["--size", "8", "--y0=3"], ["--span", "0", "--y0=3"]])
 def test_render_refuses_degenerate_arguments(tmp_path, monkeypatch, capsys, args):
-    # refused before the map is fitted: at y0 = 3 the fit itself fails (exit 2)
-    def fit(_spec):
-        raise AssertionError("fitted before the usage error was refused")
+    # refused before the map is built
+    def build(_spec):
+        raise AssertionError("built before the usage error was refused")
 
-    monkeypatch.setattr(cli, "base_map_for", fit)
+    monkeypatch.setattr(cli, "lattes_map", build)
     target = tmp_path / "img.ppm"
     assert main(["render", "--size", "16", "--out", str(target)] + args) == 1
     assert "error:" in capsys.readouterr().err

@@ -8,12 +8,13 @@ import pytest
 import lattes_forge.lattes as lattes
 from lattes_forge.dynamics import SpherePoint, critical_points, eval_map, spherical_distance
 from lattes_forge.elliptic import TorusParameter, TorusPoint, theta_data
-from lattes_forge.errors import ValidationFailed
+from lattes_forge.errors import IllConditioned, ValidationFailed
 from lattes_forge.lattes import (
     LattesSpec,
     RationalMapCoeffs,
     build_rational_map,
     critical_values,
+    lattes_map,
     map_from_dict,
     map_to_dict,
     torus_endo,
@@ -268,3 +269,41 @@ def test_map_from_dict_runs_the_check_on_the_class(base_a2, monkeypatch):
     assert checked == [g] and checked[0] is g
     base_a2.scaled(1.5)
     assert checked == [g]
+
+
+@pytest.mark.parametrize("gamma", [GAMMA0, 0.2 + 0.7j, 1j, -0.4 + 1.3j])
+def test_closed_form_a2_is_the_known_quadratic_pullback(gamma):
+    # f = 4 w z (1 - z)(w - z) / (w - z^2)^2, in homogeneous (Z : W)
+    w = theta_data(gamma).w
+    f = lattes_map(LattesSpec(TorusParameter(gamma), 2, "EvenZero"))
+    rng = np.random.default_rng(7)
+    zs = rng.normal(size=200) + 1j * rng.normal(size=200)
+    for z in zs * np.exp(rng.uniform(-3.0, 3.0, size=200)):
+        Z, W = complex(z), 1.0 + 0j
+        exact = SpherePoint.make(4.0 * w * Z * W * (W - Z) * (w * W - Z), (w * W * W - Z * Z) ** 2)
+        assert spherical_distance(eval_map(f, SpherePoint.make(Z, W)), exact) < 1e-14
+
+
+@pytest.mark.parametrize("a,case", EVERY_CASE)
+def test_closed_form_agrees_with_the_fit(a, case):
+    spec = LattesSpec(TorusParameter(GAMMA0), a, case)
+    f = lattes_map(spec)
+    assert f.degree == a * a
+    assert verify_semiconjugacy(f, spec, 200) < 5e-12
+    try:
+        fit = build_rational_map(spec)
+    except (IllConditioned, ValidationFailed):
+        return  # the fit at a = 5 misses its held-out samples here
+    rng = np.random.default_rng(3)
+    for z in rng.normal(size=50) + 1j * rng.normal(size=50):
+        x = SpherePoint.from_complex(complex(z))
+        assert spherical_distance(eval_map(f, x), eval_map(fit, x)) < 1e-9
+
+
+def test_closed_form_refuses_a_map_that_fails_the_check():
+    # at a = 4, gamma = 1/3 + 5i/3 (|w| = 11.5) the exact map's leading
+    # coefficients fall under the 1e-9 degree floor: effective degree 15
+    with pytest.raises(IllConditioned, match="effective degree 15"):
+        lattes_map(LattesSpec(TorusParameter(complex(1 / 3, 5 / 3)), 4, "EvenZero"))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        lattes_map(LattesSpec(TorusParameter(GAMMA0), 6, "EvenZero"))

@@ -231,9 +231,9 @@ def test_verify_lemma3_refuses_a_map_that_moves_the_branch_values(spec_a2, monke
     # value 0, and has zeros near them; lemma 3 differentiates at v and w
     # themselves, so the two response constants disagree instead of a solve
     # settling on those zeros
-    f = base_map_for(spec_a2)
+    f = lattes.lattes_map(spec_a2)
     shifted = RationalMapCoeffs([n + 1e-6 * d for n, d in zip(f.num, f.den)], f.den, f.degree)
-    monkeypatch.setattr(perturbation, "base_map_for", lambda spec: shifted)
+    monkeypatch.setattr(perturbation, "lattes_map", lambda spec: shifted)
     with pytest.raises(LemmaViolation, match="disagree"):
         verify_lemma3(spec_a2)
 

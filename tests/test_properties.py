@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lattes_forge.cli import _json_text, _linspace
@@ -19,19 +19,20 @@ from lattes_forge.dynamics import (
 )
 from lattes_forge.elliptic import (TorusParameter, TorusPoint, half_periods, measured_theta_data,
                                   theta_data)
-from lattes_forge.errors import IndeterminatePoint, NoConvergence
+from lattes_forge.errors import IllConditioned, IndeterminatePoint, NoConvergence
 from lattes_forge.lattes import (
     LattesSpec,
     RationalMapCoeffs,
     build_rational_map,
     critical_values,
+    lattes_map,
     map_from_dict,
     map_to_dict,
 )
 from lattes_forge.perturbation import _exact_itinerary, standard_parameters
 
 from conftest import GAMMA0
-from oracles import exact_itinerary_by_scan
+from oracles import exact_itinerary_by_scan, verify_semiconjugacy
 
 EPS = np.finfo(float).eps
 SPECS = [LattesSpec(TorusParameter(GAMMA0), 2, "EvenZero"),
@@ -210,3 +211,20 @@ def test_ratio_limit_is_exactly_one(p, q, dx, dy):
     sig, tau = point.offset("X", gamma0), point.offset("Y", gamma0)
     limit = -sig * sig / (tau * tau)
     assert limit.real == 1.0 and limit.imag == 0.0
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([(2, "EvenZero"), (3, "OddZero"), (3, "OddHalf"), (4, "EvenZero"),
+                        (5, "OddZero"), (5, "OddHalf")]),
+       st.floats(-0.4, 0.4), st.floats(0.6, 1.5))
+def test_closed_form_is_semiconjugate_or_refused(a_case, re, im):
+    # the closed form meets the theta series to the fit's held-out tolerance;
+    # at a = 5 its monomial coefficients may fall under the degree floor, and
+    # then it is refused as the fit is
+    spec = LattesSpec(TorusParameter(complex(re, im)), *a_case)
+    try:
+        f = lattes_map(spec)
+    except IllConditioned:
+        assert spec.a == 5
+        return
+    assert verify_semiconjugacy(f, spec, 50) < 1e-9

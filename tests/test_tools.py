@@ -1,5 +1,6 @@
 """The output-comparison tools under tools/, their checks and the commands they
-run, and the bench tracer's hold on the layers of src/."""
+run, the perf ledger's reading of the harness's output, and the bench tracer's
+hold on the layers of src/."""
 
 import collections
 import importlib
@@ -18,6 +19,7 @@ from lattes_forge.lattes import map_to_dict
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
+import bench_pairs  # noqa: E402
 import render_agreement  # noqa: E402
 import same_outputs  # noqa: E402
 import trace_child  # noqa: E402
@@ -54,7 +56,7 @@ def test_render_agreement_refuses(tmp_path, capsys, b_name, b_args, reason):
 def test_same_outputs_job_counts():
     # the sweep grid keeps the denominators that are odd and coprime with a
     assert len(same_outputs.sweep_jobs()) == 160
-    assert len(same_outputs.jobs()) == 70 + 2 * len(same_outputs.MAP_DOCUMENTS) == 80
+    assert len(same_outputs.jobs()) == 71 + 2 * len(same_outputs.MAP_DOCUMENTS) == 81
 
 
 def test_same_outputs_commands_parse():
@@ -90,9 +92,69 @@ def _traced_spans(tmp_path, *args) -> collections.Counter:
 
 
 def test_the_bench_tracer_runs_over_the_layers(tmp_path, base_a2):
+    # lemma 3 builds its one map in closed form and fits none
     names = _traced_spans(tmp_path, "verify-lemma3", "--a", "3", "--case", "2", "--x0=1/5")
-    assert names["lattes.build_rational_map"] == names["lattes.RationalMapCoeffs"] == 1
+    assert names["lattes.RationalMapCoeffs"] == 1
+    assert names["lattes.build_rational_map"] == 0
     (tmp_path / "base.json").write_text(json.dumps(map_to_dict(base_a2)))
     names = _traced_spans(tmp_path, "certify", "base.json")
     assert names["dynamics.critical_points"] >= 1
     assert names["perturbation.certify_strictly_pcf"] >= 1
+
+
+def _canned_run(commit: str, op_p50_s: float, good_ops_per_s: float) -> str:
+    """A bench/run.py --trace 0 output: report lines, the meta line, the summary."""
+    meta = {"commit": commit, "src_sha256": commit * 4, "nproc": 2, "cpus_usable": 2,
+            "python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.30",
+            "blas_threads": 1, "OPENBLAS_NUM_THREADS": "1"}
+    metrics = {"setup_s": (0.07, "s"), "op_p50_s": (op_p50_s, "s"),
+               "good_ops_per_s": (good_ops_per_s, "1/s"), "peak_rss_mb": (30.0, "MB")}
+    summary = {"correct": True, "attempted": 40, "failed": 0,
+               "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}
+    return "\n".join(["lattes-forge benchmark: workload=lattice_sweep seed=5 seconds=36.0 trace=0",
+                      "meta " + json.dumps(meta), "op_p50_s 0.1 s n=40", json.dumps(summary)]) + "\n"
+
+
+def test_bench_pairs_alternates_and_summarizes(tmp_path, capsys):
+    # canned runs: the change is faster in pairs 0, 1 and 3 and slower in 2
+    speeds = {"parent": iter([0.13, 0.14, 0.10, 0.12]), "change": iter([0.08, 0.09, 0.11, 0.07])}
+    calls = []
+
+    def run(checkout, workload, seed, seconds):
+        side = os.path.basename(checkout)
+        calls.append((side, workload, seed, seconds))
+        p50 = next(speeds[side])
+        return _canned_run("a" if side == "parent" else "b", p50, 1.0 / p50)
+
+    out = tmp_path / "BENCH.json"
+    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "lattice_sweep",
+            "--pairs", "4", "--seed", "5", "--seconds", "36", "--out", str(out)]
+    assert bench_pairs.main(args, run=run) == 0
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent"] * 2
+    assert {c[1:] for c in calls} == {("lattice_sweep", 5, 36.0)}
+    ledger = json.loads(out.read_text())
+    assert ledger["schema"] == "lattes-forge bench-pairs 1"
+    assert ledger["host"]["nproc"] == 2 and ledger["host"]["blas_threads"] == 1
+    entry = ledger["workloads"]["lattice_sweep"]
+    assert entry["parent"] == {"commit": "a", "src_sha256": "aaaa"}
+    assert entry["seeds"] == [5] * 4
+    assert [p["first"] for p in entry["pairs"]] == ["parent", "change"] * 2
+    assert entry["pairs"][0]["parent"] == {"correct": True, "attempted": 40, "failed": 0,
+                                           "metrics": {"setup_s": 0.07, "op_p50_s": 0.13,
+                                                       "good_ops_per_s": 1 / 0.13,
+                                                       "peak_rss_mb": 30.0}}
+    p50 = entry["summary"]["op_p50_s"]
+    assert (p50["unit"], p50["better"], p50["wins"], p50["pairs"]) == ("s", "lower", 3, 4)
+    assert p50["parent"] == pytest.approx({"median": 0.125, "q1": 0.115, "q3": 0.1325})
+    assert p50["change"]["median"] == pytest.approx(0.085)
+    assert entry["summary"]["good_ops_per_s"]["better"] == "higher"
+    assert entry["summary"]["good_ops_per_s"]["wins"] == 3
+    assert entry["summary"]["setup_s"]["wins"] == 0  # ties are not wins
+    assert "op_p50_s: parent 0.125" in capsys.readouterr().out
+    # a second workload joins the file; the first is kept
+    speeds = {"parent": iter([0.5]), "change": iter([0.5])}
+    assert bench_pairs.main(args[:3] + ["render", "--pairs", "1", "--seed", "1", "--out", str(out)],
+                            run=run) == 0
+    ledger = json.loads(out.read_text())
+    assert sorted(ledger["workloads"]) == ["lattice_sweep", "render"]
+    assert ledger["workloads"]["render"]["summary"]["op_p50_s"]["parent"]["q3"] == 0.5

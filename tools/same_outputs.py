@@ -13,8 +13,9 @@ NAME.stderr and NAME.exit.  Commands:
 - every verify-lemma3 spec, known defects included;
 - verify-lemma1 on its default grid and on 0.1:0.2:0.3:0.4:2;
 - every render spec at the benchmark's size;
-- construct, verify-lemma3 and render at a = 4, 1/3 + 5i/3, whose fitted
-  map fails the map check;
+- construct, verify-lemma3 and render at a = 4, 1/3 + 5i/3, whose map,
+  fitted or in closed form, fails the map check;
+- construct at a depth k = 600, where a^(2k) leaves the float range;
 - the usage errors that construct, verify-lemma1, certify and render refuse,
   and the lattices too thin or too tall for double precision;
 - certify and render --map-file at size 16 of each bare map document of
@@ -98,8 +99,11 @@ MAP_DOCUMENTS = {
                                             "den": [[0, 0.5], [0, 0.5], [0, 0], [0, 0]]},
 }
 
-# the fitted map at a = 4, gamma0 = 1/3 + 5i/3 has effective degree 15, not 16
+# the map at a = 4, gamma0 = 1/3 + 5i/3 has effective degree 15, not 16, under
+# the map check's degree floor: the fit and the closed form alike
 REFUSED_FIT = ("--a", "4", "--case", "1", "--x0=1/3", "--y0=5/3")
+# a depth at which a^(2k) overflows a float, refused as precision_exhausted
+DEPTH_BEYOND_FLOAT = ("construct", "--k-min", "600", "--k-max", "600")
 
 # (a, case, k_min, k_max) of the sweep, and its base point coordinates
 SWEEP_CASES = [(2, 1, 2, 7), (3, 2, 2, 5), (3, 3, 2, 5), (4, 1, 2, 5)]
@@ -153,7 +157,8 @@ def jobs() -> list[tuple]:
     out += [(("construct",) + REFUSED_FIT + ("--k-min", "2", "--k-max", "2"), ("--out", ".")),
             (("verify-lemma3",) + REFUSED_FIT, ("--out", ".")),
             (("render",) + REFUSED_FIT + ("--size", str(workloads.RENDER_SIZE)),
-             ("--out", "render.ppm"))]
+             ("--out", "render.ppm")),
+            (DEPTH_BEYOND_FLOAT, ("--out", "."))]
     out += [(args, ("--out", "out")) for args in USAGE_ERRORS + THIN_AND_TALL]
     for name in MAP_DOCUMENTS:
         out += [(("certify", name), ("--out", ".")),
