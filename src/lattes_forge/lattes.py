@@ -22,10 +22,11 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .dynamics import SpherePoint, effective_degree, eval_map, sphere_zeros, spherical_distance
+from .dynamics import (SpherePoint, _convolve, effective_degree, eval_map, sphere_zeros,
+                       spherical_distance)
 from .elliptic import HALF_LATTICE, TorusParameter, TorusPoint, theta_data, theta_map
 from .errors import IllConditioned, NoConvergence, ValidationFailed
 
@@ -290,14 +291,7 @@ def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
 
 def _prod(*polys: list) -> list:
     """Product of polynomials held as ascending coefficient lists."""
-    out = [1 + 0j]
-    for q in polys:
-        acc = [0j] * (len(out) + len(q) - 1)
-        for i, c in enumerate(out):
-            for j, d in enumerate(q):
-                acc[i + j] += c * d
-        out = acc
-    return out
+    return reduce(_convolve, polys, [1 + 0j])
 
 
 def _sub(p: list, q: list) -> list:

@@ -293,6 +293,8 @@ def test_closed_form_agrees_with_the_fit(a, case):
     try:
         fit = build_rational_map(spec)
     except (IllConditioned, ValidationFailed):
+        if a != 5:
+            raise
         return  # the fit at a = 5 misses its held-out samples here
     rng = np.random.default_rng(3)
     for z in rng.normal(size=50) + 1j * rng.normal(size=50):

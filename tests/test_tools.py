@@ -128,16 +128,16 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path, capsys):
 
     out = tmp_path / "BENCH.json"
     args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "lattice_sweep",
-            "--pairs", "4", "--seed", "5", "--seconds", "36", "--out", str(out)]
+            "--pairs", "4", "--seed", "5", "--out", str(out)]
     assert bench_pairs.main(args, run=run) == 0
     assert [c[0] for c in calls] == ["parent", "change", "change", "parent"] * 2
-    assert {c[1:] for c in calls} == {("lattice_sweep", 5, 36.0)}
+    assert {c[1:] for c in calls} == {("lattice_sweep", 5, 36.0)}  # BENCHMARK.json's run_seconds
     ledger = json.loads(out.read_text())
-    assert ledger["schema"] == "lattes-forge bench-pairs 1"
-    assert ledger["host"]["nproc"] == 2 and ledger["host"]["blas_threads"] == 1
+    assert ledger["schema"] == "lattes-forge bench-pairs 2"
     entry = ledger["workloads"]["lattice_sweep"]
+    assert entry["host"]["nproc"] == 2 and entry["host"]["blas_threads"] == 1
     assert entry["parent"] == {"commit": "a", "src_sha256": "aaaa"}
-    assert entry["seeds"] == [5] * 4
+    assert (entry["seconds"], entry["seed"]) == (36.0, 5)
     assert [p["first"] for p in entry["pairs"]] == ["parent", "change"] * 2
     assert entry["pairs"][0]["parent"] == {"correct": True, "attempted": 40, "failed": 0,
                                            "metrics": {"setup_s": 0.07, "op_p50_s": 0.13,
@@ -158,3 +158,7 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path, capsys):
     ledger = json.loads(out.read_text())
     assert sorted(ledger["workloads"]) == ["lattice_sweep", "render"]
     assert ledger["workloads"]["render"]["summary"]["op_p50_s"]["parent"]["q3"] == 0.5
+    # a ledger of another schema is refused, not mixed into
+    out.write_text(json.dumps({"schema": "lattes-forge bench-pairs 1", "workloads": {}}))
+    with pytest.raises(SystemExit):
+        bench_pairs.main(args, run=run)

@@ -1,29 +1,29 @@
 """Run the benchmark in alternating pairs on two checkouts and keep a perf ledger.
 
     python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed S
-                                [--seconds T] [--out BENCH_<n>.json]
+                                [--out BENCH_<n>.json]
 
 PARENT and CHANGE are two checkouts of the repository, each with its own
 bench/run.py and src/.  Pair i runs `python3 bench/run.py --workload W --seed S
 --seconds T --trace 0` in both, parent first in even pairs and change first in
-odd ones, so that a slow drift of the host does not favour either side.  Each
+odd ones, so that a slow drift of the host does not favour either side.  T is
+BENCHMARK.json's run_seconds, so every pair runs as long as the benchmark does.  Each
 run's output is read for its `meta` line and its last line, the harness's JSON
 summary; nothing under bench/ is changed or re-implemented.  The end-to-end
-metric names and the direction in which each is better come from
-BENCHMARK.json beside this tool.
+metric names and the direction in which each is better come from the same
+BENCHMARK.json, the one beside this tool.
 
 The ledger is one JSON file (default BENCH.json).  A workload's entry is
 replaced when the tool runs it again and the other workloads are kept, so one
 file can hold a pair series per workload:
 
-    {"schema": "lattes-forge bench-pairs 1",
-     "host": {"nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads",
-              "env": {OPENBLAS_NUM_THREADS and every inherited PYTHON* variable}},
+    {"schema": "lattes-forge bench-pairs 2",
      "workloads": {W: {
-         "seconds": T, "seeds": [the seed of each pair],
+         "seconds": T, "seed": S,
+         "host": {"nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads",
+                  "env": {OPENBLAS_NUM_THREADS and every inherited PYTHON* variable}},
          "parent": {"commit", "src_sha256"}, "change": {"commit", "src_sha256"},
-         "pairs": [{"seed", "first": "parent" | "change",
-                    "parent": RUN, "change": RUN}, ...],
+         "pairs": [{"first": "parent" | "change", "parent": RUN, "change": RUN}, ...],
          "summary": {METRIC: {"unit", "better": "lower" | "higher",
                               "parent": {"median", "q1", "q3"},
                               "change": {"median", "q1", "q3"},
@@ -34,7 +34,8 @@ RUN is {"correct", "attempted", "failed", "metrics": {METRIC: value}}, the
 harness's last line with each metric's unit dropped (the summary keeps it).
 `commit` is the HEAD of the checkout as the harness reads it, or null outside
 a git clone; `src_sha256` is the harness's digest of the src/ that ran, so it
-tells two checkouts apart even where their HEADs agree.  Quartiles are
+tells two checkouts apart even where their HEADs agree.  `host` is the host
+that measured the workload's pairs, as the change's last run reports it.  Quartiles are
 inclusive (statistics.quantiles); a tie is not a win.
 """
 
@@ -48,7 +49,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCHEMA = "lattes-forge bench-pairs 1"
+SCHEMA = "lattes-forge bench-pairs 2"
 _HOST_KEYS = ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads")
 
 
@@ -101,25 +102,26 @@ def host_record(meta: dict) -> dict:
 
 
 def measure(parent: str, change: str, workload: str, n_pairs: int, seed: int,
-            seconds: float, run=run_bench) -> tuple[dict, dict]:
-    """(host, workload entry) of n_pairs alternating runs."""
+            run=run_bench) -> dict:
+    """The workload entry of n_pairs alternating runs."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="ascii") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    seconds = float(bench["run_seconds"])
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     pairs, metas, units = [], {}, {}
     for i in range(n_pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
+        pair = {"first": order[0]}
         for side in order:
             metas[side], pair[side], run_units = parse_run(
                 run(parent if side == "parent" else change, workload, seed, seconds))
             units.update(run_units)
         pairs.append(pair)
-    entry = {"seconds": seconds, "seeds": [p["seed"] for p in pairs],
-             **{side: {"commit": metas[side].get("commit"),
-                       "src_sha256": metas[side].get("src_sha256")}
-                for side in ("parent", "change")},
-             "pairs": pairs, "summary": summarize(pairs, better, units)}
-    return host_record(metas["change"]), entry
+    return {"seconds": seconds, "seed": seed, "host": host_record(metas["change"]),
+            **{side: {"commit": metas[side].get("commit"),
+                      "src_sha256": metas[side].get("src_sha256")}
+               for side in ("parent", "change")},
+            "pairs": pairs, "summary": summarize(pairs, better, units)}
 
 
 def main(argv=None, run=run_bench) -> int:
@@ -129,18 +131,17 @@ def main(argv=None, run=run_bench) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--out", default="BENCH.json")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    host, entry = measure(args.parent, args.change, args.workload, args.pairs, args.seed,
-                          args.seconds, run)
     ledger = {"schema": SCHEMA, "workloads": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="ascii") as fh:
             ledger = json.load(fh)
-    ledger["host"] = host
+        if ledger.get("schema") != SCHEMA:
+            parser.error(f"{args.out} is not a {SCHEMA!r} ledger")
+    entry = measure(args.parent, args.change, args.workload, args.pairs, args.seed, run)
     ledger["workloads"][args.workload] = entry
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(ledger, fh, indent=1, sort_keys=True)
