@@ -236,21 +236,27 @@ _CSV_HEADER = (
 )
 
 
-def _row_csv(row) -> str:
+def _row_csv(row, gamma0: complex) -> str:
+    """The convergence.csv line of row: every cell after k and status is
+    derived from k, the row's collision pair and its construction."""
     def c(z):
-        return (_fmt(z.real), _fmt(z.imag)) if z is not None else ("", "")
+        return _fmt(z.real), _fmt(z.imag)
 
-    cells = [str(row.k), row.status, str(row.asymptotic).lower()]
-    for z in (row.s_value, row.t_value, row.u_s, row.u_t, row.ratio):
-        cells += c(z)
-    cells += ("1", "0") if row.ratio is not None else ("", "")  # the ratio's limit
-    cells.append(_fmt(row.deviation) if row.deviation is not None else "")
+    cells = [str(row.k), row.status, str(row.k >= 3).lower()]  # asymptotic from k = 3 on
+    if row.collisions is None:
+        cells += [""] * 13  # s, t, u_s, u_t, ratio and target pairs, deviation
+    else:
+        cs, ct = row.collisions
+        ratio = cs.value / ct.value
+        for z in (cs.value, ct.value, cs.rescaled, ct.rescaled, ratio):
+            cells += c(z)
+        cells += ["1", "0", _fmt(abs(ratio - 1.0))]  # the ratio's limit, the deviation
     built = row.construction
     if built is None:
         cells += [""] * 7  # gamma_k and r_k pairs, gamma_gap, postcritical_count, certified
     else:
         cells += c(built.gamma_k) + c(built.r_k)
-        cells += [_fmt(row.gamma_gap), str(built.postcritical_count), "true"]
+        cells += [_fmt(abs(built.gamma_k - gamma0)), str(built.postcritical_count), "true"]
     return ",".join(cells)
 
 
@@ -280,31 +286,33 @@ def cmd_construct(args) -> int:
     exhausted = False
     all_certified = True
     for row in table.rows:
-        csv_lines.append(_row_csv(row))
+        csv_lines.append(_row_csv(row, gamma0))
         built = row.construction
-        print(f"k={row.k}: {row.status}"
-              + (f" deviation={row.deviation:.3e} gamma_gap={row.gamma_gap:.3e}"
-                 f" postcritical={built.postcritical_count}" if built is not None else ""))
-        if row.status == "precision_exhausted":
-            exhausted = True
-            continue
         if built is None:
-            all_certified = False
+            print(f"k={row.k}: {row.status}")
+            if row.status == "precision_exhausted":
+                exhausted = True
+            else:
+                all_certified = False
             continue
+        cs, ct = row.collisions
+        gap = abs(built.gamma_k - gamma0)
+        print(f"k={row.k}: {row.status} deviation={abs(cs.value / ct.value - 1.0):.3e} "
+              f"gamma_gap={gap:.3e} postcritical={built.postcritical_count}")
         doc = {
             "schema_version": "2",
             "a": spec0.a,
             "case": spec0.case_tag,
-            "k": built.k,
+            "k": row.k,
             "gamma0": _pair(gamma0),
             "gamma_k": _pair(built.gamma_k),
             "r_k": _pair(built.r_k),
-            "distance_to_base": built.distance_to_base,
+            "distance_to_base": gap + abs(built.r_k),
             "postcritical_count": built.postcritical_count,
             "certificates": [_certificate_doc(c) for c in built.certificates],
             "map": map_to_dict(built.g_k),
         }
-        _atomic_write(os.path.join(out, f"construction_k{built.k}.json"),
+        _atomic_write(os.path.join(out, f"construction_k{row.k}.json"),
                       _json_text(doc) + "\n")
     _atomic_write(os.path.join(out, "convergence.csv"), "\n".join(csv_lines) + "\n")
     if exhausted:
@@ -352,7 +360,7 @@ def cmd_render(args) -> int:
 
 
 def _add_spec(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=int, default=2, help="integer multiplier, |a| >= 2")
+    p.add_argument("--a", type=int, default=2, help="integer multiplier, 2 <= |a| <= 5")
     p.add_argument("--case", type=int, choices=(1, 2, 3), default=1,
                    help="1 = a even, 2 = a odd untranslated, 3 = a odd with half-period shift")
     p.add_argument("--x0", type=_parse_rational, default=Fraction(1, 3),

@@ -1,6 +1,6 @@
 """Flexible Lattes maps: torus endomorphism and coefficient recovery.
 
-A map is specified by the lattice shape gamma, an integer a with |a| >= 2,
+A map is specified by the lattice shape gamma, an integer a with 2 <= |a| <= 5,
 and one of three case tags fixing the translation part of the torus
 endomorphism tau -> a tau + b:
 
@@ -51,13 +51,16 @@ class _LattesSpecFields(NamedTuple):
 
 
 class LattesSpec(_LattesSpecFields):
-    """Which flexible Lattes map: lattice shape, integer a, case tag."""
+    """Which flexible Lattes map: lattice shape, integer a, case tag.  The
+    degree a^2 must stay within the cap of every map, so 2 <= |a| <= 5."""
 
     __slots__ = ()
 
     def __new__(cls, gamma: TorusParameter, a: int, case_tag: str):
         if abs(a) < 2:
             raise ValueError(f"|a| must be at least 2, got {a}")
+        if a * a > _MAX_DEGREE:
+            raise ValueError(f"degree {a * a} exceeds the cap {_MAX_DEGREE}")
         if case_tag not in CASE_TAGS:
             raise ValueError(f"case_tag must be one of {CASE_TAGS}, got {case_tag!r}")
         even = a % 2 == 0
@@ -257,8 +260,6 @@ def build_rational_map(spec: LattesSpec) -> RationalMapCoeffs:
     import numpy as np
 
     D = spec.degree
-    if D > _MAX_DEGREE:
-        raise ValueError(f"degree {D} exceeds the cap {_MAX_DEGREE}")
     n_fit = _OVERSAMPLE * (2 * D + 2)
     stream = _sample_stream(spec)
     rows = []
@@ -312,8 +313,6 @@ def lattes_map(spec: LattesSpec) -> RationalMapCoeffs:
     that fails the map check of RationalMapCoeffs is refused as IllConditioned.
     """
     a, D = abs(spec.a), spec.degree
-    if D > _MAX_DEGREE:
-        raise ValueError(f"degree {D} exceeds the cap {_MAX_DEGREE}")
     w = theta_data(spec.gamma.gamma).w
     a2, a4 = -(1.0 + 1.0 / w), 1.0 / w  # g = X^3 + a2 X^2 + a4 X
     b2, b4, b8 = 4.0 * a2, 2.0 * a4, -a4 * a4

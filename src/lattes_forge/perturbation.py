@@ -420,15 +420,16 @@ def certify_strictly_pcf(g: RationalMapCoeffs, crit_values: list, max_iter: int 
 
 
 class ConstructionResult(NamedTuple):
-    """A strictly postcritically finite perturbation of a Lattes map."""
+    """A strictly postcritically finite perturbation g_k = (1 + r_k) f_(gamma_k)
+    of a Lattes map, as solved and certified: the lattice gamma_k, the scaling
+    r_k, the map g_k, one orbit certificate per critical value and the
+    postcritical count."""
 
-    k: int
     gamma_k: complex
     r_k: complex
     g_k: RationalMapCoeffs
     certificates: tuple
     postcritical_count: int
-    distance_to_base: float
 
 
 def _collision_pair(spec: LattesSpec, base_point: BasePoint, k: int, seeds=(None, None)):
@@ -490,31 +491,25 @@ def solve_gamma_k(spec0: LattesSpec, base_point: BasePoint, k: int, pair: tuple,
     crit = critical_values(spec, r_k)
     certs, count = certify_strictly_pcf(g_k, crit, max_iter=2 * (k + 8) + 80, tol=_PCF_TOL)
     return ConstructionResult(
-        k=k,
         gamma_k=gamma,
         r_k=r_k,
         g_k=g_k,
         certificates=tuple(certs),
         postcritical_count=count,
-        distance_to_base=abs(gamma - gamma0) + abs(r_k),
     )
 
 
 class ConvergenceRow(NamedTuple):
-    """One k of the collision/construction experiment; construction is set
-    exactly when g_k was built and certified."""
+    """One k of the collision/construction experiment, as solved: collisions
+    is the pair (s_k, t_k) of CollisionResult once both were solved, and
+    construction is set exactly when g_k was built and certified.  Everything
+    a report prints beyond these, such as the ratio s_k/t_k, is derived from
+    them where it is printed."""
 
     k: int
     status: str
-    asymptotic: bool
-    s_value: complex | None = None
-    t_value: complex | None = None
-    u_s: complex | None = None
-    u_t: complex | None = None
-    ratio: complex | None = None
-    deviation: float | None = None
-    gamma_gap: float | None = None
-    construction: ConstructionResult | None = None
+    collisions: tuple | None
+    construction: ConstructionResult | None
 
 
 class ConvergenceTable(NamedTuple):
@@ -523,33 +518,25 @@ class ConvergenceTable(NamedTuple):
 
 def convergence_table(spec0: LattesSpec, base_point: BasePoint, k_range,
                       tol: float = 1e-10) -> ConvergenceTable:
-    """Collision values, their ratio against its limit 1, and the
-    constructed strictly postcritically finite maps, one row per k.  The
-    limit -sigma^2/tau^2 is exactly 1: sigma(gamma0) = i y0 and tau = y0.
+    """One row per k: the collision pair (s_k, t_k) at the base point and the
+    strictly postcritically finite map g_k that solve_gamma_k constructs from
+    it.  The ratio s_k/t_k tends to -sigma^2/tau^2, which is exactly 1 here:
+    sigma(gamma0) = i y0 and tau = y0.
 
     A row that raises a typed error (any LattesForgeError) carries its name
     as an error status instead of aborting the table; a row whose collisions
     were solved before the construction failed keeps them.
     """
-    gamma0 = spec0.gamma.gamma
     rows = []
     for k in k_range:
-        row = dict(k=k, asymptotic=k >= 3)
+        pair = built = None
         try:
-            cs, ct = _collision_pair(spec0, base_point, k)
-            ratio = cs.value / ct.value
-            row.update(
-                status="ok",
-                s_value=cs.value, t_value=ct.value,
-                u_s=cs.rescaled, u_t=ct.rescaled,
-                ratio=ratio, deviation=abs(ratio - 1.0),
-            )
-            built = solve_gamma_k(spec0, base_point, k, (cs, ct), tol=tol)
-            row.update(gamma_gap=abs(built.gamma_k - gamma0), construction=built)
+            pair = _collision_pair(spec0, base_point, k)
+            built = solve_gamma_k(spec0, base_point, k, pair, tol=tol)
+            status = "ok"
         except PrecisionExhausted:
-            # collisions solved before the construction was refused are kept
-            row["status"] = "precision_exhausted"
+            status = "precision_exhausted"
         except LattesForgeError as exc:
-            row["status"] = f"error:{type(exc).__name__}"
-        rows.append(ConvergenceRow(**row))
+            status = f"error:{type(exc).__name__}"
+        rows.append(ConvergenceRow(k, status, pair, built))
     return ConvergenceTable(rows=tuple(rows))

@@ -213,6 +213,21 @@ def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["construct", "--a", "6", "--x0=1/5", "--k-min", "3", "--k-max", "3"],
+    ["construct", "--a", "6", "--x0=1/5", "--k-min", "10", "--k-max", "10"],
+    ["verify-lemma3", "--a", "7", "--case", "2"],
+    ["render", "--a", "6", "--size", "16"],
+])
+def test_a_degree_above_the_cap_is_a_usage_error(tmp_path, capsys, args):
+    # the spec refuses a^2 > 25 where it is made: at every depth, before
+    # --out is created and before any map is built
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 1
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("y0", ["1/7", "1/51", "1/10001", "100", "1000", "1e20"])
 def test_typed_failures_become_rows(tmp_path, y0):
     # at gamma0 = i/7 and i/51 theta_data refuses the half-period values,
@@ -298,6 +313,39 @@ def test_precision_exhausted_row_keeps_its_collisions(tmp_path):
         assert row[name] != ""
     assert (row["target_re"], row["target_im"]) == ("1", "0")
     assert row["gamma_k_re"] == "" and row["certified"] == ""
+
+
+def test_construct_derives_its_cells_from_the_row(tmp_path, capsys, spec_a2, point_a2):
+    # a row holds only its collision pair and construction: every other
+    # convergence.csv cell, the printed figures and distance_to_base are
+    # derived from those two, bit for bit
+    assert main(["construct", "--k-min", "2", "--k-max", "3", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    cells = list(csv.DictReader(lines[1:]))
+    rows = perturbation.convergence_table(spec_a2, point_a2, range(2, 4)).rows
+    gamma0 = spec_a2.gamma.gamma
+    assert [c["asymptotic"] for c in cells] == ["false", "true"]  # from k = 3 on
+    for c, row in zip(cells, rows):
+        (cs, ct), built = row.collisions, row.construction
+        ratio = cs.value / ct.value
+        gap = abs(built.gamma_k - gamma0)
+
+        def pair(name):
+            return complex(float(c[name + "_re"]), float(c[name + "_im"]))
+
+        assert (c["k"], c["status"]) == (str(row.k), "ok")
+        assert pair("s") == cs.value and pair("t") == ct.value
+        assert pair("u_s") == cs.rescaled and pair("u_t") == ct.rescaled
+        assert pair("ratio") == ratio and (c["target_re"], c["target_im"]) == ("1", "0")
+        assert float(c["deviation"]) == abs(ratio - 1.0)
+        assert pair("gamma_k") == built.gamma_k and pair("r_k") == built.r_k
+        assert float(c["gamma_gap"]) == gap
+        assert (c["postcritical_count"], c["certified"]) == (str(built.postcritical_count), "true")
+        assert f"k={row.k}: ok deviation={abs(ratio - 1.0):.3e} gamma_gap={gap:.3e}" in out
+        doc = json.loads((tmp_path / f"construction_k{row.k}.json").read_text())
+        assert doc["k"] == row.k
+        assert doc["distance_to_base"] == gap + abs(built.r_k)
 
 
 def test_construct_certifies_k10(tmp_path):

@@ -346,16 +346,16 @@ def test_convergence_table_marks_exhausted_rows(spec_a2, point_a2):
 
 def test_convergence_table_small_k_transient(spec_a2, point_a2):
     table = convergence_table(spec_a2, point_a2, range(1, 4))
-    assert [row.asymptotic for row in table.rows] == [False, False, True]
     # every collision pair is solved; only the k = 1 construction is refused
-    assert all(row.deviation is not None for row in table.rows)
+    assert all(row.collisions is not None for row in table.rows)
     assert [row.status for row in table.rows] == ["precision_exhausted", "ok", "ok"]
+    assert [row.construction is None for row in table.rows] == [True, False, False]
 
 
 def test_convergence_table_monotonic_deviation(spec_a2, point_a2):
     rows = convergence_table(spec_a2, point_a2, range(3, 6)).rows
-    assert all(row.status == "ok" and row.asymptotic for row in rows)
-    devs = [row.deviation for row in rows]
+    assert all(row.status == "ok" for row in rows)
+    devs = [abs(cs.value / ct.value - 1.0) for cs, ct in (row.collisions for row in rows)]
     assert len(devs) == 3 and all(b < a for a, b in zip(devs, devs[1:]))
 
 

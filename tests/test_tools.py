@@ -56,7 +56,7 @@ def test_render_agreement_refuses(tmp_path, capsys, b_name, b_args, reason):
 def test_same_outputs_job_counts():
     # the sweep grid keeps the denominators that are odd and coprime with a
     assert len(same_outputs.sweep_jobs()) == 160
-    assert len(same_outputs.jobs()) == 71 + 2 * len(same_outputs.MAP_DOCUMENTS) == 81
+    assert len(same_outputs.jobs()) == 72 + 2 * len(same_outputs.MAP_DOCUMENTS) == 82
 
 
 def test_same_outputs_commands_parse():

@@ -67,6 +67,8 @@ USAGE_ERRORS = [
     ("verify-lemma3", "--x0=1e309"),
     ("construct", "--y0=1e309"),
     ("verify-lemma3", "--y0=1e-400"),
+    # a degree a^2 above the cap is refused where the spec is made, at any depth
+    ("construct", "--a", "6", "--x0=1/5", "--k-min", "10", "--k-max", "10"),
 ]
 
 # lattices too thin or too tall for double precision to tell their
