@@ -26,7 +26,6 @@ from .errors import BranchAmbiguity, ContinuationBreakdown, IndeterminatePoint, 
 _EPS = sys.float_info.epsilon
 _GUARD = 10.0 * _EPS ** (1.0 / 3.0)  # derivative floor for branch tracking
 _INDETERMINATE_FLOOR = 1e-12  # of the coefficient sum at the point, sum |c_k| |xi|^k
-_TRIM_REL = 1e-12  # coefficients below this share of the largest are dropped
 _CONTINUE_STEP = 0.5  # first and largest substep of continue_cycle, in s from 0 to 1 along the path
 _CONTINUE_TOL = 1e-12  # cycle residual at each continuation substep
 _ROOT_SWEEPS = 200  # Aberth sweeps over all unconverged zeros before roots gives up
@@ -301,27 +300,27 @@ def _wronskian(num, den) -> list:
     return [u[k] - v[k] for k in range(2 * len(num) - 3)]
 
 
-def effective_degree(coeffs, cut: float) -> int:
-    """Index of the last coefficient whose modulus is above cut (0 if none)."""
-    return max((k for k, c in enumerate(coeffs) if abs(c) > cut), default=0)
-
-
-def sphere_zeros(coeffs, degree: int, cut: float) -> list[SpherePoint]:
+def sphere_zeros(coeffs, degree: int) -> list[SpherePoint]:
     """Zeros on the sphere, with multiplicity, of the degree-`degree` lift of
-    coeffs: those roots gives for coeffs up to their effective degree above
-    cut, sorted by (re, im), then infinity once for each degree dropped.
-    Raises NoConvergence where roots does."""
-    eff = effective_degree(coeffs, cut)
+    coeffs, sorted by (re, im), then infinity once for each degree dropped.
+
+    Top coefficients at or below eps times the largest modulus of coeffs are
+    at the rounding level of the polynomial's own arithmetic and count as
+    zero: each degree so dropped is a zero at infinity.  This is the one rule
+    that decides which coefficients count, for the critical points and for
+    the map check.  Raises NoConvergence where roots does."""
+    cut = _EPS * max(map(abs, coeffs))
+    eff = max((k for k, c in enumerate(coeffs) if abs(c) > cut), default=0)
     zeros = sorted(roots(coeffs[: eff + 1]), key=lambda c: (c.real, c.imag))
     return [SpherePoint.from_complex(x) for x in zeros] + [SpherePoint.infinity()] * (degree - eff)
 
 
 def critical_points(f) -> list[SpherePoint]:
     """The 2D - 2 critical points of f, with multiplicity: the zeros on the
-    sphere of the Wronskian P'Q - PQ', trimmed below _TRIM_REL of its largest
-    coefficient.  Raises NoConvergence where roots does."""
-    wr = _wronskian(f.num, f.den)
-    return sphere_zeros(wr, 2 * f.degree - 2, _TRIM_REL * max(map(abs, wr)))
+    sphere of the Wronskian P'Q - PQ', by sphere_zeros, so a top Wronskian
+    coefficient at the rounding level puts a critical point at infinity.
+    Raises NoConvergence where roots does."""
+    return sphere_zeros(_wronskian(f.num, f.den), 2 * f.degree - 2)
 
 
 def _newton_periodic(f, seed: SpherePoint, period: int, tol: float, max_iter: int = 60) -> list[SpherePoint]:

@@ -13,7 +13,11 @@ f(theta(tau)) = theta(a tau + b).  Two builders make it: `lattes_map` in
 closed form from the branch value w alone, for verify-lemma3 and render;
 and `build_rational_map`, for construct, which recovers the coefficients
 numerically by homogeneous least squares over quasi-random torus samples
-and validates them on held-out samples.
+and validates them on held-out samples.  Both hand their coefficients to the
+map check of RationalMapCoeffs, which refuses a map only where double
+precision cannot resolve it: numerator and denominator share a zero on the
+sphere, at infinity included when both top coefficients are at the rounding
+level.
 """
 
 from __future__ import annotations
@@ -25,14 +29,12 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .dynamics import (SpherePoint, _convolve, effective_degree, eval_map, sphere_zeros,
-                       spherical_distance)
+from .dynamics import SpherePoint, _convolve, eval_map, sphere_zeros, spherical_distance
 from .elliptic import HALF_LATTICE, TorusParameter, TorusPoint, theta_data, theta_map
 from .errors import IllConditioned, NoConvergence, ValidationFailed
 
 CASE_TAGS = ("EvenZero", "OddZero", "OddHalf")
 _ROOT_GAP_FLOOR = 1e-6
-_DEGREE_FLOOR = 1e-9  # coefficients at or below this share of the largest do not count toward the degree
 _MAX_DEGREE = 25
 # Roberts R2 quasi-random sequence constants (1/phi2, 1/phi2^2 for the
 # plastic number phi2); low-discrepancy and deterministic
@@ -105,10 +107,12 @@ class RationalMapCoeffs(_MapFields):
     exactly wherever no coefficient leaves the normal float range, so that
     every product of coefficients and points of modulus at most 1 stays in
     range.  It stores abs_sum = sum |num_k| + sum |den_k| and checks the map:
-    finite and not identically zero, the effective degree must match and the
-    numerator and denominator roots must stay apart (no common roots).  The
-    scaling-family members (1 + t) f of a checked map come from `scaled`,
-    which normalizes and does not check.
+    finite and not identically zero, and the zeros of the numerator's and the
+    denominator's degree-D lifts on the sphere, as sphere_zeros resolves them
+    at the rounding level, must stay apart (no common roots).  A declared
+    degree above both polynomials' degrees is a zero they share at infinity,
+    refused with chordal gap 0.  The scaling-family members (1 + t) f of a
+    checked map come from `scaled`, which normalizes and does not check.
     """
 
     __slots__ = ()
@@ -132,14 +136,10 @@ class RationalMapCoeffs(_MapFields):
 
     def __post_init__(self):
         num, den, D = self.num, self.den, self.degree
-        scale = max(map(abs, num + den))
-        if not (scale > 0.0 and all(map(cmath.isfinite, num + den))):
+        if not (max(map(abs, num + den)) > 0.0 and all(map(cmath.isfinite, num + den))):
             raise ValueError("coefficients are identically zero or non-finite")
-        eff = max(effective_degree(cs, _DEGREE_FLOOR * scale) for cs in (num, den))
-        if eff != D:
-            raise ValueError(f"effective degree {eff} does not match declared degree {D}")
         try:
-            gap = _root_separation(num, den, scale, D)
+            gap = _root_separation(num, den, D)
         except NoConvergence as exc:
             raise ValueError(f"the root check did not settle: {exc}") from None
         if gap < _ROOT_GAP_FLOOR:
@@ -178,16 +178,15 @@ def _normalized(num, den) -> tuple[tuple, tuple]:
     return tuple(joint[: len(num)]), tuple(joint[len(num):])
 
 
-def _root_separation(num: tuple, den: tuple, scale: float, D: int) -> float:
+def _root_separation(num: tuple, den: tuple, D: int) -> float:
     """Min chordal distance between numerator and denominator root sets, the
-    zeros on the sphere of their degree-D lifts trimmed at _DEGREE_FLOOR * scale.
+    zeros on the sphere of their degree-D lifts (sphere_zeros).
 
     Scale-free detector of common roots; a raw resultant floor is useless at
     degree ~9 where legitimate resultants of normalized vectors underflow.
     """
-    cut = _DEGREE_FLOOR * scale
-    zeros = sphere_zeros(num, D, cut)
-    poles = sphere_zeros(den, D, cut)
+    zeros = sphere_zeros(num, D)
+    poles = sphere_zeros(den, D)
     return min(spherical_distance(z, p) for z in zeros for p in poles)
 
 

@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from lattes_forge.dynamics import (
-    _TRIM_REL,
     SpherePoint,
     continue_cycle,
     eval_map,
@@ -67,6 +66,7 @@ from lattes_forge.perturbation import (
 )
 
 _TRACK_STEPS = 4  # initial parameter substeps of track_marked_point
+_TRIM_REL = 1e-12  # preimages' own trim of top coefficients, apart from sphere_zeros' rule
 
 
 class PoleAtLatticePoint(ValueError):

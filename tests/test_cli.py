@@ -420,9 +420,11 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 @pytest.mark.parametrize("a, case, x0, y0", [("3", "2", "0", "1/5"), ("4", "1", "1/3", "5/3")])
 def test_a_refused_fit_fills_every_row(tmp_path, monkeypatch, a, case, x0, y0):
-    # the fit of a = 3, case 2 at gamma0 = i/5 has no separated null direction,
-    # and the fit of a = 4 at 1/3 + 5i/3 has effective degree 15, not 16: both
-    # are IllConditioned, refused again by one fit in every row
+    # the fit of a = 3, case 2 at gamma0 = i/5 has no separated null direction
+    # (IllConditioned), and the fit of a = 4 at 1/3 + 5i/3 passes the map check
+    # but misses its held-out samples (ValidationFailed): each is refused again
+    # by one fit in every row
+    error = {"3": "error:IllConditioned", "4": "error:ValidationFailed"}[a]
     fits = []
     monkeypatch.setattr(perturbation, "build_rational_map",
                         lambda spec, fit=lattes.build_rational_map: fits.append(spec) or fit(spec))
@@ -431,7 +433,7 @@ def test_a_refused_fit_fills_every_row(tmp_path, monkeypatch, a, case, x0, y0):
                  "--out", str(out)]) == 2
     assert len(fits) == 4
     rows = list(csv.reader((out / "convergence.csv").read_text().splitlines()[2:]))
-    assert [row[:2] for row in rows] == [[str(k), "error:IllConditioned"] for k in range(3, 7)]
+    assert [row[:2] for row in rows] == [[str(k), error] for k in range(3, 7)]
 
 
 def test_continuation_halving_certifies_a_row(tmp_path, monkeypatch):
@@ -563,6 +565,21 @@ def test_lemma3_holds_where_the_a5_fit_missed(tmp_path):
     doc = json.loads((tmp_path / "lemma3_report.json").read_text())
     measured = complex(*doc["c_measured"])
     assert abs(measured - (-25 / 24)) < 1e-12
+
+
+def test_small_top_coefficients_still_build_the_map(tmp_path):
+    """The closed form's one nonzero top coefficient is 8e-11 of its
+    polynomial's largest at a = 5, case 2, gamma = -2/5 + 13i/10, and 3e-10
+    at a = 4, gamma = 1/3 + 5i/3: small, but above the rounding level, so the
+    degree holds and verify-lemma3 and render both answer."""
+    assert main(["verify-lemma3", "--a", "5", "--case", "2", "--x0=-2/5", "--y0=13/10",
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "lemma3_report.json").read_text())
+    assert abs(complex(*doc["c_measured"]) + 25 / 24) < 1e-12
+    target = tmp_path / "julia.ppm"
+    assert main(["render", "--a", "4", "--x0=1/3", "--y0=5/3", "--size", "32",
+                 "--out", str(target)]) == 0
+    assert target.read_bytes().startswith(b"P6\n32 32\n")
 
 
 def test_known_defect_certify_refuses_a_certified_construct(tmp_path, capsys):

@@ -150,7 +150,7 @@ def test_semiconjugacy_seed_independent(spec_a2, base_a2):
 
 @pytest.mark.parametrize("num,den,degree,message", [
     ([0, -1, 1], [0, 1, 1], 2, "share a root"),           # z(z - 1) / (z(z + 1))
-    ([1, 1], [1], 2, "effective degree"),                 # degree 1 declared as 2
+    ([1, 1], [1], 2, "share a root"),                     # degree 1 declared as 2: both at oo
     ([0, 0], [0], 1, "identically zero"),
     ([1, float("nan")], [1], 1, "non-finite"),
     ([1, 0], [float("inf")], 1, "non-finite"),
@@ -302,10 +302,17 @@ def test_closed_form_agrees_with_the_fit(a, case):
         assert spherical_distance(eval_map(f, x), eval_map(fit, x)) < 1e-9
 
 
-def test_closed_form_refuses_a_map_that_fails_the_check():
+def test_closed_form_builds_where_rounding_resolves_the_degree():
     # at a = 4, gamma = 1/3 + 5i/3 (|w| = 11.5) the exact map's leading
-    # coefficients fall under the 1e-9 degree floor: effective degree 15
-    with pytest.raises(IllConditioned, match="effective degree 15"):
-        lattes_map(LattesSpec(TorusParameter(complex(1 / 3, 5 / 3)), 4, "EvenZero"))
+    # coefficients are small but above the rounding level of their polynomial
+    spec = LattesSpec(TorusParameter(complex(1 / 3, 5 / 3)), 4, "EvenZero")
+    assert verify_semiconjugacy(lattes_map(spec), spec, 200) < 1e-9
+
+
+def test_closed_form_refuses_a_map_that_fails_the_check():
+    # at a = 5, gamma = 0.27 + 1.91i the top coefficients of numerator and
+    # denominator both fall to the rounding level: a shared zero at infinity
+    with pytest.raises(IllConditioned, match=r"share a root \(chordal gap 0"):
+        lattes_map(LattesSpec(TorusParameter(complex(0.27, 1.91)), 5, "OddZero"))
     with pytest.raises(ValueError, match="exceeds the cap"):
         lattes_map(LattesSpec(TorusParameter(GAMMA0), 6, "EvenZero"))

@@ -19,7 +19,7 @@ from lattes_forge.dynamics import (
 )
 from lattes_forge.elliptic import (TorusParameter, TorusPoint, half_periods, measured_theta_data,
                                   theta_data)
-from lattes_forge.errors import IllConditioned, IndeterminatePoint, NoConvergence
+from lattes_forge.errors import IndeterminatePoint, NoConvergence
 from lattes_forge.lattes import (
     LattesSpec,
     RationalMapCoeffs,
@@ -217,14 +217,9 @@ def test_ratio_limit_is_exactly_one(p, q, dx, dy):
 @given(st.sampled_from([(2, "EvenZero"), (3, "OddZero"), (3, "OddHalf"), (4, "EvenZero"),
                         (5, "OddZero"), (5, "OddHalf")]),
        st.floats(-0.4, 0.4), st.floats(0.6, 1.5))
-def test_closed_form_is_semiconjugate_or_refused(a_case, re, im):
-    # the closed form meets the theta series to the fit's held-out tolerance;
-    # at a = 5 its monomial coefficients may fall under the degree floor, and
-    # then it is refused as the fit is
+def test_closed_form_is_semiconjugate(a_case, re, im):
+    # the closed form meets the theta series to the fit's held-out tolerance,
+    # and passes the map check everywhere in this domain: its smallest top
+    # coefficients, at a = 5, stay above the rounding level
     spec = LattesSpec(TorusParameter(complex(re, im)), *a_case)
-    try:
-        f = lattes_map(spec)
-    except IllConditioned:
-        assert spec.a == 5
-        return
-    assert verify_semiconjugacy(f, spec, 50) < 1e-9
+    assert verify_semiconjugacy(lattes_map(spec), spec, 50) < 1e-9

@@ -56,7 +56,7 @@ def test_render_agreement_refuses(tmp_path, capsys, b_name, b_args, reason):
 def test_same_outputs_job_counts():
     # the sweep grid keeps the denominators that are odd and coprime with a
     assert len(same_outputs.sweep_jobs()) == 160
-    assert len(same_outputs.jobs()) == 72 + 2 * len(same_outputs.MAP_DOCUMENTS) == 82
+    assert len(same_outputs.jobs()) == 74 + 2 * len(same_outputs.MAP_DOCUMENTS) == 84
 
 
 def test_same_outputs_commands_parse():
@@ -133,7 +133,7 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path, capsys):
     assert [c[0] for c in calls] == ["parent", "change", "change", "parent"] * 2
     assert {c[1:] for c in calls} == {("lattice_sweep", 5, 36.0)}  # BENCHMARK.json's run_seconds
     ledger = json.loads(out.read_text())
-    assert ledger["schema"] == "lattes-forge bench-pairs 2"
+    assert ledger["schema"] == "lattes-forge bench-pairs 3"
     entry = ledger["workloads"]["lattice_sweep"]
     assert entry["host"]["nproc"] == 2 and entry["host"]["blas_threads"] == 1
     assert entry["parent"] == {"commit": "a", "src_sha256": "aaaa"}
@@ -150,7 +150,10 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path, capsys):
     assert entry["summary"]["good_ops_per_s"]["better"] == "higher"
     assert entry["summary"]["good_ops_per_s"]["wins"] == 3
     assert entry["summary"]["setup_s"]["wins"] == 0  # ties are not wins
-    assert "op_p50_s: parent 0.125" in capsys.readouterr().out
+    # 3 wins of 4 fall short of ceil(0.9 * 4) = 4: no gain may be claimed
+    assert not any(m["claimable"] for m in entry["summary"].values())
+    printed = capsys.readouterr().out
+    assert "op_p50_s: parent 0.125" in printed and "better in 3 of 4, claimable no" in printed
     # a second workload joins the file; the first is kept
     speeds = {"parent": iter([0.5]), "change": iter([0.5])}
     assert bench_pairs.main(args[:3] + ["render", "--pairs", "1", "--seed", "1", "--out", str(out)],
@@ -159,6 +162,22 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path, capsys):
     assert sorted(ledger["workloads"]) == ["lattice_sweep", "render"]
     assert ledger["workloads"]["render"]["summary"]["op_p50_s"]["parent"]["q3"] == 0.5
     # a ledger of another schema is refused, not mixed into
-    out.write_text(json.dumps({"schema": "lattes-forge bench-pairs 1", "workloads": {}}))
+    out.write_text(json.dumps({"schema": "lattes-forge bench-pairs 2", "workloads": {}}))
     with pytest.raises(SystemExit):
         bench_pairs.main(args, run=run)
+
+
+@pytest.mark.parametrize("change, claimable", [
+    ([0.08, 0.09, 0.07, 0.08], True),    # every pair won, by more than the parent's q3 - q1
+    ([0.12, 0.13, 0.095, 0.115], False),  # every pair won, within the parent's q3 - q1
+    ([0.08, 0.09, 0.11, 0.07], False),   # 3 of 4 pairs won
+])
+def test_bench_pairs_claims_a_gain_by_the_claim_rule(change, claimable):
+    parent = [0.13, 0.14, 0.10, 0.12]  # median 0.125, q3 - q1 = 0.0175
+    pairs = [{"parent": {"metrics": {"op_p50_s": q, "good_ops_per_s": 1 / q}},
+              "change": {"metrics": {"op_p50_s": c, "good_ops_per_s": 1 / c}}}
+             for q, c in zip(parent, change)]
+    summary = bench_pairs.summarize(pairs, {"op_p50_s": "lower", "good_ops_per_s": "higher"},
+                                    {"op_p50_s": "s", "good_ops_per_s": "1/s"})
+    assert summary["op_p50_s"]["claimable"] is claimable
+    assert summary["good_ops_per_s"]["claimable"] is claimable

@@ -17,7 +17,7 @@ The ledger is one JSON file (default BENCH.json).  A workload's entry is
 replaced when the tool runs it again and the other workloads are kept, so one
 file can hold a pair series per workload:
 
-    {"schema": "lattes-forge bench-pairs 2",
+    {"schema": "lattes-forge bench-pairs 3",
      "workloads": {W: {
          "seconds": T, "seed": S,
          "host": {"nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads",
@@ -28,7 +28,7 @@ file can hold a pair series per workload:
                               "parent": {"median", "q1", "q3"},
                               "change": {"median", "q1", "q3"},
                               "wins": pairs in which the change is better,
-                              "pairs": N}}}}}
+                              "pairs": N, "claimable": bool}}}}}
 
 RUN is {"correct", "attempted", "failed", "metrics": {METRIC: value}}, the
 harness's last line with each metric's unit dropped (the summary keeps it).
@@ -36,20 +36,24 @@ harness's last line with each metric's unit dropped (the summary keeps it).
 a git clone; `src_sha256` is the harness's digest of the src/ that ran, so it
 tells two checkouts apart even where their HEADs agree.  `host` is the host
 that measured the workload's pairs, as the change's last run reports it.  Quartiles are
-inclusive (statistics.quantiles); a tie is not a win.
+inclusive (statistics.quantiles); a tie is not a win.  A metric is
+`claimable`, a gain that may be claimed, when the change wins at least
+ceil(0.9 N) of the N pairs and its median is better than the parent's by more
+than the parent's interquartile range q3 - q1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCHEMA = "lattes-forge bench-pairs 2"
+SCHEMA = "lattes-forge bench-pairs 3"
 _HOST_KEYS = ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads")
 
 
@@ -84,14 +88,19 @@ def _spread(values: list) -> dict:
 
 
 def summarize(pairs: list, better: dict, units: dict) -> dict:
-    """Per end-to-end metric: the two sides' medians and quartiles, and wins."""
+    """Per end-to-end metric: the two sides' medians and quartiles, wins, and
+    whether the gain is claimable."""
     out = {}
     for name, direction in better.items():
+        sign = 1.0 if direction == "lower" else -1.0  # sign * (parent - change) > 0 is better
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
-        wins = sum((c < q) if direction == "lower" else (c > q) for q, c in zip(parent, change))
-        out[name] = {"unit": units[name], "better": direction, "parent": _spread(parent),
-                     "change": _spread(change), "wins": wins, "pairs": len(pairs)}
+        wins = sum(sign * (q - c) > 0 for q, c in zip(parent, change))
+        before, after = _spread(parent), _spread(change)
+        gain = sign * (before["median"] - after["median"])
+        claimable = wins >= math.ceil(9 * len(pairs) / 10) and gain > before["q3"] - before["q1"]
+        out[name] = {"unit": units[name], "better": direction, "parent": before,
+                     "change": after, "wins": wins, "pairs": len(pairs), "claimable": claimable}
     return out
 
 
@@ -150,7 +159,8 @@ def main(argv=None, run=run_bench) -> int:
         print(f"{args.workload} {name}: parent {s['parent']['median']:.6g} "
               f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] -> change "
               f"{s['change']['median']:.6g} [{s['change']['q1']:.6g}, {s['change']['q3']:.6g}] "
-              f"{s['unit']}, better in {s['wins']} of {s['pairs']}")
+              f"{s['unit']}, better in {s['wins']} of {s['pairs']}, "
+              f"claimable {'yes' if s['claimable'] else 'no'}")
     return 0
 
 
