@@ -300,7 +300,7 @@ def cmd_construct(args) -> int:
         print(f"k={row.k}: {row.status} deviation={abs(cs.value / ct.value - 1.0):.3e} "
               f"gamma_gap={gap:.3e} postcritical={built.postcritical_count}")
         doc = {
-            "schema_version": "2",
+            "schema_version": "3",
             "a": spec0.a,
             "case": spec0.case_tag,
             "k": row.k,
@@ -331,7 +331,7 @@ def cmd_certify(args) -> int:
     witness = count <= 4
     print(f"postcritical_count={count} lattes_witness={str(witness).lower()}")
     doc = {
-        "schema_version": "1",
+        "schema_version": "2",
         "degree": g.degree,
         "postcritical_count": count,
         "lattes_witness": witness,

@@ -96,12 +96,13 @@ class CycleData(NamedTuple):
 
 
 class OrbitCertificate(NamedTuple):
-    """An orbit that lands, after preperiod steps, within landing_residual
-    of cycle."""
+    """An orbit within landing_residual of an exactly preperiodic point whose orbit, points
+    (tail, then cycle.points), lands on cycle after preperiod steps; forward if not repelling."""
 
     preperiod: int
     landing_residual: float
     cycle: CycleData
+    points: tuple
 
 
 def _horner(desc, x: complex) -> complex:
@@ -417,25 +418,19 @@ def pullback_branch(f, target: SpherePoint, near: SpherePoint, tol: float = 1e-1
     z = near
     out_chart = target.chart()
     t_coord = target.coord(out_chart)
-    converged = False
     for _ in range(50):
         image = eval_map(f, z)
-        res = spherical_distance(image, target)
         in_chart = z.chart()
         g = chart_derivative(f, z, in_chart, out_chart)
         if abs(g) < _GUARD:
             raise BranchAmbiguity(
                 f"chart derivative {abs(g):.3e} below guard {_GUARD:.3e} near {z}")
-        if res < tol:
-            converged = True
+        if spherical_distance(image, target) < tol:
             break
-        denom = image.W if out_chart == 0 else image.Z
-        if abs(denom) < 1e-14:
+        if abs(image.W if out_chart == 0 else image.Z) < 1e-14:
             raise NoConvergence("image hit the pole of the target chart during pullback")
-        h = image.Z / image.W if out_chart == 0 else image.W / image.Z
-        step = (h - t_coord) / g
-        z = SpherePoint.from_coord(z.coord(in_chart) - step, in_chart)
-    if not converged:
+        z = SpherePoint.from_coord(z.coord(in_chart) - (image.coord(out_chart) - t_coord) / g, in_chart)
+    else:
         raise NoConvergence(f"pullback Newton did not reach tol {tol}")
     return z
 
@@ -445,32 +440,45 @@ _WINDOW = 64
 
 def classify_orbit(f, z: SpherePoint, max_iter: int = 2000,
                    tol: float = 1e-9) -> OrbitCertificate | None:
-    """Detect (pre)periodicity of the orbit of z by trailing-window near-return.
+    """Certify that z lies within tol of a preperiodic point, else None.
 
-    On a near-return the candidate period is polished with find_cycle and the
-    minimal preperiod is the first iterate within landing tolerance of the
-    cycle.  Absence of a near-return, or of an iterate within landing
-    tolerance, is reported by returning None, not by an exception.
-    """
+    A return of iterate n within sqrt(tol) of iterate m, m and n - m at most
+    _WINDOW, proposes a cycle, the smallest period within 2x the best; one
+    not repelling is returned as the orbit reached it.  Else the landing
+    residual, the verdict, is z's distance to the cycle pulled back along
+    the orbit (pullback_branch; at a fold, the exact preimage nearest the
+    iterate) plus the error carried back, per point the error above plus its
+    image residual, over its chart derivative.  README: what a refusal means."""
     pts = [z]
     for n in range(1, max_iter + 1):
         pts.append(eval_map(f, pts[-1]))
-        lo = max(0, n - _WINDOW)
-        dists = [(spherical_distance(pts[n], pts[m]), m) for m in range(lo, n)]
-        close = [(d, m) for d, m in dists if d < tol]
-        if close:
-            best = min(d for d, _ in close)
-            # smallest period among returns within 2x the best distance
-            m_best = max(m for d, m in close if d <= 2.0 * best)
-            break
-    else:
-        return None
-    cycle = find_cycle(f, pts[m_best], n - m_best, tol=max(tol * 1e-4, 1e-13))
-    landing_tol = max(100.0 * tol, 1e-10)
-    for i, p in enumerate(pts):
-        d = min(spherical_distance(p, c) for c in cycle.points)
-        if d < landing_tol:
-            return OrbitCertificate(i, d, cycle)
+        close = [(d, m) for m in range(max(0, n - _WINDOW), min(n, _WINDOW + 1))
+                 if (d := spherical_distance(pts[n], pts[m])) < math.sqrt(tol)]
+        if not close:
+            continue
+        best = min(close)[0]
+        start = max(m for d, m in close if d <= 2.0 * best)  # smallest period within 2x best
+        try:
+            cycle = find_cycle(f, pts[start], n - start, tol=1e-13)
+            back = [cycle.points[0]]
+            if not cycle.repelling:  # forward convergence is the sound direction here
+                return OrbitCertificate(start, spherical_distance(pts[start], back[0]), cycle,
+                                        tuple(pts[:start]) + cycle.points)
+            err = spherical_distance(eval_map(f, cycle.points[-1]), back[0]) / abs(cycle.multiplier - 1)
+            for p in reversed(pts[:start]):
+                try:
+                    q = pullback_branch(f, back[-1], p)
+                except BranchAmbiguity:  # a fold: the exact preimage nearest the iterate
+                    pre = [back[-1].W * a - back[-1].Z * b for a, b in zip(f.num, f.den)]
+                    q = min(sphere_zeros(pre, f.degree), key=lambda r: spherical_distance(r, p))
+                if e := err + spherical_distance(eval_map(f, q), back[-1]):
+                    err = e / abs(chart_derivative(f, q, q.chart(), back[-1].chart()))
+                back.append(q)
+        except (NoConvergence, IndeterminatePoint, ZeroDivisionError):
+            continue  # a failed proposal: the scan goes on
+        if (residual := spherical_distance(back[-1], z) + err) <= tol:
+            tail = tuple(q for q in back[::-1] if all(spherical_distance(q, c) > tol for c in cycle.points))
+            return OrbitCertificate(len(tail), residual, cycle, tail + cycle.points)
     return None
 
 

@@ -33,7 +33,6 @@ from .dynamics import (
     continue_cycle,
     eval_map,
     find_cycle,
-    orbit,
     spherical_distance,
 )
 from .elliptic import TorusParameter, TorusPoint, theta_data, theta_map
@@ -396,24 +395,22 @@ def certify_strictly_pcf(g: RationalMapCoeffs, crit_values: list, max_iter: int 
                          tol: float = _PCF_TOL):
     """Certificates for every critical value orbit plus the postcritical count.
 
-    Raises NotPCF when some orbit finds no cycle within max_iter and
-    NotRepelling when a landing cycle is not repelling.  The count clusters
-    the union of forward orbits at radius 1e-6.
+    Each critical value must lie within tol of a preperiodic point that
+    classify_orbit verifies backward, else NotPCF; NotRepelling when its
+    cycle is not.  The count clusters the certificates' points at 1e-6.
     """
     certs = []
-    points = []
     for cv in crit_values:
         cert = classify_orbit(g, cv, max_iter=max_iter, tol=tol)
         if cert is None:
-            raise NotPCF(f"orbit of critical value {cv} found no cycle within {max_iter} iterates")
+            raise NotPCF(f"critical value {cv} is within {tol:.3g} of no preperiodic point")
         if not cert.cycle.repelling:
             raise NotRepelling(
                 f"orbit of critical value {cv} lands on a cycle with multiplier "
                 f"{cert.cycle.multiplier:.4g}")
         certs.append(cert)
-        points.extend(orbit(g, cv, cert.preperiod + cert.cycle.period - 1))
     clusters: list[SpherePoint] = []
-    for p in points:
+    for p in [q for cert in certs for q in cert.points]:
         if all(spherical_distance(p, c) > 1e-6 for c in clusters):
             clusters.append(p)
     return certs, len(clusters)

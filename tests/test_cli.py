@@ -117,7 +117,7 @@ def test_construct_artifacts_and_determinism(tmp_path):
     assert art.read_bytes() == (out2 / "construction_k3.json").read_bytes()
     assert csv.read_bytes() == (out2 / "convergence.csv").read_bytes()
     doc = json.loads(art.read_text())
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert "seed" not in doc
     assert doc["postcritical_count"] == 9
     assert len(doc["certificates"]) == 3
@@ -582,19 +582,73 @@ def test_small_top_coefficients_still_build_the_map(tmp_path):
     assert target.read_bytes().startswith(b"P6\n32 32\n")
 
 
-def test_known_defect_certify_refuses_a_certified_construct(tmp_path, capsys):
-    """Known defect: construct certifies k = 4 at a = 4, x0 = 1/5, y0 = 1 with
-    11 postcritical points, but certify of its artifact iterates a critical
-    value forward, where the orbit expands by about a^2 per step, and finds
-    no near-return within 1e-8.  Checking each itinerary backward (ROADMAP
-    item 18) is expected to flip this test."""
+@pytest.fixture(scope="module")
+def a4_artifact(tmp_path_factory):
+    """construct's k = 4 artifact at a = 4, x0 = 1/5, y0 = 1: 11 postcritical points."""
+    out = tmp_path_factory.mktemp("a4")
     assert main(["construct", "--a", "4", "--x0=1/5", "--y0=1", "--k-min", "4", "--k-max", "4",
-                 "--out", str(tmp_path)]) == 0
-    artifact = tmp_path / "construction_k4.json"
-    assert json.loads(artifact.read_text())["postcritical_count"] == 11
+                 "--out", str(out)]) == 0
+    return out / "construction_k4.json"
+
+
+def test_certify_agrees_with_construct_at_a4(a4_artifact, tmp_path):
+    """The critical values certify recomputes from the Wronskian lie about
+    5e-13 from construct's (1 + r) v, and forward iteration expands that by
+    about a^2 a step, so one orbit never returns within 1e-8; pulled back
+    along the orbit, which contracts, the landing cycle lands within 1e-8."""
+    assert json.loads(a4_artifact.read_text())["postcritical_count"] == 11
+    assert main(["certify", str(a4_artifact), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "certificate.json").read_text())
+    assert doc["schema_version"] == "2"
+    assert doc["postcritical_count"] == 11
+    assert all(c["landing_residual"] < 1e-8 and c["repelling"] for c in doc["certificates"])
+
+
+@pytest.mark.parametrize("scale, code", [(1e-6, 2), (1e-8, 2), (1e-9, 0)],
+                         ids=["1e-6-refused", "1e-8-refused", "1e-9-certified"])
+def test_certify_refuses_a_moved_numerator(a4_artifact, tmp_path, capsys, scale, code):
+    """Moved by 1e-6 or 1e-8, one critical orbit of the map leaves the
+    repelling landing cycle before it returns within sqrt(tol) = 1e-4, so no
+    cycle is proposed and the map is refused: this pins the proposal, the
+    verdict is pinned on z^2 - 2 in test_dynamics.  Moved by 1e-9, it
+    certifies with the same 11 postcritical points, each critical value
+    within 1e-9 of a preperiodic point."""
+    doc = json.loads(a4_artifact.read_text())["map"]
+    doc["num"] = [[re * (1.0 + scale), im * (1.0 + scale)] for re, im in doc["num"]]
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["certify", str(artifact)]) == 2
-    assert "found no cycle within 300 iterates" in capsys.readouterr().err
+    assert main(["certify", str(moved), "--out", str(tmp_path)]) == code
+    if code:
+        assert "is within 1e-08 of no preperiodic point" in capsys.readouterr().err
+    else:
+        doc = json.loads((tmp_path / "certificate.json").read_text())
+        assert doc["postcritical_count"] == 11
+        assert all(c["landing_residual"] < 1e-9 for c in doc["certificates"])
+
+
+def test_certify_refuses_an_attracting_cycle(tmp_path, capsys):
+    """The critical value 0.1 of z^2 + 0.1 tends to a fixed point of
+    multiplier 0.2254: a cycle that attracts is refused as not repelling."""
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"degree": 2, "num": [[0.1, 0], [0, 0], [1, 0]],
+                                "den": [[1, 0], [0, 0], [0, 0]]}))
+    assert main(["certify", str(path)]) == 2
+    assert "lands on a cycle with multiplier 0.2254" in capsys.readouterr().err
+
+
+def test_certify_agrees_where_construct_was_not_pcf(tmp_path, capsys):
+    """At a = 3, case 3, x0 = 1/5, y0 = 5/7, k = 4 a critical orbit of g_4
+    never returns within 1e-8 forward, so only the backward pass certifies
+    it, in construct and in certify alike."""
+    assert main(["construct", "--a", "3", "--case", "3", "--x0=1/5", "--y0=5/7",
+                 "--k-min", "4", "--k-max", "4", "--out", str(tmp_path)]) == 0
+    artifact = json.loads((tmp_path / "construction_k4.json").read_text())
+    assert artifact["schema_version"] == "3"
+    capsys.readouterr()
+    assert main(["certify", str(tmp_path / "construction_k4.json")]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    assert printed == f"postcritical_count={artifact['postcritical_count']} lattes_witness=false"
 
 
 def test_render_construct_artifact(tmp_path, capsys):

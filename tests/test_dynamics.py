@@ -168,11 +168,48 @@ def test_classify_orbit_preperiodic(z2):
     cert = classify_orbit(z2, SpherePoint.from_complex(-1.0))
     assert cert.preperiod == 1 and cert.cycle.period == 1
     assert cert.cycle.repelling and cert.landing_residual < 1e-10
+    # 1e-6 off -1 the orbit returns near the fixed point 1, which is proposed,
+    # but pulled back it lands 5e-7 from the start, above tol: refused
+    assert classify_orbit(z2, SpherePoint.from_complex(-1 + 1e-6j), max_iter=30) is None
+
+
+def test_classify_orbit_through_a_critical_point():
+    # Chebyshev z^2 - 2: 0 -> -2 -> 2, the fixed point of multiplier 4; the
+    # pullback of -2 meets the critical point 0, a fold, where the exact
+    # preimage nearest the iterate, 0 itself, is taken
+    cheb = RationalMapCoeffs(num=[-2, 0, 1], den=[1], degree=2)
+    cert = classify_orbit(cheb, SpherePoint.zero())
+    assert (cert.preperiod, cert.cycle.period) == (2, 1)
+    assert abs(cert.cycle.multiplier - 4.0) < 1e-12
+    assert cert.landing_residual < 1e-12
+    assert [p.to_complex() for p in cert.points] == [0, -2, 2]
+    # from 3e-5, 1e-6 or 1e-8 the orbit maps within 1e-9 of -2 and returns
+    # to 2, so a cycle is proposed, but the only preimage of -2 there is 0,
+    # farther than tol from the start: all are refused.  From 1e-8 the image
+    # rounds to -2 exactly, so only the exact preimage tells; from 1e-6 the
+    # pulled-back -2 is 1e-12 off, which the fold's error bound turns into 1e-6
+    for start in (3e-5, 1e-6, 1e-8, 1e-3):
+        assert classify_orbit(cheb, SpherePoint.from_complex(start)) is None
+    # a late chance return is not proposed: the return must come to an
+    # iterate within the first _WINDOW (from 1e-4 the orbit returns within
+    # sqrt(tol) to a period-13 cycle near iterate 1450)
+    assert classify_orbit(cheb, SpherePoint.from_complex(1e-4), max_iter=2000) is None
 
 
 def test_classify_orbit_attracting_landing(z2):
     cert = classify_orbit(z2, SpherePoint.from_complex(1.5), max_iter=60)
     assert not cert.cycle.repelling  # superattracting infinity
+
+
+def test_classify_orbit_attracting_cycle_is_not_pulled_back():
+    # z^2 + 0.1: the critical value 0.1 tends to the fixed point
+    # (1 - sqrt(0.6)) / 2 of multiplier 0.2254, which attracts, so the orbit
+    # never lands on it; the cycle is returned as the orbit reached it, at
+    # the first proposal, not pulled back
+    quad = RationalMapCoeffs(num=[0.1, 0, 1], den=[1], degree=2)
+    cert = classify_orbit(quad, SpherePoint.from_complex(0.1), max_iter=300, tol=1e-8)
+    assert abs(cert.cycle.multiplier - (1 - 0.6 ** 0.5)) < 1e-12
+    assert cert.preperiod == 4 and cert.landing_residual < 1e-4
 
 
 def test_julia_render_deterministic(z2):

@@ -56,7 +56,7 @@ def test_render_agreement_refuses(tmp_path, capsys, b_name, b_args, reason):
 def test_same_outputs_job_counts():
     # the sweep grid keeps the denominators that are odd and coprime with a
     assert len(same_outputs.sweep_jobs()) == 160
-    assert len(same_outputs.jobs()) == 74 + 2 * len(same_outputs.MAP_DOCUMENTS) == 84
+    assert len(same_outputs.jobs()) == 76 + 2 * len(same_outputs.MAP_DOCUMENTS) == 86
 
 
 def test_same_outputs_commands_parse():
@@ -100,6 +100,10 @@ def test_the_bench_tracer_runs_over_the_layers(tmp_path, base_a2):
     names = _traced_spans(tmp_path, "certify", "base.json")
     assert names["dynamics.critical_points"] >= 1
     assert names["perturbation.certify_strictly_pcf"] >= 1
+    # construct certifies each critical orbit by pulling its landing cycle back
+    names = _traced_spans(tmp_path, "construct", "--k-min", "3", "--k-max", "3")
+    assert names["dynamics.classify_orbit"] >= 3
+    assert names["dynamics.pullback_branch"] >= 1
 
 
 def _canned_run(commit: str, op_p50_s: float, good_ops_per_s: float) -> str:

@@ -18,6 +18,8 @@ NAME.stderr and NAME.exit.  Commands:
 - verify-lemma3 and render at a = 5, case 2, -2/5 + 13i/10, where the
   closed form's top numerator coefficient is 8e-11 of the largest;
 - construct at a depth k = 600, where a^(2k) leaves the float range;
+- construct, then certify, at the two specs of CERTIFIED_BACKWARD, whose
+  critical orbits certify only by the backward pass;
 - the usage errors that construct, verify-lemma1, certify and render refuse,
   and the lattices too thin or too tall for double precision;
 - certify and render --map-file at size 16 of each bare map document of
@@ -110,6 +112,15 @@ REFUSED_FIT = ("--a", "4", "--case", "1", "--x0=1/3", "--y0=5/3")
 SMALL_TOP = ("--a", "5", "--case", "2", "--x0=-2/5", "--y0=13/10")
 # a depth at which a^(2k) overflows a float, refused as precision_exhausted
 DEPTH_BEYOND_FLOAT = ("construct", "--k-min", "600", "--k-max", "600")
+# certified only by pulling the landing cycle back along each critical orbit:
+# forward, an error of 5e-13 in a critical value grows by about a^2 a step, and
+# no return comes within 1e-8 (certify of the first artifact, construct's own
+# certification of the second)
+CERTIFIED_BACKWARD = [
+    ("construct", "--a", "4", "--x0=1/5", "--y0=1", "--k-min", "4", "--k-max", "4"),
+    ("construct", "--a", "3", "--case", "3", "--x0=1/5", "--y0=5/7",
+     "--k-min", "4", "--k-max", "4"),
+]
 
 # (a, case, k_min, k_max) of the sweep, and its base point coordinates
 SWEEP_CASES = [(2, 1, 2, 7), (3, 2, 2, 5), (3, 3, 2, 5), (4, 1, 2, 5)]
@@ -165,7 +176,7 @@ def jobs() -> list[tuple]:
         out += [(("verify-lemma3",) + spec, ("--out", ".")),
                 (("render",) + spec + ("--size", str(workloads.RENDER_SIZE)),
                  ("--out", "render.ppm"))]
-    out += [(DEPTH_BEYOND_FLOAT, ("--out", "."))]
+    out += [(args, ("--out", ".")) for args in [DEPTH_BEYOND_FLOAT] + CERTIFIED_BACKWARD]
     out += [(args, ("--out", "out")) for args in USAGE_ERRORS + THIN_AND_TALL]
     for name in MAP_DOCUMENTS:
         out += [(("certify", name), ("--out", ".")),
