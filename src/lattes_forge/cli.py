@@ -171,6 +171,8 @@ def cmd_verify_lemma1(args) -> int:
     for gamma in grid:
         td = measured_theta_data(gamma)
         res_ratio = abs(td.lam / td.v + td.mu / td.w)
+        # one identity, printed both ways: kappa_other - kappa = -4/(v - w) (lam/v + mu/w)
+        # exactly, so res_kappa is res_ratio times 4/|v - w|, up to rounding
         kappa = 4.0 * td.lam / (td.v * (td.v - td.w))
         kappa_other = 4.0 * td.mu / (td.w * (td.w - td.v))
         res_kappa = abs(kappa_other - kappa)

@@ -11,9 +11,10 @@ normalized so that the four branch values are 0, infinity, 1 and w(gamma):
 
 `theta_data` packages the two finite branch values together with the
 quadratic expansion coefficients of the quotient map at 1/2 and gamma/2, in
-closed form from the half-period values.  `measured_theta_data` measures the
-same four numbers from the theta series alone, by a Cauchy integral, for
-`verify-lemma1`'s check of the identity they satisfy.
+closed form from the half-period values.  `measured_theta_data` measures lam
+and mu from the theta series alone, by a Cauchy integral of `theta_map`, for
+`verify-lemma1`'s check of the identity they satisfy with v and w, the
+quotient map's values at the half periods.
 """
 
 from __future__ import annotations
@@ -121,23 +122,15 @@ def _theta(kind: int, v: complex, lq: complex, powers: list) -> complex:
     return 2.0 * acc if half else acc
 
 
-class HalfPeriodValues(NamedTuple):
-    """P at the three half periods: e1 = P(1/2), e2 = P((1+gamma)/2), e3 = P(gamma/2)."""
-
-    e1: complex
-    e2: complex
-    e3: complex
-
-
 class _TorusContext:
     """Everything that depends on gamma alone, computed once per lattice.
 
     The pairing P(z) = e3 + (pi c2 c3 theta4(pi z)/theta1(pi z))^2 uses the
     theta-constant expression for e3 and reproduces the double pole at the
     lattice via theta1'(0) = pi... (checked against the lattice sum in the
-    tests).  The half-period values e1, e2, e3 are P itself at 1/2,
-    (1+gamma)/2 and gamma/2; they are checked here, so a lattice that fails
-    the check is never cached.  ThetaData follows from them in closed form.
+    tests).  The half-period values e1 = P(1/2), e2 = P((1+gamma)/2) and
+    e3 = P(gamma/2) are checked here, so a lattice that fails the check is
+    never cached.  ThetaData follows from them in closed form.
     """
 
     def __init__(self, gamma: complex):
@@ -168,7 +161,7 @@ class _TorusContext:
                                  "of their size, under the 1e-8 needed to tell them apart")
         if abs(e1 + e2 + e3) > 10.0 * _TOL * scale:
             raise LemmaViolation(f"half-period values do not sum to zero at gamma={gamma}")
-        self.half_periods = HalfPeriodValues(e1, e2, e3)
+        self.e1, self.e2, self.e3 = e1, e2, e3
         # P''(omega_i) = 2 (e_i - e_j)(e_i - e_k) gives the tau^2 coefficients
         # of (e1 - e2)/(P - e2): 1 - (e1 - e3) tau^2 about 1/2 and
         # w (1 - (e3 - e1) tau^2) about gamma/2
@@ -184,20 +177,17 @@ class _TorusContext:
         ratio = math.pi * self.c2 * self.c3 * th4 / th1
         return self.e3_formula + ratio * ratio
 
-    def affine(self, tau: TorusPoint) -> complex:
-        """(e1 - e2)/(P - e2): the quotient map away from the lattice and (1+gamma)/2."""
-        hp = self.half_periods
-        return (hp.e1 - hp.e2) / (self.p_centered(*tau.centered()) - hp.e2)
-
 
 @lru_cache(maxsize=64)
 def _context(gamma: complex) -> _TorusContext:
     return _TorusContext(gamma)
 
 
-def half_periods(gamma: complex) -> HalfPeriodValues:
-    """P at the three half periods, checked to sum to zero and be told apart."""
-    return _context(gamma).half_periods
+def half_periods(gamma: complex) -> tuple[complex, complex, complex]:
+    """(e1, e2, e3) = P at 1/2, (1+gamma)/2 and gamma/2, checked to sum to zero
+    and be told apart."""
+    ctx = _context(gamma)
+    return ctx.e1, ctx.e2, ctx.e3
 
 
 def theta_map(tau: TorusPoint, gamma: complex) -> SpherePoint:
@@ -206,8 +196,7 @@ def theta_map(tau: TorusPoint, gamma: complex) -> SpherePoint:
     if _on_lattice(s, t):
         return SpherePoint.zero()
     ctx = _context(gamma)
-    hp = ctx.half_periods
-    return SpherePoint.make(hp.e1 - hp.e2, ctx.p_centered(s, t) - hp.e2)
+    return SpherePoint.make(ctx.e1 - ctx.e2, ctx.p_centered(s, t) - ctx.e2)
 
 
 class ThetaData(NamedTuple):
@@ -230,7 +219,7 @@ def theta_data(gamma: complex) -> ThetaData:
     return _context(gamma).theta_data
 
 
-def _quadratic_coefficient(ctx: _TorusContext, s: float, t: float) -> complex:
+def _quadratic_coefficient(gamma: complex, s: float, t: float) -> complex:
     """tau^2 coefficient of the quotient map F about the half period c = s + t gamma:
     the trapezoidal Cauchy integral (1/(N rho^2)) sum_j F(c + rho e^(i theta_j))
     e^(-2 i theta_j), theta_j = 2 pi j/N.  rho is half the distance from c to the
@@ -238,7 +227,6 @@ def _quadratic_coefficient(ctx: _TorusContext, s: float, t: float) -> complex:
     lattice and the translates of (1 + gamma)/2), which from either half period
     lie at +-(x + j gamma/2), x in Z + 1/2 for even j and in Z for odd j.  F is
     even about c, so node j + N/2 repeats node j."""
-    gamma = ctx.gamma
     rho = 0.25  # at j = 0 the nearest point is 1/2 away; beyond j = 1/Im(gamma), none is nearer
     for j in range(1, int(1.0 / gamma.imag) + 1):
         x = j * gamma.real / 2 + (j + 1) % 2 / 2
@@ -247,17 +235,16 @@ def _quadratic_coefficient(ctx: _TorusContext, s: float, t: float) -> complex:
     for j in range(_CAUCHY_NODES // 2):
         node = cmath.exp(2j * math.pi * j / _CAUCHY_NODES)
         dt = rho * node.imag / gamma.imag  # rho node = ds + dt gamma
-        acc += ctx.affine(TorusPoint(s + rho * node.real - dt * gamma.real, t + dt)) / (node * node)
+        tau = TorusPoint(s + rho * node.real - dt * gamma.real, t + dt)
+        acc += theta_map(tau, gamma).to_complex() / (node * node)
     return acc / (_CAUCHY_NODES // 2 * rho * rho)
 
 
 def measured_theta_data(gamma: complex) -> ThetaData:
-    """ThetaData measured from the theta series alone: v and w as the quotient
-    map at 1/2 and gamma/2, lam and mu by a trapezoidal Cauchy integral about
-    them.  Independent of the closed form; within 2.3e-12 of it, relative, at
-    Im gamma >= 0.3, and 9e-10 at 0.2, as e1 - e2 falls (F divides by P - e2)."""
-    ctx = _context(gamma)
-    v = ctx.affine(HALF_LATTICE[1])
-    w = ctx.affine(HALF_LATTICE[2])
-    return ThetaData(v, w, _quadratic_coefficient(ctx, 0.5, 0.0),
-                     _quadratic_coefficient(ctx, 0.0, 0.5))
+    """theta_data with lam and mu measured from the theta series alone, by a
+    trapezoidal Cauchy integral of theta_map about 1/2 and gamma/2, independent
+    of the closed form: within 2.3e-12 of it, relative, at Im gamma >= 0.3, and
+    9e-10 at 0.2, as e1 - e2 falls (theta_map divides by P - e2).  v and w, the
+    quotient map's values there, are theta_data's."""
+    return theta_data(gamma)._replace(lam=_quadratic_coefficient(gamma, 0.5, 0.0),
+                                      mu=_quadratic_coefficient(gamma, 0.0, 0.5))

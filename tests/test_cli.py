@@ -629,12 +629,18 @@ def test_certify_refuses_a_moved_numerator(a4_artifact, tmp_path, capsys, scale,
 
 def test_certify_refuses_an_attracting_cycle(tmp_path, capsys):
     """The critical value 0.1 of z^2 + 0.1 tends to a fixed point of
-    multiplier 0.2254: a cycle that attracts is refused as not repelling."""
+    multiplier 0.2254: a cycle that attracts is refused as not repelling.
+    The critical value 1/4 of z^2 + 1/4 creeps toward the parabolic fixed
+    point 1/2 so slowly that a return to one of the first 64 iterates comes
+    no nearer than 1.6e-4 (iterates 64 and 65), above sqrt(tol) = 1e-4: no
+    cycle is proposed, and the map is refused as preperiodic to nothing."""
     path = tmp_path / "map.json"
-    path.write_text(json.dumps({"degree": 2, "num": [[0.1, 0], [0, 0], [1, 0]],
-                                "den": [[1, 0], [0, 0], [0, 0]]}))
-    assert main(["certify", str(path)]) == 2
-    assert "lands on a cycle with multiplier 0.2254" in capsys.readouterr().err
+    for c, message in [(0.1, "lands on a cycle with multiplier 0.2254"),
+                       (0.25, "is within 1e-08 of no preperiodic point")]:
+        path.write_text(json.dumps({"degree": 2, "num": [[c, 0], [0, 0], [1, 0]],
+                                    "den": [[1, 0], [0, 0], [0, 0]]}))
+        assert main(["certify", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_certify_agrees_where_construct_was_not_pcf(tmp_path, capsys):

@@ -196,6 +196,23 @@ def test_classify_orbit_through_a_critical_point():
     assert classify_orbit(cheb, SpherePoint.from_complex(1e-4), max_iter=2000) is None
 
 
+def test_known_defect_classify_orbit_certifies_a_chance_return():
+    """Known defect: z^2 - 2 doubles the angle of 2 cos(theta), so its points
+    of preperiod n onto the fixed point 2, 2 cos(2 pi j/2^n), lie within
+    7.3e-10 of each other from n = 34 on, and every start on [-2, 2] is
+    within tol = 1e-9 of one.  From 1.234 the forward orbit, which by then
+    keeps none of its digits, returns to 2 at iterate 35, and the backward
+    pass finds such a point: a chance return certified as preperiod 35,
+    period 1.  Checking each verdict against the portrait predicted from the
+    torus (ROADMAP item 24) and stating what certify decides for a bare map
+    (item 26) are the changes expected to flip this test."""
+    cheb = RationalMapCoeffs(num=[-2, 0, 1], den=[1], degree=2)
+    cert = classify_orbit(cheb, SpherePoint.from_complex(1.234))
+    assert (cert.preperiod, cert.cycle.period) == (35, 1)
+    assert abs(cert.cycle.multiplier - 4.0) < 1e-12
+    assert cert.landing_residual < 1e-12
+
+
 def test_classify_orbit_attracting_landing(z2):
     cert = classify_orbit(z2, SpherePoint.from_complex(1.5), max_iter=60)
     assert not cert.cycle.repelling  # superattracting infinity

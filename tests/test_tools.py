@@ -130,17 +130,33 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path, capsys):
         p50 = next(speeds[side])
         return _canned_run("a" if side == "parent" else "b", p50, 1.0 / p50)
 
+    # the change is a git clone whose src/ is committed; the parent is no clone
+    change = tmp_path / "change"
+    (change / "src").mkdir(parents=True)
+    (change / "src" / "m.py").write_text("x = 1\n")
+    git = ["git", "-C", str(change), "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    for cmd in (["init", "-q"], ["add", "src"], ["commit", "-q", "-m", "src"]):
+        subprocess.run(git + cmd, check=True, capture_output=True)
     out = tmp_path / "BENCH.json"
-    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "lattice_sweep",
+    args = [str(tmp_path / "parent"), str(change), "--workload", "lattice_sweep",
             "--pairs", "4", "--seed", "5", "--out", str(out)]
     assert bench_pairs.main(args, run=run) == 0
     assert [c[0] for c in calls] == ["parent", "change", "change", "parent"] * 2
     assert {c[1:] for c in calls} == {("lattice_sweep", 5, 36.0)}  # BENCHMARK.json's run_seconds
     ledger = json.loads(out.read_text())
-    assert ledger["schema"] == "lattes-forge bench-pairs 3"
+    assert ledger["schema"] == "lattes-forge bench-pairs 4"
     entry = ledger["workloads"]["lattice_sweep"]
     assert entry["host"]["nproc"] == 2 and entry["host"]["blas_threads"] == 1
-    assert entry["parent"] == {"commit": "a", "src_sha256": "aaaa"}
+    assert entry["parent"] == {"commit": "a", "src_sha256": "aaaa", "src_committed": None}
+    assert entry["change"] == {"commit": "b", "src_sha256": "bbbb", "src_committed": True}
+    # an edited or an untracked file under src/ is not committed
+    (change / "src" / "m.py").write_text("x = 2\n")
+    assert bench_pairs.src_committed(str(change)) is False
+    subprocess.run(git + ["checkout", "-q", "--", "src"], check=True)
+    assert bench_pairs.src_committed(str(change)) is True
+    (change / "src" / "new.py").write_text("")
+    assert bench_pairs.src_committed(str(change)) is False
     assert (entry["seconds"], entry["seed"]) == (36.0, 5)
     assert [p["first"] for p in entry["pairs"]] == ["parent", "change"] * 2
     assert entry["pairs"][0]["parent"] == {"correct": True, "attempted": 40, "failed": 0,
@@ -166,7 +182,7 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path, capsys):
     assert sorted(ledger["workloads"]) == ["lattice_sweep", "render"]
     assert ledger["workloads"]["render"]["summary"]["op_p50_s"]["parent"]["q3"] == 0.5
     # a ledger of another schema is refused, not mixed into
-    out.write_text(json.dumps({"schema": "lattes-forge bench-pairs 2", "workloads": {}}))
+    out.write_text(json.dumps({"schema": "lattes-forge bench-pairs 3", "workloads": {}}))
     with pytest.raises(SystemExit):
         bench_pairs.main(args, run=run)
 

@@ -17,12 +17,13 @@ The ledger is one JSON file (default BENCH.json).  A workload's entry is
 replaced when the tool runs it again and the other workloads are kept, so one
 file can hold a pair series per workload:
 
-    {"schema": "lattes-forge bench-pairs 3",
+    {"schema": "lattes-forge bench-pairs 4",
      "workloads": {W: {
          "seconds": T, "seed": S,
          "host": {"nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads",
                   "env": {OPENBLAS_NUM_THREADS and every inherited PYTHON* variable}},
-         "parent": {"commit", "src_sha256"}, "change": {"commit", "src_sha256"},
+         "parent": {"commit", "src_sha256", "src_committed"},
+         "change": {"commit", "src_sha256", "src_committed"},
          "pairs": [{"first": "parent" | "change", "parent": RUN, "change": RUN}, ...],
          "summary": {METRIC: {"unit", "better": "lower" | "higher",
                               "parent": {"median", "q1", "q3"},
@@ -34,7 +35,10 @@ RUN is {"correct", "attempted", "failed", "metrics": {METRIC: value}}, the
 harness's last line with each metric's unit dropped (the summary keeps it).
 `commit` is the HEAD of the checkout as the harness reads it, or null outside
 a git clone; `src_sha256` is the harness's digest of the src/ that ran, so it
-tells two checkouts apart even where their HEADs agree.  `host` is the host
+tells two checkouts apart even where their HEADs agree.  `src_committed` says
+whether that src/ is the one `commit` holds (`git status --porcelain -- src`
+prints nothing), or is null outside a git clone: a change measured from an
+uncommitted tree reads false, not as its parent's HEAD.  `host` is the host
 that measured the workload's pairs, as the change's last run reports it.  Quartiles are
 inclusive (statistics.quantiles); a tie is not a win.  A metric is
 `claimable`, a gain that may be claimed, when the change wins at least
@@ -53,7 +57,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCHEMA = "lattes-forge bench-pairs 3"
+SCHEMA = "lattes-forge bench-pairs 4"
 _HOST_KEYS = ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads")
 
 
@@ -67,6 +71,16 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> str:
         raise RuntimeError(f"bench/run.py in {checkout} exited {proc.returncode}: "
                            f"{proc.stderr.strip()}")
     return proc.stdout
+
+
+def src_committed(checkout: str) -> bool | None:
+    """Whether the checkout's src/ is committed, or None outside a git clone
+    (or where git cannot read it)."""
+    if not os.path.exists(os.path.join(checkout, ".git")):
+        return None
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout,
+                          capture_output=True, text=True, check=False)
+    return None if proc.returncode else proc.stdout == ""
 
 
 def parse_run(text: str) -> tuple[dict, dict, dict]:
@@ -117,19 +131,21 @@ def measure(parent: str, change: str, workload: str, n_pairs: int, seed: int,
         bench = json.load(fh)
     seconds = float(bench["run_seconds"])
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    checkouts = {"parent": parent, "change": change}
     pairs, metas, units = [], {}, {}
     for i in range(n_pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"first": order[0]}
         for side in order:
             metas[side], pair[side], run_units = parse_run(
-                run(parent if side == "parent" else change, workload, seed, seconds))
+                run(checkouts[side], workload, seed, seconds))
             units.update(run_units)
         pairs.append(pair)
     return {"seconds": seconds, "seed": seed, "host": host_record(metas["change"]),
             **{side: {"commit": metas[side].get("commit"),
-                      "src_sha256": metas[side].get("src_sha256")}
-               for side in ("parent", "change")},
+                      "src_sha256": metas[side].get("src_sha256"),
+                      "src_committed": src_committed(checkout)}
+               for side, checkout in checkouts.items()},
             "pairs": pairs, "summary": summarize(pairs, better, units)}
 
 
